@@ -344,11 +344,15 @@ type result = {
 
 let max_rounds = 8
 
-let analyze ?(clobber = fun _ -> None) ?escapes ?(extern = fun _ -> false)
+(* [cfg], when given, is [Cfg.analyze image] already recovered by the
+   caller; it stands in for the first round's recovery whenever no
+   computed target has added an entry. *)
+let analyze ?(clobber = fun _ -> None) ?escapes ?(extern = fun _ -> false) ?cfg
     (image : Cfg.image) =
   let lo = image.Cfg.base and hi = image.Cfg.base + Bytes.length image.Cfg.code in
+  let cfg0 = match cfg with Some c -> c | None -> Cfg.analyze image in
   let escape_list =
-    match escapes with Some l -> l | None -> escape_values (Cfg.analyze image)
+    match escapes with Some l -> l | None -> escape_values cfg0
   in
   let esc = Hashtbl.create 64 in
   List.iter (fun a -> if a >= lo && a < hi then Hashtbl.replace esc a ()) escape_list;
@@ -378,9 +382,10 @@ let analyze ?(clobber = fun _ -> None) ?escapes ?(extern = fun _ -> false)
     | _ -> None
   in
   let rec go round extra visits updates =
+    let entries = List.sort_uniq compare (image.Cfg.entries @ extra) in
     let cfg =
-      Cfg.analyze
-        { image with Cfg.entries = List.sort_uniq compare (image.Cfg.entries @ extra) }
+      if entries = image.Cfg.entries then cfg0
+      else Cfg.analyze { image with Cfg.entries }
     in
     let block_tbl = Hashtbl.create 64 in
     List.iter (fun b -> Hashtbl.replace block_tbl b.Cfg.b_start b) cfg.Cfg.blocks;
@@ -543,41 +548,38 @@ let analyze ?(clobber = fun _ -> None) ?escapes ?(extern = fun _ -> false)
    iterating (bounded) until cross-image computed targets settle: a
    const-resolved JMP/JSB target in a sibling image is accepted instead
    of closing the valve, but is only sound once the sibling has been
-   re-analyzed with that target as an unknown-mode entry.  Returns the
-   plain per-image CFGs (no extra entries — the flowless baseline), the
-   per-image results of the final round, and whether the iteration
-   settled.  Shared by the oracle (mode facts) and the liveness pass
-   (constant facts): both need the same settled workload-wide fixpoint
-   before trusting any per-site fact. *)
-let analyze_images ?(clobber = fun _ -> None) (images : Cfg.image list) =
-  let cfg0s = List.map Cfg.analyze images in
-  let escapes0 = List.concat_map escape_values cfg0s in
+   re-analyzed with that target as an unknown-mode entry.  Takes the
+   plain per-image CFGs (no extra entries), which seed the escape set
+   and stand in for every image whose entries the settle leaves
+   unchanged; returns the per-image results of the final round and
+   whether the iteration settled. *)
+let analyze_images ?(clobber = fun _ -> None) (cfgs : Cfg.t list) =
+  let escapes0 = List.concat_map escape_values cfgs in
   let ranges =
     List.map
-      (fun (img : Cfg.image) ->
+      (fun (c : Cfg.t) ->
+        let img = c.Cfg.image in
         (img.Cfg.base, img.Cfg.base + Bytes.length img.Cfg.code))
-      images
+      cfgs
   in
   let extern a = List.exists (fun (lo, hi) -> a >= lo && a < hi) ranges in
   let max_settle = 4 in
   let rec settle iter known =
-    let with_entries (img : Cfg.image) =
+    let escapes = known @ escapes0 in
+    let analyze_one (cfg : Cfg.t) =
+      let img = cfg.Cfg.image in
       let lo = img.Cfg.base in
       let hi = lo + Bytes.length img.Cfg.code in
       match List.filter (fun a -> a >= lo && a < hi) known with
-      | [] -> img
+      | [] -> analyze ~clobber ~escapes ~extern ~cfg img
       | extra ->
-          {
-            img with
-            Cfg.entries = List.sort_uniq compare (extra @ img.Cfg.entries);
-          }
+          analyze ~clobber ~escapes ~extern
+            {
+              img with
+              Cfg.entries = List.sort_uniq compare (extra @ img.Cfg.entries);
+            }
     in
-    let escapes = known @ escapes0 in
-    let results =
-      List.map
-        (fun img -> analyze ~clobber ~escapes ~extern (with_entries img))
-        images
-    in
+    let results = List.map analyze_one cfgs in
     let fresh =
       List.sort_uniq compare (List.concat_map (fun r -> r.xtargets) results)
       |> List.filter (fun a -> not (List.mem a known))
@@ -586,5 +588,4 @@ let analyze_images ?(clobber = fun _ -> None) (images : Cfg.image list) =
     else if iter >= max_settle then (results, false)
     else settle (iter + 1) (fresh @ known)
   in
-  let results, settled = settle 1 [] in
-  (cfg0s, results, settled)
+  settle 1 []

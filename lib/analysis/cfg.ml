@@ -69,6 +69,8 @@ let static_targets (i : Disasm.insn) =
 type block = {
   b_start : int;
   b_insns : Disasm.insn list;  (* in address order *)
+  b_body : Disasm.insn list;  (* [b_insns] without its last instruction *)
+  b_last : Disasm.insn;  (* the instruction that decides [b_succs] *)
   b_succs : int list;  (* static successor addresses *)
 }
 
@@ -90,6 +92,8 @@ type t = {
 let analyze image =
   let lo = image.base and hi = image.base + Bytes.length image.code in
   let reachable = Hashtbl.create 256 in
+  (* every reachable instruction with its static targets, computed once *)
+  let found = ref [] in
   let queue = Queue.create () in
   List.iter (fun e -> if e >= lo && e < hi then Queue.add e queue) image.entries;
   while not (Queue.is_empty queue) do
@@ -98,20 +102,24 @@ let analyze image =
       match Disasm.decode_one image.code ~pos:(addr - lo) ~address:addr with
       | None -> ()  (* descended into data; the sweep still covers it *)
       | Some i ->
+          let ts = static_targets i in
           Hashtbl.replace reachable addr i;
-          List.iter (fun s -> Queue.add s queue) (static_targets i);
+          found := (i, ts) :: !found;
+          List.iter (fun s -> Queue.add s queue) ts;
           (match i.Disasm.opcode with
           | Some op when is_terminator op -> ()
           | _ -> Queue.add (addr + i.Disasm.length) queue)
   done;
   let sorted =
-    Hashtbl.fold (fun _ i acc -> i :: acc) reachable []
-    |> List.sort (fun a b -> compare a.Disasm.address b.Disasm.address)
+    List.sort
+      (fun ((a : Disasm.insn), _) ((b : Disasm.insn), _) ->
+        compare a.Disasm.address b.Disasm.address)
+      !found
   in
   (* diagnostics: byte coverage and overlapping decodes *)
   let covered = Bytes.make (hi - lo) '\000' in
   List.iter
-    (fun i ->
+    (fun ((i : Disasm.insn), _) ->
       for k = i.Disasm.address - lo to i.Disasm.address - lo + i.Disasm.length - 1
       do
         if k < hi - lo then Bytes.set covered k '\001'
@@ -128,7 +136,7 @@ let analyze image =
     end
   done;
   let rec overlaps = function
-    | a :: (b :: _ as rest) ->
+    | ((a : Disasm.insn), _) :: ((((b : Disasm.insn), _) :: _) as rest) ->
         if b.Disasm.address < a.Disasm.address + a.Disasm.length then
           diags :=
             Overlap { at = b.Disasm.address; prev = a.Disasm.address } :: !diags;
@@ -137,16 +145,16 @@ let analyze image =
   in
   overlaps sorted;
   (* basic blocks over the reachable set *)
-  let ends_block i =
-    static_targets i <> []
+  let ends_block ((i : Disasm.insn), ts) =
+    ts <> []
     || match i.Disasm.opcode with Some op -> is_terminator op | None -> true
   in
   let leaders = Hashtbl.create 64 in
   List.iter (fun e -> Hashtbl.replace leaders e ()) image.entries;
   List.iter
-    (fun i ->
-      List.iter (fun t -> Hashtbl.replace leaders t ()) (static_targets i);
-      if ends_block i then
+    (fun (((i : Disasm.insn), ts) as it) ->
+      List.iter (fun t -> Hashtbl.replace leaders t ()) ts;
+      if ends_block it then
         Hashtbl.replace leaders (i.Disasm.address + i.Disasm.length) ())
     sorted;
   let blocks = ref [] in
@@ -154,27 +162,35 @@ let analyze image =
   let flush () =
     match !cur with
     | [] -> ()
-    | last :: _ ->
-        let insns = List.rev !cur in
-        let first = List.hd insns in
+    | ((last : Disasm.insn), ts) :: earlier ->
+        let body = List.rev_map fst earlier in
         let succs =
-          static_targets last
+          ts
           @
           match last.Disasm.opcode with
           | Some op when is_terminator op -> []
           | _ -> [ last.Disasm.address + last.Disasm.length ]
         in
-        blocks := { b_start = first.Disasm.address; b_insns = insns; b_succs = succs } :: !blocks;
+        let insns = body @ [ last ] in
+        blocks :=
+          {
+            b_start = (List.hd insns).Disasm.address;
+            b_insns = insns;
+            b_body = body;
+            b_last = last;
+            b_succs = succs;
+          }
+          :: !blocks;
         cur := []
   in
   let prev_end = ref min_int in
   List.iter
-    (fun i ->
+    (fun (((i : Disasm.insn), _) as it) ->
       if Hashtbl.mem leaders i.Disasm.address || i.Disasm.address <> !prev_end
       then flush ();
-      cur := i :: !cur;
+      cur := it :: !cur;
       prev_end := i.Disasm.address + i.Disasm.length;
-      if ends_block i then flush ())
+      if ends_block it then flush ())
     sorted;
   flush ();
   let swept = Disasm.decode_all ~resync:true image.code ~base:image.base in
@@ -193,12 +209,21 @@ let analyze image =
    predicted-but-never-hit coverage, while a missed site would be a false
    alarm. *)
 let all_sites t =
-  let seen = Hashtbl.create 256 in
-  Hashtbl.iter (fun a i -> Hashtbl.replace seen a i) t.reachable;
-  List.iter
-    (fun i ->
-      if i.Disasm.opcode <> None && not (Hashtbl.mem seen i.Disasm.address)
-      then Hashtbl.replace seen i.Disasm.address i)
-    t.swept;
-  Hashtbl.fold (fun _ i acc -> i :: acc) seen []
-  |> List.sort (fun a b -> compare a.Disasm.address b.Disasm.address)
+  let swept_site (j : Disasm.insn) acc =
+    if j.Disasm.opcode <> None then j :: acc else acc
+  in
+  (* both inputs are in address order: the blocks partition the
+     reachable set in order, and the sweep is linear; a reachable site
+     shadows the sweep's decode at the same address *)
+  let rec merge acc reach swept =
+    match (reach, swept) with
+    | _, [] -> List.rev_append acc reach
+    | [], j :: swept' -> merge (swept_site j acc) [] swept'
+    | (i : Disasm.insn) :: reach', (j : Disasm.insn) :: swept' ->
+        if j.Disasm.address < i.Disasm.address then
+          merge (swept_site j acc) reach swept'
+        else if j.Disasm.address = i.Disasm.address then
+          merge (i :: acc) reach' swept'
+        else merge (i :: acc) reach' swept
+  in
+  merge [] (List.concat_map (fun b -> b.b_insns) t.blocks) t.swept

@@ -88,9 +88,6 @@ type call_xform = {
   x_protocol : Summaries.summary;
 }
 
-let last_insn (b : Cfg.block) =
-  List.nth b.Cfg.b_insns (List.length b.Cfg.b_insns - 1)
-
 (* Call blocks of [cfg] with a same-image static target whose summary
    is usable.  Everything else falls back to the conservative call
    treatment baked into [reg_effect]/[cc_gen]. *)
@@ -102,42 +99,46 @@ let call_xforms (cfg : Cfg.t) (summ : Summaries.t) =
   let tbl = Hashtbl.create 16 in
   List.iter
     (fun (b : Cfg.block) ->
-      if b.Cfg.b_insns <> [] then
-        let l = last_insn b in
-        match Summaries.call_site l with
-        | Some (op, t, r) when Hashtbl.mem block_at t && Hashtbl.mem block_at r
-          -> (
-            match Summaries.find summ t with
-            | Some s when Summaries.usable s ->
-                Hashtbl.replace tbl b.Cfg.b_start
-                  {
-                    x_target = t;
-                    x_ret = r;
-                    x_summary = s;
-                    x_protocol = Summaries.protocol_effect op l;
-                  }
-            | _ -> ())
-        | _ -> ())
+      let l = b.Cfg.b_last in
+      match Summaries.call_site l with
+      | Some (op, t, r) when Hashtbl.mem block_at t && Hashtbl.mem block_at r
+        -> (
+          match Summaries.find summ t with
+          | Some s when Summaries.usable s ->
+              Hashtbl.replace tbl b.Cfg.b_start
+                {
+                  x_target = t;
+                  x_ret = r;
+                  x_summary = s;
+                  x_protocol = Summaries.protocol_effect op l;
+                }
+          | _ -> ())
+      | _ -> ())
     cfg.Cfg.blocks;
   tbl
 
 let no_xforms : (int, call_xform) Hashtbl.t = Hashtbl.create 1
 
-(* live-in of a block given its live-out: right fold = backward walk.
-   For a transformed call block the live-out is the liveness at the
-   callee entry, and the call instruction contributes only its protocol
+(* (gen, kill) of straight-line code [insns] followed by code with
+   effect [after]: its live-in is [gen lor (live_out land lnot kill)].
+   Right fold = backward walk. *)
+let seq_effect insns after =
+  List.fold_right
+    (fun i (g, k) ->
+      let gi, ki = insn_effect i in
+      (gi lor (g land lnot ki), ki lor k))
+    insns after
+
+(* A block's (gen, kill) from its live-out to its live-in.  For a
+   transformed call block the live-out is the liveness at the callee
+   entry, and the call instruction contributes only its protocol
    effect. *)
-let block_live_in ?(xforms = no_xforms) (b : Cfg.block) live_out =
+let block_effect ?(xforms = no_xforms) (b : Cfg.block) =
   match Hashtbl.find_opt xforms b.Cfg.b_start with
-  | None -> List.fold_right live_before b.Cfg.b_insns live_out
+  | None -> seq_effect b.Cfg.b_insns (0, 0)
   | Some xi ->
-      let n = List.length b.Cfg.b_insns in
-      let body = List.filteri (fun k _ -> k < n - 1) b.Cfg.b_insns in
-      let after_body =
-        xi.x_protocol.Summaries.sg
-        lor (live_out land lnot xi.x_protocol.Summaries.sk)
-      in
-      List.fold_right live_before body after_body
+      seq_effect b.Cfg.b_body
+        (xi.x_protocol.Summaries.sg, xi.x_protocol.Summaries.sk)
 
 (* ---- per-image solve -------------------------------------------------- *)
 
@@ -148,10 +149,13 @@ let block_live_in ?(xforms = no_xforms) (b : Cfg.block) live_out =
    all-live when any successor is unrecovered, bottom otherwise — which
    also enqueues every block at least once.  A predecessor that is a
    transformed call block receives the summary-filtered contribution on
-   its return edge and nothing on its callee edge. *)
+   its return edge and nothing on its callee edge.  Each block's
+   (gen, kill) is derived once, not on every transfer. *)
 let solve_image ?(xforms = no_xforms) (cfg : Cfg.t) =
   let block_at = Hashtbl.create 64 in
-  List.iter (fun (b : Cfg.block) -> Hashtbl.replace block_at b.Cfg.b_start b)
+  List.iter
+    (fun (b : Cfg.block) ->
+      Hashtbl.replace block_at b.Cfg.b_start (block_effect ~xforms b))
     cfg.Cfg.blocks;
   let preds = Hashtbl.create 64 in
   List.iter
@@ -178,8 +182,8 @@ let solve_image ?(xforms = no_xforms) (cfg : Cfg.t) =
   let transfer node live_out =
     match Hashtbl.find_opt block_at node with
     | None -> []
-    | Some b ->
-        let live_in = block_live_in ~xforms b live_out in
+    | Some (gen, kill) ->
+        let live_in = gen lor (live_out land lnot kill) in
         List.filter_map
           (fun p ->
             match Hashtbl.find_opt xforms p with
@@ -212,14 +216,12 @@ let walk_block ?(xforms = no_xforms) (b : Cfg.block) live_out ~emit =
   match Hashtbl.find_opt xforms b.Cfg.b_start with
   | None -> ignore (go live_out b.Cfg.b_insns)
   | Some xi ->
-      let n = List.length b.Cfg.b_insns in
-      let body = List.filteri (fun k _ -> k < n - 1) b.Cfg.b_insns in
-      emit (last_insn b) live_out;
+      emit b.Cfg.b_last live_out;
       let after_body =
         xi.x_protocol.Summaries.sg
         lor (live_out land lnot xi.x_protocol.Summaries.sk)
       in
-      ignore (go after_body body)
+      ignore (go after_body b.Cfg.b_body)
 
 type stats = {
   images : int;
@@ -228,16 +230,16 @@ type stats = {
   mode_sound : bool;  (* workload-wide: constants were emitted *)
 }
 
-(* The full pipeline: recover each image's CFG, compute the per-image
-   callee summaries, solve liveness with the summary-transformed call
-   edges, run the workload-wide vaxflow analysis for constants — with
-   call-site register clobbers narrowed to each callee's preservation
-   mask — and populate one fact table keyed by virtual address.  VA
-   collisions between images merge conservatively inside
+(* Facts from a workload-wide [Analysis] (per-image CFGs, callee
+   summaries, and the settled vaxflow fixpoint with call-site register
+   clobbers narrowed to each callee's preservation mask): solve liveness
+   per image with the summary-transformed call edges, take constants
+   from the fixpoint, and populate one fact table keyed by virtual
+   address.  VA collisions between images merge conservatively inside
    [Block_facts.add]. *)
-let facts_of_images (images : Cfg.image list) =
+let facts_of_analysis (a : Analysis.t) =
   let facts = Block_facts.create () in
-  let summaries = List.map (fun img -> Summaries.of_cfg (Cfg.analyze img)) images in
+  let summaries = a.Analysis.summaries in
   List.iter
     (fun (s : Summaries.t) ->
       facts.Block_facts.solver_visits <-
@@ -245,11 +247,7 @@ let facts_of_images (images : Cfg.image list) =
       facts.Block_facts.solver_updates <-
         facts.Block_facts.solver_updates + s.Summaries.solver.Dataflow.updates)
     summaries;
-  let clobber = Summaries.clobber_fn (Summaries.summary_table summaries) in
-  let cfg0s, results, settled = Absdom.analyze_images ~clobber images in
-  let mode_sound =
-    settled && List.for_all (fun r -> r.Absdom.stats.Absdom.mode_sound) results
-  in
+  let mode_sound = Analysis.mode_sound a in
   let nblocks = ref 0 and ninsns = ref 0 in
   List.iter2
     (fun ((cfg : Cfg.t), (summ : Summaries.t)) (r : Absdom.result) ->
@@ -267,10 +265,7 @@ let facts_of_images (images : Cfg.image list) =
             Option.value ~default:all_live
               (Hashtbl.find_opt liveouts b.Cfg.b_start)
           in
-          let is_call_block =
-            b.Cfg.b_insns <> []
-            && Summaries.call_site (last_insn b) <> None
-          in
+          let is_call_block = Summaries.call_site b.Cfg.b_last <> None in
           if is_call_block then
             if Hashtbl.mem xforms b.Cfg.b_start then
               facts.Block_facts.summary_calls <-
@@ -287,7 +282,7 @@ let facts_of_images (images : Cfg.image list) =
                      falls back (the resolved ones end their block) *)
                   (match op with
                   | (Opcode.Jsb | Opcode.Bsbb | Opcode.Calls)
-                    when i.Disasm.address <> (last_insn b).Disasm.address ->
+                    when i.Disasm.address <> b.Cfg.b_last.Disasm.address ->
                       facts.Block_facts.summary_fallbacks <-
                         facts.Block_facts.summary_fallbacks + 1
                   | _ -> ());
@@ -347,12 +342,16 @@ let facts_of_images (images : Cfg.image list) =
                       f_bytes;
                     }))
         cfg.Cfg.blocks)
-    (List.combine cfg0s summaries)
-    results;
+    (List.combine a.Analysis.cfgs summaries)
+    a.Analysis.results;
   ( facts,
     {
-      images = List.length images;
+      images = List.length a.Analysis.cfgs;
       blocks = !nblocks;
       insns = !ninsns;
       mode_sound;
     } )
+
+(* The full pipeline over a workload's images. *)
+let facts_of_images (images : Cfg.image list) =
+  facts_of_analysis (Analysis.of_images images)

@@ -75,86 +75,80 @@ let predict t ~pc kinds =
   let m = bitmask kinds in
   if m <> 0 then Hashtbl.replace t.predicted pc (find0 t.predicted pc lor m)
 
-let add_cfg t ~mode cfg =
+(* flowless predictions for [sites] *)
+let add_sites t ~mode sites =
   List.iter
     (fun i -> predict t ~pc:i.Disasm.address (Classify.predict ~mode i))
-    (Cfg.all_sites cfg)
-
-let add_image t ~mode image = add_cfg t ~mode (Cfg.analyze image)
+    sites
 
 let popcount m = (m land 1) + ((m lsr 1) land 1) + ((m lsr 2) land 1)
 
 let predicted_pairs t =
   Hashtbl.fold (fun _ m n -> n + popcount m) t.predicted 0
 
-(* Flow-sensitive static pass: escaped addresses are pooled across the
-   whole workload (a vector cell written by one image can dispatch into
-   another), each image is abstractly interpreted, and each site's
-   prediction is refined by its mode fact.  The refinement only ever
-   drops trap kinds at a site, so the flow-sensitive predicted table is
-   a subset of the flowless one.  If any image has an unresolved
-   computed control transfer, refinement is disabled wholesale
-   ([fs_mode_sound] = false): a missed edge could reach any image in
-   any mode. *)
+(* Flow-sensitive static pass over a workload-wide [Analysis]: escaped
+   addresses are pooled across the whole workload (a vector cell written
+   by one image can dispatch into another), each image is abstractly
+   interpreted, and each site's prediction is refined by its mode fact.
+   The refinement only ever drops trap kinds at a site, so the
+   flow-sensitive predicted table is a subset of the flowless one.  If
+   the settle did not converge or any image has an unresolved computed
+   control transfer, refinement is disabled wholesale ([fs_mode_sound] =
+   false): a missed edge could reach any image in any mode. *)
+let of_analysis ~name ~mode (a : Analysis.t) =
+  let t = create ~name and flowless = create ~name in
+  let mode_sound = Analysis.mode_sound a in
+  let sites = ref 0 and fact_sites = ref 0 in
+  List.iter2
+    (fun cfg0 r ->
+      let sites0 = Cfg.all_sites cfg0 in
+      add_sites flowless ~mode sites0;
+      List.iter
+        (fun (i : Disasm.insn) ->
+          incr sites;
+          let flow_fact =
+            if mode_sound then
+              match Hashtbl.find_opt r.Absdom.facts i.Disasm.address with
+              | Some s ->
+                  incr fact_sites;
+                  Some (Absdom.flow_fact_of s)
+              | None -> None
+            else None
+          in
+          predict t ~pc:i.Disasm.address
+            (Classify.predict ~mode ?flow:flow_fact i))
+        (* the final CFG is the plain one unless computed targets added
+           entries *)
+        (if r.Absdom.cfg == cfg0 then sites0 else Cfg.all_sites r.Absdom.cfg))
+    a.Analysis.cfgs a.Analysis.results;
+  let sum f = List.fold_left (fun n r -> n + f r.Absdom.stats) 0 a.Analysis.results in
+  t.flow <-
+    Some
+      {
+        fs_images = List.length a.Analysis.cfgs;
+        fs_sites = !sites;
+        fs_fact_sites = !fact_sites;
+        fs_rounds = sum (fun s -> s.Absdom.rounds);
+        fs_visits = sum (fun s -> s.Absdom.visits);
+        fs_updates = sum (fun s -> s.Absdom.updates);
+        fs_resolved = sum (fun s -> s.Absdom.resolved);
+        fs_xresolved = sum (fun s -> s.Absdom.xresolved);
+        fs_unresolved = sum (fun s -> s.Absdom.unresolved);
+        fs_escapes = sum (fun s -> s.Absdom.escapes);
+        fs_mode_sound = mode_sound;
+        fs_pairs_flowless = predicted_pairs flowless;
+      };
+  t
+
+(* [flow:false] is the flow-insensitive pass: CFG recovery and
+   classification only. *)
 let of_images ?(flow = true) ~name ~mode (images : Cfg.image list) =
-  let t = create ~name in
-  if not flow then begin
-    List.iter (add_image t ~mode) images;
-    t
-  end
+  if flow then of_analysis ~name ~mode (Analysis.of_images images)
   else begin
-    (* Cross-image computed edges settle workload-wide in
-       [Absdom.analyze_images]; a workload that does not settle keeps
-       no mode facts.  Callee summaries narrow the register clobber at
-       resolved JSB/BSBB/CALLS sites, so constants — and with them
-       computed-target resolutions and mode facts — survive calls. *)
-    let summaries =
-      List.map (fun img -> Summaries.of_cfg (Cfg.analyze img)) images
-    in
-    let clobber = Summaries.clobber_fn (Summaries.summary_table summaries) in
-    let cfg0s, results, settled = Absdom.analyze_images ~clobber images in
-    let mode_sound =
-      settled
-      && List.for_all (fun r -> r.Absdom.stats.Absdom.mode_sound) results
-    in
-    let sites = ref 0 and fact_sites = ref 0 in
+    let t = create ~name in
     List.iter
-      (fun r ->
-        List.iter
-          (fun (i : Disasm.insn) ->
-            incr sites;
-            let flow_fact =
-              if mode_sound then
-                match Hashtbl.find_opt r.Absdom.facts i.Disasm.address with
-                | Some s ->
-                    incr fact_sites;
-                    Some (Absdom.flow_fact_of s)
-                | None -> None
-              else None
-            in
-            predict t ~pc:i.Disasm.address
-              (Classify.predict ~mode ?flow:flow_fact i))
-          (Cfg.all_sites r.Absdom.cfg))
-      results;
-    let flowless = create ~name in
-    List.iter (add_cfg flowless ~mode) cfg0s;
-    let sum f = List.fold_left (fun n r -> n + f r.Absdom.stats) 0 results in
-    t.flow <-
-      Some
-        {
-          fs_images = List.length images;
-          fs_sites = !sites;
-          fs_fact_sites = !fact_sites;
-          fs_rounds = sum (fun s -> s.Absdom.rounds);
-          fs_visits = sum (fun s -> s.Absdom.visits);
-          fs_updates = sum (fun s -> s.Absdom.updates);
-          fs_resolved = sum (fun s -> s.Absdom.resolved);
-          fs_xresolved = sum (fun s -> s.Absdom.xresolved);
-          fs_unresolved = sum (fun s -> s.Absdom.unresolved);
-          fs_escapes = sum (fun s -> s.Absdom.escapes);
-          fs_mode_sound = mode_sound;
-          fs_pairs_flowless = predicted_pairs flowless;
-        };
+      (fun img -> add_sites t ~mode (Cfg.all_sites (Cfg.analyze img)))
+      images;
     t
   end
 

@@ -171,38 +171,30 @@ let coverage_json (c : Oracle.coverage) =
       ("observed_events", Json.int c.Oracle.observed_events);
     ]
 
+(* With flow on, the per-image flow sections, the site mode sets and the
+   precision section all come from one workload-wide [Analysis] — the
+   same settled, summary-narrowed fixpoint the oracle refines with — so
+   the report never disagrees with the oracle about [mode_sound]. *)
 let report ?coverage ?(flow = true) ~mode ~workload (images : Cfg.image list) =
-  let results =
-    if flow then
-      let escapes =
-        List.concat_map (fun i -> Absdom.escape_values (Cfg.analyze i)) images
-      in
-      List.map (fun i -> Some (Absdom.analyze ~escapes i)) images
-    else List.map (fun _ -> None) images
-  in
-  let flow_ok =
-    List.for_all
-      (function Some r -> r.Absdom.stats.Absdom.mode_sound | None -> false)
-      results
-  in
-  let precision =
-    if not flow then []
+  let results, flow_ok, precision =
+    if not flow then (List.map (fun _ -> None) images, false, [])
     else
-      let o = Oracle.of_images ~flow:true ~name:workload ~mode images in
+      let a = Analysis.of_images images in
+      let o = Oracle.of_analysis ~name:workload ~mode a in
+      let f = Option.get o.Oracle.flow in
       let pairs = Oracle.predicted_pairs o in
-      match o.Oracle.flow with
-      | None -> []
-      | Some f ->
-          [
-            ( "precision",
-              Json.Obj
-                [
-                  ("pairs", Json.int pairs);
-                  ("pairs_flowless", Json.int f.Oracle.fs_pairs_flowless);
-                  ("pairs_pruned", Json.int (f.Oracle.fs_pairs_flowless - pairs));
-                  ("mode_sound", Json.Bool f.Oracle.fs_mode_sound);
-                ] );
-          ]
+      ( List.map Option.some a.Analysis.results,
+        Analysis.mode_sound a,
+        [
+          ( "precision",
+            Json.Obj
+              [
+                ("pairs", Json.int pairs);
+                ("pairs_flowless", Json.int f.Oracle.fs_pairs_flowless);
+                ("pairs_pruned", Json.int (f.Oracle.fs_pairs_flowless - pairs));
+                ("mode_sound", Json.Bool f.Oracle.fs_mode_sound);
+              ] );
+        ] )
   in
   let fields =
     [

@@ -303,77 +303,78 @@ type t = {
   solver : Dataflow.stats;
 }
 
+(* How a block's summary follows from its successors' summaries, given
+   its last instruction. *)
+type tail =
+  | Fixed of summary  (* reads no successor: return, stop, escape *)
+  | Call of summary * int * int  (* protocol effect, callee, return point *)
+  | Jump of int  (* a resolved JMP transfers without touching state *)
+  | Step of summary * int list  (* the instruction, then its successors *)
+
+let tail_of (b : Cfg.block) =
+  let l = b.Cfg.b_last in
+  match call_site l with
+  | Some (op, t, r) -> Call (protocol_effect op l, t, r)
+  | None -> (
+      match l.Disasm.opcode with
+      | Some Opcode.Rsb -> Fixed rsb_effect
+      | Some Opcode.Ret -> Fixed ret_effect
+      | Some Opcode.Halt ->
+          (* the machine stops; every inspection point materializes
+             deferred state first *)
+          Fixed bot
+      | Some (Opcode.Rei | Opcode.Bpt) -> Fixed top
+      | Some Opcode.Jmp -> (
+          (* a computed JMP escapes *)
+          match Cfg.static_targets l with [ t ] -> Jump t | _ -> Fixed top)
+      | _ -> Step (insn_summary l, b.Cfg.b_succs))
+
+(* the block-start addresses whose summary a tail reads *)
+let tail_deps = function
+  | Fixed _ -> []
+  | Call (_, t, r) -> [ t; r ]
+  | Jump t -> [ t ]
+  | Step (_, succs) -> succs
+
 let of_cfg (cfg : Cfg.t) =
+  (* per block: its body's instruction summaries and its tail, derived
+     once rather than on every solver transfer *)
   let block_at = Hashtbl.create 64 in
   List.iter
-    (fun (b : Cfg.block) -> Hashtbl.replace block_at b.Cfg.b_start b)
+    (fun (b : Cfg.block) ->
+      Hashtbl.replace block_at b.Cfg.b_start
+        (List.map insn_summary b.Cfg.b_body, tail_of b))
     cfg.Cfg.blocks;
   (* mirror of the solver's states, read by [compute] *)
   let cur = Hashtbl.create 64 in
   let cur_at a = Option.value ~default:bot (Hashtbl.find_opt cur a) in
   let succ_summary a = if Hashtbl.mem block_at a then cur_at a else top in
-  let last_of (b : Cfg.block) =
-    List.nth b.Cfg.b_insns (List.length b.Cfg.b_insns - 1)
-  in
-  (* the block-start addresses whose summary each block's tail reads *)
-  let tail_deps (b : Cfg.block) =
-    let l = last_of b in
-    match call_site l with
-    | Some (_, t, r) -> [ t; r ]
-    | None -> (
-        match l.Disasm.opcode with
-        | Some (Opcode.Rsb | Opcode.Ret | Opcode.Halt | Opcode.Rei | Opcode.Bpt)
-          ->
-            []
-        | _ -> b.Cfg.b_succs)
-  in
   let rdeps = Hashtbl.create 64 in
   List.iter
     (fun (b : Cfg.block) ->
+      let _, tail = Hashtbl.find block_at b.Cfg.b_start in
       List.iter
         (fun d ->
           Hashtbl.replace rdeps d
             (b.Cfg.b_start :: Option.value ~default:[] (Hashtbl.find_opt rdeps d)))
-        (List.sort_uniq compare (tail_deps b)))
+        (List.sort_uniq compare (tail_deps tail)))
     cfg.Cfg.blocks;
   let compute addr =
     match Hashtbl.find_opt block_at addr with
     | None -> top
-    | Some b ->
-        let l = last_of b in
+    | Some (body, tail) ->
         let tail =
-          match call_site l with
-          | Some (op, t, r) ->
-              compose (protocol_effect op l)
-                (compose (succ_summary t) (succ_summary r))
-          | None -> (
-              match l.Disasm.opcode with
-              | Some Opcode.Rsb -> rsb_effect
-              | Some Opcode.Ret -> ret_effect
-              | Some Opcode.Halt -> bot  (* the machine stops; every
-                  inspection point materializes deferred state first *)
-              | Some (Opcode.Rei | Opcode.Bpt) -> top
-              | Some Opcode.Jmp -> (
-                  (* a resolved JMP transfers without touching state;
-                     a computed one escapes *)
-                  match Cfg.static_targets l with
-                  | [ t ] -> succ_summary t
-                  | _ -> top)
-              | _ ->
-                  let succs =
-                    match b.Cfg.b_succs with
-                    | [] -> [ top ]
-                    | ss -> List.map succ_summary ss
-                  in
-                  compose (insn_summary l)
-                    (List.fold_left join bot succs))
+          match tail with
+          | Fixed s -> s
+          | Call (protocol, t, r) ->
+              compose protocol (compose (succ_summary t) (succ_summary r))
+          | Jump t -> succ_summary t
+          | Step (s, []) -> compose s top
+          | Step (s, succs) ->
+              compose s
+                (List.fold_left (fun acc a -> join acc (succ_summary a)) bot succs)
         in
-        let body =
-          List.filteri
-            (fun k _ -> k < List.length b.Cfg.b_insns - 1)
-            b.Cfg.b_insns
-        in
-        List.fold_right (fun i acc -> compose (insn_summary i) acc) body tail
+        List.fold_right compose body tail
   in
   let transfer n s =
     Hashtbl.replace cur n s;

@@ -21,7 +21,6 @@ type insn = {
   opcode : Opcode.t option;
   mnemonic : string;
   specs : spec list;
-  operands : operand_text list;
 }
 
 exception Truncated
@@ -129,7 +128,6 @@ let decode_one b ~pos ~address =
           opcode = Some opcode;
           mnemonic = Opcode.name opcode;
           specs;
-          operands = List.map spec_to_string specs;
         })
       opcode
   with
@@ -178,8 +176,7 @@ let data_byte b ~pos ~address =
     length = 1;
     opcode = None;
     mnemonic = ".byte";
-    specs = [];
-    operands = [ Printf.sprintf "%#x" (byte b pos) ];
+    specs = [ Immediate (byte b pos) ];
   }
 
 let decode_all ?(resync = false) b ~base =
@@ -196,8 +193,12 @@ let decode_all ?(resync = false) b ~base =
   in
   go 0 []
 
+(* Operand text is rendered here, on demand, rather than at decode time:
+   only traces, tools and the vaxlint report ever read it. *)
 let to_string i =
-  if i.operands = [] then Printf.sprintf "%x: %s" i.address i.mnemonic
-  else
-    Printf.sprintf "%x: %s %s" i.address i.mnemonic
-      (String.concat ", " i.operands)
+  match (i.opcode, i.specs) with
+  | _, [] -> Printf.sprintf "%x: %s" i.address i.mnemonic
+  | None, [ Immediate v ] -> Printf.sprintf "%x: %s %#x" i.address i.mnemonic v
+  | _, specs ->
+      Printf.sprintf "%x: %s %s" i.address i.mnemonic
+        (String.concat ", " (List.map spec_to_string specs))

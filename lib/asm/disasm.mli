@@ -32,7 +32,8 @@ type insn = {
           resynchronizing sweep *)
   mnemonic : string;
   specs : spec list;
-  operands : operand_text list;  (** rendered text, one per spec *)
+      (** one per operand; a [.byte] pseudo-instruction carries its data
+          byte as a single [Immediate] *)
 }
 
 val decode_one : bytes -> pos:int -> address:int -> insn option
@@ -57,4 +58,6 @@ val spec_to_string : spec -> operand_text
 (** Render one specifier the way [to_string] does. *)
 
 val to_string : insn -> string
-(** e.g. ["1000: MOVL #5, R0"]. *)
+(** e.g. ["1000: MOVL #0x5, R0"]; a data byte renders as
+    ["1004: .byte 0xff"].  The operand text is built on each call, not
+    stored at decode time. *)

@@ -19,29 +19,6 @@ type measurement = {
 
 let default_max = 400_000_000
 
-(* Every run carries the vaxlint differential oracle: the workload's code
-   images are statically analyzed up front and the microcode's trap
-   observer checks each VM-emulation trap, privileged fault, and modify
-   fault against the predicted sites, raising on any unpredicted one.
-
-   The static pass is pure in the code images, and a [Minivms.built] is
-   immutable once assembled, so the analysis is memoized by the physical
-   identity of the built list: repeated runs of the same workload (the
-   benchmark harness's pattern) share one predicted table and get fresh
-   hit tracking via {!Oracle.with_predictions}.
-
-   The cache is process-global, so lookup and insertion are serialized
-   by [oracle_cache_lock]: fleet workers on different domains may run
-   (and even share) the same built images concurrently.  A cached
-   oracle's predicted table is completed inside the critical section
-   and read-only afterwards, so sharing it across domains is safe. *)
-let oracle_cache :
-    (Classify.mode_assumption * bool * Minivms.built list * Oracle.t) list ref =
-  ref []
-
-let oracle_cache_lock = Mutex.create ()
-let max_cached_oracles = 8
-
 (* A built's code images as vaxflow-ready CFG images: each carries the
    access mode in which MiniVMS first enters it, seeding the
    abstract-mode analysis. *)
@@ -51,63 +28,112 @@ let images_of_built (b : Minivms.built) =
       Cfg.of_asm ?entry_mode:(Minivms.image_entry_mode name) name img)
     b.Minivms.code_images
 
-let make_oracle ~mode ~flow (builts : Minivms.built list) =
-  let name = Classify.mode_name mode in
-  let same (m, f, bs, _) =
-    m = mode && f = flow
-    && List.length bs = List.length builts
-    && List.for_all2 ( == ) bs builts
+(* Every run carries the vaxlint differential oracle: the workload's code
+   images are statically analyzed up front and the microcode's trap
+   observer checks each VM-emulation trap, privileged fault, and modify
+   fault against the predicted sites, raising on any unpredicted one.
+   Runs with [liveness] also install the liveness/constant facts for the
+   superblock compiler.
+
+   Both products derive from one static analysis ({!Analysis.of_images}),
+   pure in the code images, and a [Minivms.built] is immutable once
+   assembled, so the products are memoized by the physical identity of
+   the built list.  An entry holds only products: oracles per (mode
+   assumption, flow), shared read-only with fresh hit tracking via
+   {!Oracle.with_predictions}, and the facts, which do not depend on the
+   mode (the PSL<VM> context gate lives in the block cache).  When an
+   entry lacks a product, the analysis runs outside the critical
+   section and is dropped once the products are taken: it is much
+   larger than they are (PERF.md, "One static pass per workload").
+
+   The cache is process-global, so lookup and insertion are serialized
+   by [cache_lock]: fleet workers on different domains may run (and even
+   share) the same built images concurrently.  Products are complete
+   before they are inserted and read-only afterwards; when two domains
+   miss on the same builts, both analyze and the first insert wins. *)
+type entry = {
+  builts : Minivms.built list;
+  oracles : ((Classify.mode_assumption * bool) * Oracle.t) list;
+  facts : Block_facts.t option;
+}
+
+let cache : entry list ref = ref []
+let cache_lock = Mutex.create ()
+let max_cached = 8
+
+let find builts =
+  List.find_opt
+    (fun e ->
+      List.length e.builts = List.length builts
+      && List.for_all2 ( == ) e.builts builts)
+    !cache
+
+(* Merge products into the entry for [builts], moved to the front (a
+   product the entry already holds wins), and return the entry's
+   products.  Called under [cache_lock]. *)
+let insert ~key builts oracle facts =
+  let old, rest =
+    match find builts with
+    | Some e -> (e, List.filter (( != ) e) !cache)
+    | None ->
+        ( { builts; oracles = []; facts = None },
+          List.filteri (fun i _ -> i < max_cached - 1) !cache )
   in
-  Mutex.protect oracle_cache_lock (fun () ->
-      match List.find_opt same !oracle_cache with
-      | Some (_, _, _, src) -> Oracle.with_predictions ~name src
-      | None ->
-          let images = List.concat_map images_of_built builts in
-          let o = Oracle.of_images ~flow ~name ~mode images in
-          oracle_cache :=
-            (mode, flow, builts, o)
-            :: (if List.length !oracle_cache >= max_cached_oracles then
-                  List.filteri
-                    (fun i _ -> i < max_cached_oracles - 1)
-                    !oracle_cache
-                else !oracle_cache);
-          o)
+  let oracle = Option.value ~default:oracle (List.assoc_opt key old.oracles) in
+  let facts = if Option.is_some old.facts then old.facts else facts in
+  cache :=
+    { builts; oracles = (key, oracle) :: List.remove_assoc key old.oracles; facts }
+    :: rest;
+  (oracle, facts)
+
+(* The oracle for [mode]/[flow] (with fresh hit tracking) and, with
+   [liveness], the facts. *)
+let analysis_products ~mode ~flow ~liveness (builts : Minivms.built list) =
+  let key = (mode, flow) and name = Classify.mode_name mode in
+  let cached_oracle, cached_facts =
+    Mutex.protect cache_lock (fun () ->
+        match find builts with
+        | Some e -> (List.assoc_opt key e.oracles, e.facts)
+        | None -> (None, None))
+  in
+  let oracle, facts =
+    match (cached_oracle, cached_facts) with
+    | Some o, f when Option.is_some f || not liveness -> (o, f)
+    | _ ->
+        let images = List.concat_map images_of_built builts in
+        let analysis = lazy (Analysis.of_images images) in
+        let oracle =
+          match cached_oracle with
+          | Some o -> o
+          | None when flow ->
+              Oracle.of_analysis ~name ~mode (Lazy.force analysis)
+          | None -> Oracle.of_images ~flow:false ~name ~mode images
+        in
+        let facts =
+          match cached_facts with
+          | None when liveness ->
+              Some (fst (Liveness.facts_of_analysis (Lazy.force analysis)))
+          | f -> f
+        in
+        Mutex.protect cache_lock (fun () -> insert ~key builts oracle facts)
+  in
+  (Oracle.with_predictions ~name oracle, facts)
 
 let register_flow_metrics m oracle =
   Vax_obs.Metrics.register_group m.Machine.metrics "analysis.flow" (fun () ->
       Oracle.flow_metrics oracle)
 
-(* Liveness facts for the superblock compiler, memoized exactly like the
-   oracle: the pass is pure in the built images, and the fact table is
-   read-only once constructed, so one table serves every machine (and
-   domain) running the same workload.  Unlike the oracle the table does
-   not depend on the mode assumption — bare and VM runs share an entry;
-   the PSL<VM> context gate lives in the block cache, not the table. *)
-let facts_cache : (Minivms.built list * Block_facts.t) list ref = ref []
-let facts_cache_lock = Mutex.create ()
-let max_cached_facts = 8
-
-let make_facts (builts : Minivms.built list) =
-  let same (bs, _) =
-    List.length bs = List.length builts && List.for_all2 ( == ) bs builts
-  in
-  Mutex.protect facts_cache_lock (fun () ->
-      match List.find_opt same !facts_cache with
-      | Some (_, f) -> f
-      | None ->
-          let images = List.concat_map images_of_built builts in
-          let f, _stats = Liveness.facts_of_images images in
-          facts_cache :=
-            (builts, f)
-            :: (if List.length !facts_cache >= max_cached_facts then
-                  List.filteri (fun i _ -> i < max_cached_facts - 1) !facts_cache
-                else !facts_cache);
-          f)
-
-let install_facts m ~vm ~dead_store builts =
-  m.Machine.bcache.Block_cache.facts <- Some (make_facts builts);
-  m.Machine.bcache.Block_cache.facts_vm <- vm;
-  m.Machine.bcache.Block_cache.dead_store <- dead_store
+(* Install the run's oracle and, with [liveness], its facts. *)
+let install m ~mode ~flow ~liveness ~dead_store ~inject builts =
+  let oracle, facts = analysis_products ~mode ~flow ~liveness builts in
+  Oracle.install ~strict:(inject = None) oracle m.Machine.cpu;
+  register_flow_metrics m oracle;
+  if liveness then begin
+    m.Machine.bcache.Block_cache.facts <- facts;
+    m.Machine.bcache.Block_cache.facts_vm <- mode = Classify.Vm;
+    m.Machine.bcache.Block_cache.dead_store <- dead_store
+  end;
+  oracle
 
 let run_bare ?(variant = Variant.Standard) ?engine ?inject ?instrument
     ?(flow = true) ?(liveness = true) ?(dead_store = true)
@@ -116,10 +142,9 @@ let run_bare ?(variant = Variant.Standard) ?engine ?inject ?instrument
     Machine.create ~variant ~memory_pages:1024 ~disk_blocks:256 ?engine
       ?inject ()
   in
-  let oracle = make_oracle ~mode:Classify.Bare ~flow [ built ] in
-  Oracle.install ~strict:(inject = None) oracle m.Machine.cpu;
-  register_flow_metrics m oracle;
-  if liveness then install_facts m ~vm:false ~dead_store [ built ];
+  let oracle =
+    install m ~mode:Classify.Bare ~flow ~liveness ~dead_store ~inject [ built ]
+  in
   (match instrument with Some f -> f m | None -> ());
   List.iter
     (fun (pa, data) -> Machine.load m pa data)
@@ -160,10 +185,9 @@ let run_vm ?config ?io_mode ?engine ?inject ?instrument ?(flow = true)
       ~disk_blocks:256 ?engine ?inject ()
   in
   let vmm = Vmm.create ?config m in
-  let oracle = make_oracle ~mode:Classify.Vm ~flow [ built ] in
-  Oracle.install ~strict:(inject = None) oracle m.Machine.cpu;
-  register_flow_metrics m oracle;
-  if liveness then install_facts m ~vm:true ~dead_store [ built ];
+  let oracle =
+    install m ~mode:Classify.Vm ~flow ~liveness ~dead_store ~inject [ built ]
+  in
   let vm =
     Vmm.add_vm vmm ~name:"guest" ~memory_pages:built.Minivms.memsize
       ~disk_blocks:64 ?io_mode ~images:built.Minivms.images
@@ -181,10 +205,9 @@ let run_two_vms ?config ?engine ?inject ?instrument ?(flow = true)
       ~disk_blocks:256 ?engine ?inject ()
   in
   let vmm = Vmm.create ?config m in
-  let oracle = make_oracle ~mode:Classify.Vm ~flow [ b1; b2 ] in
-  Oracle.install ~strict:(inject = None) oracle m.Machine.cpu;
-  register_flow_metrics m oracle;
-  if liveness then install_facts m ~vm:true ~dead_store [ b1; b2 ];
+  let oracle =
+    install m ~mode:Classify.Vm ~flow ~liveness ~dead_store ~inject [ b1; b2 ]
+  in
   let vm1 =
     Vmm.add_vm vmm ~name:"vm1" ~memory_pages:b1.Minivms.memsize
       ~disk_blocks:64 ~images:b1.Minivms.images ~start_pc:b1.Minivms.entry ()

@@ -221,7 +221,6 @@ let test_writes_memory_truncated () =
       opcode = Some Opcode.Movl;
       mnemonic = "MOVL";
       specs = [];
-      operands = [];
     }
   in
   Alcotest.(check bool) "truncated movl conservatively writes" true

@@ -243,6 +243,48 @@ let test_disasm_rendering () =
       Alcotest.(check string) "halt" "1009: HALT" (Disasm.to_string halt)
   | l -> Alcotest.failf "expected 3 instructions, got %d" (List.length l)
 
+(* Goldens for the operand text, which [Disasm.to_string] renders from
+   the decoded specifiers on demand: one instruction per specifier kind
+   (each displacement width, plain and deferred), both branch widths and
+   a data byte.  The vaxlint report's "insn" fields are this text. *)
+let test_disasm_goldens () =
+  let a = Asm.create ~origin:0x1000 in
+  Asm.ins a Opcode.Movl [ Asm.Lit 7; Asm.R 1 ];
+  Asm.ins a Opcode.Movl [ Asm.Deref 2; Asm.Predec Asm.sp ];
+  Asm.ins a Opcode.Movl [ Asm.Postinc 3; Asm.Postinc_deref 4 ];
+  Asm.ins a Opcode.Movl [ Asm.Imm 0x12345; Asm.Abs 0x2000 ];
+  Asm.ins a Opcode.Movl [ Asm.Disp (8, 5); Asm.Disp_deref (-4, Asm.fp) ];
+  Asm.ins a Opcode.Movl [ Asm.Disp (300, 6); Asm.Disp_deref (-1000, Asm.ap) ];
+  Asm.ins a Opcode.Movl [ Asm.Disp (100000, 7); Asm.Disp_deref (-70000, 8) ];
+  Asm.ins a Opcode.Tstl [ Asm.Disp (16, Asm.pc) ];
+  Asm.label a "back";
+  Asm.ins a Opcode.Bneq [ Asm.Branch "back" ];
+  Asm.ins a Opcode.Brw [ Asm.Branch "end" ];
+  Asm.ins a Opcode.Movb [ Asm.Imm 0xAB; Asm.R 0 ];
+  Asm.label a "end";
+  Asm.ins a Opcode.Halt [];
+  Asm.byte a 0xFF;
+  let img = Asm.assemble a in
+  Alcotest.(check (list string))
+    "rendered text"
+    [
+      "1000: MOVL S^#7, R1";
+      "1003: MOVL (R2), -(SP)";
+      "1006: MOVL (R3)+, @(R4)+";
+      "1009: MOVL #0x12345, @#0x2000";
+      "1014: MOVL 8(R5), @-4(FP)";
+      "1019: MOVL 300(R6), @-1000(AP)";
+      "1020: MOVL 100000(R7), @-70000(R8)";
+      "102b: TSTL 16(PC)";
+      "102e: BNEQ 0x102e";
+      "1030: BRW 0x1037";
+      "1033: MOVB #0xab, R0";
+      "1037: HALT";
+      "1038: .byte 0xff";
+    ]
+    (List.map Disasm.to_string
+       (Disasm.decode_all ~resync:true img.Asm.code ~base:0x1000))
+
 let () =
   Alcotest.run "exec_props"
     [
@@ -255,5 +297,6 @@ let () =
         [
           roundtrip_prop;
           Alcotest.test_case "rendering" `Quick test_disasm_rendering;
+          Alcotest.test_case "rendering goldens" `Quick test_disasm_goldens;
         ] );
     ]

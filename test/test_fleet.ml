@@ -1,11 +1,13 @@
 (* Fleet engine tests: parallel-vs-serial bit-identity, input-order
-   stability, crash isolation, Metrics.merge, and the two-domain
-   regression for the Runner's memoized oracle static pass. *)
+   stability, crash isolation, Metrics.merge, and Runner's memoized
+   static analysis: its products match the standalone passes, and two
+   domains share them safely. *)
 
 open Vax_workloads
+open Vax_analysis
 module Fleet = Vax_fleet.Fleet
 module Metrics = Vax_obs.Metrics
-module Oracle = Vax_analysis.Oracle
+module Block_facts = Vax_cpu.Block_facts
 
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
@@ -146,28 +148,94 @@ let test_metrics_merge () =
     [ ("x", 6) ]
     (Metrics.merge [ [ ("x", 1) ]; [ ("x", 2) ]; [ ("x", 3) ] ])
 
-(* Regression for the mutex around Runner's memoized vaxlint static
-   pass: two domains running the *same* built images concurrently hit
-   the oracle cache (same physical identity) from both sides.  Unsynch-
-   ronized, this races on the cache list and on the predicted table
-   under construction; with the lock, every run completes with
-   identical cycles. *)
+let bindings tbl = List.sort compare (List.of_seq (Hashtbl.to_seq tbl))
+
+let installed_facts (m : Runner.measurement) =
+  match m.Runner.machine.Vax_dev.Machine.bcache.Vax_cpu.Block_cache.facts with
+  | Some f -> f
+  | None -> Alcotest.fail "no liveness facts installed"
+
+let check_same_facts ctx (a : Block_facts.t) (b : Block_facts.t) =
+  Alcotest.(check bool) (ctx ^ ": fact table") true
+    (bindings a.Block_facts.tbl = bindings b.Block_facts.tbl);
+  Alcotest.(check (list int))
+    (ctx ^ ": fact counters")
+    Block_facts.
+      [
+        a.dead_reg_writes;
+        a.summary_calls;
+        a.summary_fallbacks;
+        a.solver_visits;
+        a.solver_updates;
+      ]
+    Block_facts.
+      [
+        b.dead_reg_writes;
+        b.summary_calls;
+        b.summary_fallbacks;
+        b.solver_visits;
+        b.solver_updates;
+      ]
+
+(* Runner derives a run's oracle and facts from one shared analysis of
+   the workload; for every catalog workload, bare and VM, they must
+   equal what the standalone passes compute from scratch. *)
+let test_runner_matches_standalone () =
+  List.iter
+    (fun w ->
+      let built = Catalog.build w in
+      let images = Runner.images_of_built built in
+      let facts, _ = Liveness.facts_of_images images in
+      List.iter
+        (fun (mode, run) ->
+          let ctx = w ^ "/" ^ Classify.mode_name mode in
+          let m = run built in
+          let o = Oracle.of_images ~name:w ~mode images in
+          Alcotest.(check bool) (ctx ^ ": predicted table") true
+            (bindings o.Oracle.predicted
+            = bindings m.Runner.oracle.Oracle.predicted);
+          Alcotest.(check bool) (ctx ^ ": flow stats") true
+            (o.Oracle.flow = m.Runner.oracle.Oracle.flow);
+          check_same_facts ctx facts (installed_facts m))
+        [
+          (Classify.Bare, fun b -> Runner.run_bare b);
+          (Classify.Vm, fun b -> Runner.run_vm b);
+        ])
+    Catalog.names
+
+(* Regression for the mutex around Runner's memoized static analysis:
+   two domains running the *same* built images concurrently, bare and
+   VM in turn, hit the cache (same physical identity) from both sides
+   for both oracles and the facts.  Unsynchronized, this races on the
+   cache list; with the lock, every run completes with identical
+   cycles, and every run of either domain gets the one cached predicted
+   table for its mode and the one fact table both modes share. *)
 let test_oracle_cache_two_domains () =
   let built = Catalog.build "hello" in
   let runs = 8 in
   let work () =
-    Array.init runs (fun _ ->
-        let m = Runner.run_bare built in
-        (m.Runner.total_cycles, m.Runner.instructions))
+    Array.init runs (fun k ->
+        let m =
+          if k mod 2 = 0 then Runner.run_bare built else Runner.run_vm built
+        in
+        ( m.Runner.total_cycles,
+          m.Runner.instructions,
+          m.Runner.oracle.Oracle.predicted,
+          installed_facts m ))
   in
   let other = Domain.spawn work in
   let here = work () in
   let there = Domain.join other in
-  let c0, i0 = here.(0) in
-  Array.iter
-    (fun (c, i) ->
+  let _, _, _, facts0 = here.(0) in
+  Array.iteri
+    (fun k (c, i, predicted, facts) ->
+      let c0, i0, predicted0, _ = here.(k mod 2) in
       check_int "cycles stable across domains" c0 c;
-      check_int "instructions stable across domains" i0 i)
+      check_int "instructions stable across domains" i0 i;
+      Alcotest.(check bool) "one predicted table per mode" true
+        (predicted == predicted0);
+      Alcotest.(check bool) "one fact table for both modes" true
+        (facts == facts0))
     (Array.append here there)
 
 let () =
@@ -181,6 +249,8 @@ let () =
             test_input_order_stability;
           Alcotest.test_case "crash isolation" `Quick test_crash_isolation;
           Alcotest.test_case "Metrics.merge" `Quick test_metrics_merge;
+          Alcotest.test_case "runner analysis matches standalone" `Quick
+            test_runner_matches_standalone;
           Alcotest.test_case "oracle cache from two domains" `Quick
             test_oracle_cache_two_domains;
         ] );

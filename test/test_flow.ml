@@ -281,11 +281,8 @@ let test_value_diags () =
          | _ -> false)
        r.Absdom.diags)
 
-let test_cross_image_resolution () =
-  (* image 1 const-resolves a JMP into image 2: a single-image analysis
-     must close the valve (the target is outside the image), while the
-     workload-wide oracle resolves it against the sibling and keeps the
-     mode facts of both images *)
+(* Image 1 const-resolves a JMP into image 2, and both execute MTPR. *)
+let cross_image_pair () =
   let build_image ~origin f =
     let a = Asm.create ~origin in
     f a;
@@ -304,6 +301,13 @@ let test_cross_image_resolution () =
         Asm.ins a Opcode.Mtpr [ Asm.Imm 0x1F; Asm.Imm 18 ];
         Asm.ins a Opcode.Halt [])
   in
+  (img1, img2)
+
+let test_cross_image_resolution () =
+  (* a single-image analysis must close the valve (the target is outside
+     the image), while the workload-wide oracle resolves it against the
+     sibling and keeps the mode facts of both images *)
+  let img1, img2 = cross_image_pair () in
   (* alone, the resolved-but-foreign target widens every mode fact *)
   let solo = Absdom.analyze img1 in
   Alcotest.(check int) "solo: counted unresolved" 1
@@ -332,6 +336,41 @@ let test_cross_image_resolution () =
         true
         (Hashtbl.find_opt o.Oracle.predicted pc <> None))
     [ 0x1000; 0x2000 ]
+
+(* The vaxlint report derives its flow sections from the same
+   workload-wide analysis as the oracle, so on the cross-image case —
+   where image 1 analyzed alone closes the valve — it must agree with
+   the oracle's [fs_mode_sound] everywhere it reports one. *)
+let test_report_matches_oracle () =
+  let img1, img2 = cross_image_pair () in
+  let images = [ img1; img2 ] in
+  let o = Oracle.of_images ~flow:true ~name:"xi" ~mode:Classify.Vm images in
+  let sound = (Option.get o.Oracle.flow).Oracle.fs_mode_sound in
+  let report =
+    Json.parse (Report.report ~mode:Classify.Vm ~workload:"xi" images)
+  in
+  let field k = function
+    | Json.Obj kv -> List.assoc k kv
+    | _ -> Alcotest.failf "report: %s is not in an object" k
+  in
+  let bool = function
+    | Json.Bool b -> b
+    | _ -> Alcotest.fail "report: expected a boolean"
+  in
+  Alcotest.(check bool) "precision mode_sound" sound
+    (bool (field "mode_sound" (field "precision" report)));
+  match field "images" report with
+  | Json.Arr imgs ->
+      Alcotest.(check int) "two images" 2 (List.length imgs);
+      List.iter
+        (fun img ->
+          let name = match field "name" img with Json.Str n -> n | _ -> "?" in
+          Alcotest.(check bool)
+            (name ^ ": flow mode_sound")
+            sound
+            (bool (field "mode_sound" (field "flow" img))))
+        imgs
+  | _ -> Alcotest.fail "report: images is not an array"
 
 (* --- oracle and metrics integration ----------------------------------- *)
 
@@ -399,6 +438,8 @@ let () =
           Alcotest.test_case "value diagnostics" `Quick test_value_diags;
           Alcotest.test_case "cross-image resolution" `Quick
             test_cross_image_resolution;
+          Alcotest.test_case "report agrees with the oracle" `Quick
+            test_report_matches_oracle;
         ] );
       ( "integration",
         [
