@@ -69,8 +69,8 @@ let schema_version = "vax-bench/1"
 
 let required_benches =
   [ "bare-run"; "vm-run"; "bare-run-eager"; "vm-run-eager"; "compute-run";
-    "compute-run-eager"; "calls-run"; "calls-run-eager"; "translate";
-    "decode"; "shadow-fill"; "fleet-throughput" ]
+    "compute-run-eager"; "calls-run"; "translate"; "decode"; "shadow-fill";
+    "fleet-throughput" ]
 
 (* Benchmarks excluded from the --max-regress gate (still reported and
    written to the JSON like everything else):
@@ -214,12 +214,7 @@ let make_benches () =
     ("compute-run", fun () -> ignore (Runner.run_bare built_compute));
     ( "compute-run-eager",
       fun () -> ignore (Runner.run_bare ~liveness:false built_compute) );
-    (* the call-heavy pair contrasts dead-store deferral specifically:
-       both runs keep the liveness facts, the eager twin only forces
-       every proven-dead register write back to the register file *)
     ("calls-run", fun () -> ignore (Runner.run_bare built_calls));
-    ( "calls-run-eager",
-      fun () -> ignore (Runner.run_bare ~dead_store:false built_calls) );
     ("translate", bench_translate);
     ("decode", make_decode_bench ());
     ("shadow-fill", make_shadow_fill_bench built);

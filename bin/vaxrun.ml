@@ -78,8 +78,8 @@ let load_plan path =
       exit 2
 
 let run workload fleet jobs fleet_json campaign campaign_json inject_plan vm
-    mmio assist slots no_cache no_block_cache no_liveness no_dead_store
-    prefill separate quiet trace_out metrics =
+    mmio assist slots no_cache no_block_cache no_liveness prefill separate
+    quiet trace_out metrics =
   if campaign then run_campaign_mode ~jobs ~quiet ~campaign_json
   else if fleet > 0 then
     run_fleet_mode ~fleet ~jobs ~vm ~mmio ~quiet ~fleet_json
@@ -119,11 +119,10 @@ let run workload fleet jobs fleet_json campaign campaign_json inject_plan vm
             separate_vmm_space = separate;
             default_io_mode = (if mmio then Vm.Mmio_io else Vm.Kcall_io);
           }
-        ~engine ?inject ~instrument ~liveness:(not no_liveness)
-        ~dead_store:(not no_dead_store) built
+        ~engine ?inject ~instrument ~liveness:(not no_liveness) built
     else
       Runner.run_bare ~engine ?inject ~instrument ~liveness:(not no_liveness)
-        ~dead_store:(not no_dead_store) built
+        built
   in
   (match !trace_oc with
   | Some oc ->
@@ -250,15 +249,6 @@ let cmd =
              deferred condition codes, no constant folding (identical \
              simulated behaviour, slower host wall-clock).")
   in
-  let no_dead_store =
-    Arg.(
-      value & flag
-      & info [ "no-dead-store" ]
-          ~doc:
-            "Compile superblocks without dead-store elision: every proven-dead \
-             register write still goes straight to the register file \
-             (identical simulated behaviour, slower host wall-clock).")
-  in
   let prefill =
     Arg.(value & opt int 0 & info [ "prefill" ] ~doc:"Shadow prefill group.")
   in
@@ -288,7 +278,7 @@ let cmd =
     Term.(
       const run $ workload $ fleet $ jobs $ fleet_json $ campaign
       $ campaign_json $ inject_plan $ vm $ mmio $ assist $ slots $ no_cache
-      $ no_block_cache $ no_liveness $ no_dead_store $ prefill $ separate
-      $ quiet $ trace_out $ metrics)
+      $ no_block_cache $ no_liveness $ prefill $ separate $ quiet $ trace_out
+      $ metrics)
 
 let () = exit (Cmd.eval cmd)

@@ -2,13 +2,11 @@
    bits, and which of R0..R14, can still be read after each instruction
    executes.  The results feed the tier-3 slot compiler through
    [Vax_cpu.Block_facts]: a site whose N, Z and V are provably dead gets
-   its condition-code recomputation deferred (see [State.cc_lazy]), a
-   pure register source operand whose value vaxflow proves constant on
-   every path is pre-folded to an immediate, and a longword register
-   write whose destination is provably dead is deferred into the
-   [State.reg_lazy] shadow slots and materialized at the next
-   observable boundary (see PERF.md "Callee summaries and dead-store
-   elision").
+   its condition-code recomputation deferred (see [State.cc_lazy]), and
+   a pure register source operand whose value vaxflow proves constant on
+   every path is pre-folded to an immediate.  Dead register writes are
+   detected too, but only counted — register state must stay
+   bit-identical, so nothing is elided there.
 
    Soundness shape.  Liveness is a backward property: a bit is dead at a
    point iff NO path from that point reads it before writing it.  The
@@ -286,12 +284,9 @@ let facts_of_analysis (a : Analysis.t) =
                       facts.Block_facts.summary_fallbacks <-
                         facts.Block_facts.summary_fallbacks + 1
                   | _ -> ());
-                  (* dead longword register writes: counted, and — for
-                     R0..R13 — recorded for block-exit deferral (SP
-                     stays eager: the interrupt microcode pushes through
-                     it before any sync point) *)
+                  (* dead register writes: detected, counted, never
+                     elided (register state stays bit-identical) *)
                   let accs = Opcode.operands op in
-                  let dead_regs = ref 0 in
                   if regs_modelled op then
                     List.iteri
                       (fun idx spec ->
@@ -301,9 +296,7 @@ let facts_of_analysis (a : Analysis.t) =
                           when rn < 15
                                && regs_of live_after land (1 lsl rn) = 0 ->
                             facts.Block_facts.dead_reg_writes <-
-                              facts.Block_facts.dead_reg_writes + 1;
-                            if rn < 14 then
-                              dead_regs := !dead_regs lor (1 lsl rn)
+                              facts.Block_facts.dead_reg_writes + 1
                         | _ -> ())
                       i.Disasm.specs;
                   let consts =
@@ -337,7 +330,6 @@ let facts_of_analysis (a : Analysis.t) =
                       Block_facts.f_op = op;
                       f_len = i.Disasm.length;
                       f_cc_dead = all_cc land lnot (cc_of live_after);
-                      f_dead_regs = !dead_regs;
                       f_consts = consts;
                       f_bytes;
                     }))

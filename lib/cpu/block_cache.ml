@@ -49,10 +49,6 @@ type t = {
      only apply while PSL<VM> is set — the monitor's own code may reuse
      a guest virtual address for different instructions *)
   mutable facts_vm : bool;
-  (* when false, the slot compiler ignores [f_dead_regs] (the
-     [--no-dead-store] differential switch); CC deferral and constant
-     folding are governed separately by whether facts are installed *)
-  mutable dead_store : bool;
   (* fact freshness stamps for runtime-modified code: va -> (page,
      page-store-generation) recorded when a fact last passed (or was
      first admitted after) byte verification against the live page.
@@ -68,7 +64,6 @@ type t = {
   mutable fact_slots : int;
   mutable cc_elided : int;
   mutable const_folded : int;
-  mutable dead_writes_elided : int;
 }
 
 let null_slot = { s_pa = -1; s_len = 0; s_gen1 = 0; s_exec = (fun _ _ -> ()) }
@@ -96,7 +91,6 @@ let create ?(size = 2048) ?(max_block = default_max_block) () =
     bld_next_pa = -1;
     facts = None;
     facts_vm = false;
-    dead_store = true;
     fact_stamps = Hashtbl.create 64;
     hits = 0;
     misses = 0;
@@ -106,7 +100,6 @@ let create ?(size = 2048) ?(max_block = default_max_block) () =
     fact_slots = 0;
     cc_elided = 0;
     const_folded = 0;
-    dead_writes_elided = 0;
   }
 
 let slot_valid phys s =
@@ -187,8 +180,7 @@ let reset_stats t =
   t.invalidations <- 0;
   t.fact_slots <- 0;
   t.cc_elided <- 0;
-  t.const_folded <- 0;
-  t.dead_writes_elided <- 0
+  t.const_folded <- 0
 
 (* Gauges for the "blocks.liveness" metrics group: compile-time
    specialization counters plus the static shape of the installed fact
@@ -200,12 +192,10 @@ let liveness_metrics t =
     ("fact_slots", t.fact_slots);
     ("cc_elided", t.cc_elided);
     ("const_folded", t.const_folded);
-    ("dead_writes_elided", t.dead_writes_elided);
     ("sites", static Block_facts.sites);
     ("cc_dead_sites", static Block_facts.cc_dead_sites);
     ("const_ops", static Block_facts.const_ops);
     ("dead_reg_writes", static (fun fx -> fx.Block_facts.dead_reg_writes));
-    ("dead_write_sites", static Block_facts.dead_write_sites);
     ("summary_calls", static (fun fx -> fx.Block_facts.summary_calls));
     ("summary_fallbacks", static (fun fx -> fx.Block_facts.summary_fallbacks));
     ("solver_visits", static (fun fx -> fx.Block_facts.solver_visits));

@@ -92,9 +92,6 @@ type t = {
       (** PSL<VM> context the facts describe: guest-image facts only
           apply while PSL<VM> is set, so the monitor's own code cannot
           pick up a guest fact at a colliding virtual address *)
-  mutable dead_store : bool;
-      (** when false, the slot compiler ignores [f_dead_regs] (the
-          [--no-dead-store] differential switch); defaults to true *)
   fact_stamps : (int, int * int) Hashtbl.t;
       (** fact freshness for runtime-modified code: va -> (page,
           store-generation) recorded when the fact's [f_bytes] last
@@ -111,8 +108,6 @@ type t = {
   mutable fact_slots : int;  (** slots compiled with a matching fact *)
   mutable cc_elided : int;  (** slots compiled with a deferred CC update *)
   mutable const_folded : int;  (** operands pre-folded to immediates *)
-  mutable dead_writes_elided : int;
-      (** slots compiled with a deferred (shadowed) dead register write *)
 }
 
 val create : ?size:int -> ?max_block:int -> unit -> t

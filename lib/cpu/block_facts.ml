@@ -4,7 +4,6 @@ type fact = {
   f_op : Opcode.t;
   f_len : int;
   f_cc_dead : int;
-  f_dead_regs : int;
   f_consts : (int * Word.t) list;
   f_bytes : string;
 }
@@ -42,7 +41,6 @@ let add t ~va fact =
         {
           fact with
           f_cc_dead = old.f_cc_dead land fact.f_cc_dead;
-          f_dead_regs = old.f_dead_regs land fact.f_dead_regs;
           f_consts = List.filter (fun p -> List.mem p old.f_consts) fact.f_consts;
           f_bytes = (if old.f_bytes = fact.f_bytes then fact.f_bytes else "");
         }
@@ -66,6 +64,3 @@ let cc_dead_sites t =
 
 let const_ops t =
   Hashtbl.fold (fun _ f n -> n + List.length f.f_consts) t.tbl 0
-
-let dead_write_sites t =
-  Hashtbl.fold (fun _ f n -> if f.f_dead_regs <> 0 then n + 1 else n) t.tbl 0

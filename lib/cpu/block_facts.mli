@@ -4,19 +4,12 @@
     [lib/cpu] depending on the analysis internals (the analysis side,
     [Vax_analysis.Liveness], constructs the table).
 
-    A fact licenses three compile-time specializations:
+    A fact licenses two compile-time specializations:
     - [f_cc_dead]: NZVC bits proven dead immediately {e after} the
       instruction (N=8, Z=4, V=2, C=1).  When N, Z and V are all dead
       the slot compiler defers the condition-code update (see
       [State.cc_lazy]); the update stays architecturally invisible
       because every PSL observer materializes first.
-    - [f_dead_regs]: R0..R13 whose longword register write at this
-      instruction is proven dead on every path.  The slot compiler
-      defers the write into [State.reg_lazy]/[State.reg_shadow]
-      instead of the register file; every observable boundary
-      (exception delivery, the cold path, run-loop exits) calls
-      [State.sync_regs] first, so the deferral is architecturally
-      invisible.  SP and PC are never deferred.
     - [f_consts]: operand-index/value pairs proven constant on every
       path, used to pre-fold pure register source operands into
       immediates.
@@ -33,10 +26,6 @@ type fact = {
   f_op : Opcode.t;  (** guard: opcode the analysis decoded at this VA *)
   f_len : int;  (** guard: instruction length the analysis decoded *)
   f_cc_dead : int;  (** NZVC bits dead after the instruction *)
-  f_dead_regs : int;
-      (** mask of R0..R13 whose longword write here is dead on every
-          path (deferred into the shadow slots, never elided from
-          architectural state) *)
   f_consts : (int * Word.t) list;
       (** operand index -> value proven constant on every path *)
   f_bytes : string;
@@ -54,9 +43,8 @@ val nzv : int
 type t = {
   tbl : (int, fact) Hashtbl.t;
   mutable dead_reg_writes : int;
-      (** statically detected dead longword register writes (all of
-          R0..R14; the R0..R13 subset is also recorded per-fact for
-          deferral) *)
+      (** statically detected dead longword register writes, R0..R14
+          (metrics only — register writes are never elided) *)
   mutable summary_calls : int;
       (** JSB/BSBB/CALLS sites solved through a usable callee summary *)
   mutable summary_fallbacks : int;
@@ -82,4 +70,3 @@ val find : t -> va:int -> op:Opcode.t -> len:int -> fact option
 val sites : t -> int
 val cc_dead_sites : t -> int
 val const_ops : t -> int
-val dead_write_sites : t -> int

@@ -1136,29 +1136,6 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
     else fun st v ->
       set_nzvc st ~n:(v land 0x80 <> 0) ~z:(v = 0) ~v:false ~c:false
   in
-  (* Interprocedural dead-store deferral: when the fact proves this
-     longword register write dead on every path (including across
-     JSB/CALLS sites via callee summaries), the value is parked in the
-     shadow slot and the register's bit set in [State.reg_lazy]; the
-     register file is updated only by [State.sync_regs] at observable
-     boundaries.  The eager variant carries a pending-bit clear — it
-     may be the killer write for a deferral made by an earlier slot —
-     matching the clear in [State.set_reg] for the generic paths.
-     Modify-class and byte register destinations read the register
-     first, so liveness guarantees they never see a pending one and
-     they need no clear. *)
-  let dead_regs =
-    match fact with Some f -> f.Block_facts.f_dead_regs | None -> 0
-  in
-  let wr_reg dr =
-    if dead_regs land (1 lsl dr) <> 0 then fun st v ->
-      st.State.reg_lazy <- st.State.reg_lazy lor (1 lsl dr);
-      Array.unsafe_set st.State.reg_shadow dr (Word.mask v)
-    else fun st v ->
-      if st.State.reg_lazy <> 0 then
-        st.State.reg_lazy <- st.State.reg_lazy land lnot (1 lsl dr);
-      Array.unsafe_set st.State.regs dr (Word.mask v)
-  in
   let commit st =
     st.State.instructions <- st.State.instructions + 1;
     let was_vm = Psl.vm st.State.psl in
@@ -1404,7 +1381,6 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
     | (F_imm _ | F_reg _), (F_imm _ | F_reg _), F_reg dr ->
         let rda = rd_pure a in
         let rdb = rd_pure b in
-        let wr = wr_reg dr in
         let call = (3 * spec) + base in
         Some
           (fun st pc ->
@@ -1418,7 +1394,7 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
             match f st av bv with
             | exception State.Fault fe -> fault1 st pc fe
             | r ->
-                wr st r;
+                Array.unsafe_set st.State.regs dr (Word.mask r);
                 if ovf && Psl.v st.State.psl && Psl.iv st.State.psl then
                   fault1 st pc (State.Arithmetic_trap 1)
                 else begin
@@ -1432,7 +1408,6 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
     | F_mem aa, (F_imm _ | F_reg _), F_reg dr ->
         let rda = rd_mem aa in
         let rdb = rd_pure b in
-        let wr = wr_reg dr in
         let tail = (2 * spec) + base in
         Some
           (fun st pc ->
@@ -1446,13 +1421,12 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
                 match f st av bv with
                 | exception State.Fault fe -> fault1 st pc fe
                 | r ->
-                    wr st r;
+                    Array.unsafe_set st.State.regs dr (Word.mask r);
                     if ovf then ovf_finish st pc was_vm
                     else finish st pc was_vm))
     | (F_imm _ | F_reg _), F_mem ba, F_reg dr ->
         let rda = rd_pure a in
         let rdb = rd_mem ba in
-        let wr = wr_reg dr in
         let tail = spec + base in
         Some
           (fun st pc ->
@@ -1466,7 +1440,7 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
                 match f st av bv with
                 | exception State.Fault fe -> fault1 st pc fe
                 | r ->
-                    wr st r;
+                    Array.unsafe_set st.State.regs dr (Word.mask r);
                     if ovf then ovf_finish st pc was_vm
                     else finish st pc was_vm))
     | _ -> None
@@ -1482,7 +1456,6 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
       match (s, d) with
       | (F_imm _ | F_reg _), F_reg dr ->
           let rd = rd_pure s in
-          let wr = wr_reg dr in
           let call = (2 * spec) + base in
           Some
             (fun st pc ->
@@ -1492,7 +1465,7 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
               if was_vm then
                 st.State.vm_instructions <- st.State.vm_instructions + 1;
               let v = rd st in
-              wr st v;
+              Array.unsafe_set st.State.regs dr (Word.mask v);
               set_nz_keep_c st v;
               State.set_pc st (Word.add pc len);
               let tr = st.State.trace in
@@ -1502,7 +1475,6 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
                   pc)
       | F_mem a, F_reg dr ->
           let rd = rd_mem a in
-          let wr = wr_reg dr in
           let tail = spec + base in
           Some
             (fun st pc ->
@@ -1515,7 +1487,7 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
                   let was_vm = Psl.vm st.State.psl in
                   if was_vm then
                     st.State.vm_instructions <- st.State.vm_instructions + 1;
-                  wr st v;
+                  Array.unsafe_set st.State.regs dr (Word.mask v);
                   set_nz_keep_c st v;
                   State.set_pc st (Word.add pc len);
                   let tr = st.State.trace in
@@ -1628,21 +1600,19 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
       match s with
       | F_imm _ | F_reg _ ->
           let rd = rd_pure_b s in
-          let wr = wr_reg dr in
           let call = (2 * spec) + base in
           Some
             (fun st pc ->
               Cycles.charge st.State.clock call;
               let was_vm = commit st in
               let v = rd st land 0xFF in
-              wr st v;
+              Array.unsafe_set st.State.regs dr v;
               (* zero-extended, so N is false either way: the long
                  keep-C helper computes the same bits and defers *)
               set_nz_keep_c st v;
               finish st pc was_vm)
       | F_mem a ->
           let rd = rd_mem_b a in
-          let wr = wr_reg dr in
           let tail = spec + base in
           Some
             (fun st pc ->
@@ -1653,17 +1623,16 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
                   Cycles.charge st.State.clock tail;
                   let was_vm = commit st in
                   let v = v0 land 0xFF in
-                  wr st v;
+                  Array.unsafe_set st.State.regs dr v;
                   set_nz_keep_c st v;
                   finish st pc was_vm))
   | Opcode.Clrl, [ FA (F_reg dr) ] ->
-      let wr = wr_reg dr in
       let call = spec + base in
       Some
         (fun st pc ->
           Cycles.charge st.State.clock call;
           let was_vm = commit st in
-          wr st 0;
+          Array.unsafe_set st.State.regs dr 0;
           set_nz_keep_c st 0;
           finish st pc was_vm)
   | Opcode.Clrl, [ FA (F_mem a) ] ->
@@ -1886,14 +1855,13 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
                   finish st pc was_vm))
   | Opcode.Moval, [ FA (F_mem a); FA (F_reg dr) ] ->
       let va = va_of a in
-      let wr = wr_reg dr in
       let call = (2 * spec) + base in
       Some
         (fun st pc ->
           Cycles.charge st.State.clock call;
           let was_vm = commit st in
           let v = va st pc in
-          wr st v;
+          Array.unsafe_set st.State.regs dr (Word.mask v);
           set_nz_keep_c st v;
           finish st pc was_vm)
   | Opcode.Moval, [ FA (F_mem a); FA (F_mem da) ] ->
@@ -1984,18 +1952,16 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
               | () -> ovf_finish st pc was_vm))
   | Opcode.Mnegl, [ FA ((F_imm _ | F_reg _) as s); FA (F_reg dr) ] ->
       let rd = rd_pure s in
-      let wr = wr_reg dr in
       let call = (2 * spec) + base in
       Some
         (fun st pc ->
           Cycles.charge st.State.clock call;
           let was_vm = commit st in
           let r = do_sub st 0 (rd st) in
-          wr st r;
+          Array.unsafe_set st.State.regs dr r;
           ovf_finish st pc was_vm)
   | Opcode.Mnegl, [ FA (F_mem a); FA (F_reg dr) ] ->
       let rd = rd_mem a in
-      let wr = wr_reg dr in
       let tail = spec + base in
       Some
         (fun st pc ->
@@ -2006,7 +1972,7 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
               Cycles.charge st.State.clock tail;
               let was_vm = commit st in
               let r = do_sub st 0 sv in
-              wr st r;
+              Array.unsafe_set st.State.regs dr r;
               ovf_finish st pc was_vm)
   | Opcode.Addl2, [ FA s; FA d ] -> arith2 s d do_add ~ovf:true
   | Opcode.Subl2, [ FA s; FA d ] -> arith2 s d do_sub ~ovf:true
@@ -2555,16 +2521,6 @@ let cc_deferrable = function
       true
   | _ -> false
 
-(* Opcodes whose register-destination hot arms defer the write through
-   [wr_reg] when the fact proves it dead; used for the
-   [dead_writes_elided] compile-time gauge. *)
-let reg_deferrable = function
-  | Opcode.Movl | Opcode.Movzbl | Opcode.Clrl | Opcode.Moval | Opcode.Mnegl
-  | Opcode.Addl3 | Opcode.Subl3 | Opcode.Mull3 | Opcode.Divl3 | Opcode.Bisl3
-  | Opcode.Bicl3 | Opcode.Xorl3 ->
-      true
-  | _ -> false
-
 let feed_builder st (bc : Block_cache.t) pa ~va (tmpl : Decode_cache.template) =
   let open Block_cache in
   let phys = Mmu.phys st.State.mmu in
@@ -2621,20 +2577,12 @@ let feed_builder st (bc : Block_cache.t) pa ~va (tmpl : Decode_cache.template) =
     in
     (* a fact that proves nothing useful compiles exactly like no fact;
        drop it here so the compiler skips the specialization plumbing
-       for the ~40% of sites liveness cannot improve.  The
-       [--no-dead-store] switch strips the dead-register mask first. *)
-    let fact =
-      match fact with
-      | Some f when (not bc.dead_store) && f.Block_facts.f_dead_regs <> 0 ->
-          Some { f with Block_facts.f_dead_regs = 0 }
-      | f -> f
-    in
+       for the ~40% of sites liveness cannot improve *)
     let fact =
       match fact with
       | Some f
         when f.Block_facts.f_cc_dead land Block_facts.nzv <> Block_facts.nzv
-             && f.Block_facts.f_consts = []
-             && f.Block_facts.f_dead_regs = 0 ->
+             && f.Block_facts.f_consts = [] ->
           None
       | f -> f
     in
@@ -2646,8 +2594,6 @@ let feed_builder st (bc : Block_cache.t) pa ~va (tmpl : Decode_cache.template) =
           f.Block_facts.f_cc_dead land Block_facts.nzv = Block_facts.nzv
           && cc_deferrable op
         then bc.cc_elided <- bc.cc_elided + 1;
-        if f.Block_facts.f_dead_regs <> 0 && reg_deferrable op then
-          bc.dead_writes_elided <- bc.dead_writes_elided + 1;
         bc.const_folded <-
           bc.const_folded + List.length (applicable_consts f tmpl));
     bld_append bc
@@ -2664,10 +2610,8 @@ let feed_builder st (bc : Block_cache.t) pa ~va (tmpl : Decode_cache.template) =
 (* Cold path: the per-step decode pipeline, plus feeding the builder. *)
 let step_cold st (bc : Block_cache.t) pa start_pc =
   (* the generic handlers assume a live PSL (branches read it, CHMx and
-     REI push or replace it) and a live register file: materialize any
-     deferred codes and register writes first *)
+     REI push or replace it): materialize any deferred codes first *)
   State.sync_cc st;
-  State.sync_regs st;
   bc.Block_cache.misses <- bc.Block_cache.misses + 1;
   bc.Block_cache.cur_pa <- -1;
   bc.Block_cache.cur_va <- -1;
@@ -2898,9 +2842,8 @@ let run_blocks st bc ?(max_instructions = max_int) () =
       | (Machine_halted | Stopped) as s -> s
   in
   let s = loop max_instructions in
-  (* the caller is about to observe the PSL and the register file *)
+  (* the caller is about to observe the PSL *)
   State.sync_cc st;
-  State.sync_regs st;
   s
 
 (* Which execution engine a machine uses; [Blocks] is the default

@@ -67,11 +67,9 @@ let vm_frame_params (f : State.vm_frame) =
 
 let deliver_exception st ~vector ~params ~saved_pc ?(interrupt = false)
     ?new_ipl ?(force_is = false) ?vm_frame () =
-  (* the PSL and register file are about to be observed (saved/pushed,
-     read by the handler): materialize any condition codes and dead
-     register writes the superblock engine deferred *)
+  (* the PSL is about to be observed (saved/pushed): materialize any
+     condition codes the superblock engine deferred *)
   State.sync_cc st;
-  State.sync_regs st;
   Cycles.charge st.State.clock Cost.exception_initiate;
   State.count_exception st vector;
   let from_vm =

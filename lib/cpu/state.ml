@@ -82,8 +82,6 @@ type t = {
   mutable psl : Psl.t;
   mutable cc_lazy : int;
   mutable cc_value : Word.t;
-  mutable reg_lazy : int;
-  reg_shadow : Word.t array;
   sp_bank : Word.t array;
   mutable vmpsl : Word.t;
   mutable vmpend : int;
@@ -133,8 +131,6 @@ let create ?(variant = Variant.Standard) ?sid ~mmu ~clock () =
     psl = Psl.initial;
     cc_lazy = 0;
     cc_value = 0;
-    reg_lazy = 0;
-    reg_shadow = Array.make 16 0;
     sp_bank = Array.make 5 0;
     vmpsl = 0;
     vmpend = 0;
@@ -192,32 +188,13 @@ let sync_cc t =
     t.cc_lazy <- 0
   end
 
-(* Materialize deferred dead register writes from the shadow slots.
-   The slot compiler defers a longword register write the analysis
-   proved dead (see [Block_facts.f_dead_regs]): the masked value goes
-   to [reg_shadow] and the register's bit is set in [reg_lazy].  Every
-   register-observing boundary — exception and interrupt delivery, the
-   cold decode path, run-loop exits — calls this first, so the deferral
-   is architecturally invisible.  In-line, a deferred register is never
-   read before an eager write overwrites it (that is what "dead"
-   means), and every eager write clears the pending bit. *)
-let sync_regs t =
-  if t.reg_lazy <> 0 then begin
-    for rn = 0 to 13 do
-      if t.reg_lazy land (1 lsl rn) <> 0 then t.regs.(rn) <- t.reg_shadow.(rn)
-    done;
-    t.reg_lazy <- 0
-  end
-
 let pc t = t.regs.(15)
 let set_pc t v = t.regs.(15) <- Word.mask v
 let sp t = t.regs.(14)
 let set_sp t v = t.regs.(14) <- Word.mask v
 let reg t n = t.regs.(n)
 
-let set_reg t n v =
-  if t.reg_lazy <> 0 then t.reg_lazy <- t.reg_lazy land lnot (1 lsl n);
-  t.regs.(n) <- Word.mask v
+let set_reg t n v = t.regs.(n) <- Word.mask v
 let cur_mode t = Psl.cur t.psl
 
 let stack_slot t =

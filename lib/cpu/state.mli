@@ -94,14 +94,6 @@ type t = {
           observer calls {!sync_cc} first, so the deferral is
           architecturally invisible. *)
   mutable cc_value : Word.t;  (** the deferred CC source value *)
-  mutable reg_lazy : int;
-      (** deferred dead register writes (interprocedural dead-store
-          elision): a set bit [rn] (R0..R13 only) means the slot
-          compiler proved the last longword write to [rn] dead and
-          parked the value in [reg_shadow.(rn)] instead of the register
-          file.  Every register-observing boundary calls {!sync_regs}
-          first, so the deferral is architecturally invisible. *)
-  reg_shadow : Word.t array;  (** the deferred register values *)
   sp_bank : Word.t array;  (** kernel, executive, supervisor, user, interrupt *)
   mutable vmpsl : Word.t;  (** modified VAX only; zero otherwise *)
   mutable vmpend : int;  (** highest pending virtual interrupt level *)
@@ -161,13 +153,6 @@ val sync_cc : t -> unit
     are pending).  Called by every PSL observer — exception delivery,
     the cold decode path, PSW-reading instructions, and run-loop exits
     — before the PSL is read, pushed, or partially written. *)
-
-val sync_regs : t -> unit
-(** Materialize deferred dead register writes from [reg_shadow] into
-    the register file (no-op when none are pending).  Called at every
-    register-observing boundary — exception and interrupt delivery,
-    the cold decode path, and run-loop exits — so a write the analysis
-    proved dead is deferred, never elided from architectural state. *)
 
 val pc : t -> Word.t
 val set_pc : t -> Word.t -> unit

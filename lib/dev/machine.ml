@@ -189,10 +189,8 @@ let run t ?(max_cycles = 100_000_000) () =
   in
   let outcome = loop () in
   (* anything inspecting the stopped machine (tests, the VMM between
-     [run] calls, state comparison) must see a live PSL and register
-     file *)
+     [run] calls, state comparison) must see a live PSL *)
   State.sync_cc t.cpu;
-  State.sync_regs t.cpu;
   (* a halt recorded by [State.double_fault_halt] is its own outcome *)
   match outcome with
   | Halted when t.cpu.State.double_fault <> None -> Double_fault

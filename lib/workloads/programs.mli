@@ -43,5 +43,4 @@ val io_storm : ident:int -> count:int -> Minivms.program
 val calls : ident:int -> rounds:int -> Minivms.program
 (** Call-heavy microworkload: a three-deep BSBB/JSB chain plus a CALLS
     frame per round, with caller-saved scratch registers the callees
-    overwrite — the stress case for interprocedural callee summaries
-    and dead-store elision. *)
+    overwrite — the stress case for interprocedural callee summaries. *)

@@ -124,26 +124,25 @@ let register_flow_metrics m oracle =
       Oracle.flow_metrics oracle)
 
 (* Install the run's oracle and, with [liveness], its facts. *)
-let install m ~mode ~flow ~liveness ~dead_store ~inject builts =
+let install m ~mode ~flow ~liveness ~inject builts =
   let oracle, facts = analysis_products ~mode ~flow ~liveness builts in
   Oracle.install ~strict:(inject = None) oracle m.Machine.cpu;
   register_flow_metrics m oracle;
   if liveness then begin
     m.Machine.bcache.Block_cache.facts <- facts;
-    m.Machine.bcache.Block_cache.facts_vm <- mode = Classify.Vm;
-    m.Machine.bcache.Block_cache.dead_store <- dead_store
+    m.Machine.bcache.Block_cache.facts_vm <- mode = Classify.Vm
   end;
   oracle
 
 let run_bare ?(variant = Variant.Standard) ?engine ?inject ?instrument
-    ?(flow = true) ?(liveness = true) ?(dead_store = true)
-    ?(max_cycles = default_max) (built : Minivms.built) =
+    ?(flow = true) ?(liveness = true) ?(max_cycles = default_max)
+    (built : Minivms.built) =
   let m =
     Machine.create ~variant ~memory_pages:1024 ~disk_blocks:256 ?engine
       ?inject ()
   in
   let oracle =
-    install m ~mode:Classify.Bare ~flow ~liveness ~dead_store ~inject [ built ]
+    install m ~mode:Classify.Bare ~flow ~liveness ~inject [ built ]
   in
   (match instrument with Some f -> f m | None -> ());
   List.iter
@@ -178,15 +177,14 @@ let measure_vm m vmm vm outcome oracle =
   }
 
 let run_vm ?config ?io_mode ?engine ?inject ?instrument ?(flow = true)
-    ?(liveness = true) ?(dead_store = true) ?(max_cycles = default_max)
-    (built : Minivms.built) =
+    ?(liveness = true) ?(max_cycles = default_max) (built : Minivms.built) =
   let m =
     Machine.create ~variant:Variant.Virtualizing ~memory_pages:2048
       ~disk_blocks:256 ?engine ?inject ()
   in
   let vmm = Vmm.create ?config m in
   let oracle =
-    install m ~mode:Classify.Vm ~flow ~liveness ~dead_store ~inject [ built ]
+    install m ~mode:Classify.Vm ~flow ~liveness ~inject [ built ]
   in
   let vm =
     Vmm.add_vm vmm ~name:"guest" ~memory_pages:built.Minivms.memsize
@@ -198,7 +196,7 @@ let run_vm ?config ?io_mode ?engine ?inject ?instrument ?(flow = true)
   measure_vm m vmm vm outcome oracle
 
 let run_two_vms ?config ?engine ?inject ?instrument ?(flow = true)
-    ?(liveness = true) ?(dead_store = true) ?(max_cycles = default_max)
+    ?(liveness = true) ?(max_cycles = default_max)
     (b1 : Minivms.built) (b2 : Minivms.built) =
   let m =
     Machine.create ~variant:Variant.Virtualizing ~memory_pages:2048
@@ -206,7 +204,7 @@ let run_two_vms ?config ?engine ?inject ?instrument ?(flow = true)
   in
   let vmm = Vmm.create ?config m in
   let oracle =
-    install m ~mode:Classify.Vm ~flow ~liveness ~dead_store ~inject [ b1; b2 ]
+    install m ~mode:Classify.Vm ~flow ~liveness ~inject [ b1; b2 ]
   in
   let vm1 =
     Vmm.add_vm vmm ~name:"vm1" ~memory_pages:b1.Minivms.memsize

@@ -36,7 +36,6 @@ val run_bare :
   ?instrument:(Machine.t -> unit) ->
   ?flow:bool ->
   ?liveness:bool ->
-  ?dead_store:bool ->
   ?max_cycles:int ->
   Minivms.built ->
   measurement
@@ -57,12 +56,8 @@ val run_bare :
     compiler defer provably dead condition-code recomputation and fold
     proven-constant register operands; gauges register as
     ["blocks.liveness.*"].
-    [dead_store] (default [true]) additionally lets the compiler defer
-    register writes the interprocedural summary-sharpened liveness pass
-    proved dead into shadow slots ({!State.reg_lazy}), materialized at
-    every observable boundary; only meaningful when [liveness] is on.
     Simulated cycles, trace events and TLB statistics are bit-identical
-    with either switch on or off — only wall-clock changes. *)
+    with the switch on or off — only wall-clock changes. *)
 
 val run_vm :
   ?config:Vmm.config ->
@@ -72,7 +67,6 @@ val run_vm :
   ?instrument:(Machine.t -> unit) ->
   ?flow:bool ->
   ?liveness:bool ->
-  ?dead_store:bool ->
   ?max_cycles:int ->
   Minivms.built ->
   measurement
@@ -87,7 +81,6 @@ val run_two_vms :
   ?instrument:(Machine.t -> unit) ->
   ?flow:bool ->
   ?liveness:bool ->
-  ?dead_store:bool ->
   ?max_cycles:int ->
   Minivms.built ->
   Minivms.built ->

@@ -1,33 +1,31 @@
 (* Liveness-guided superblock compilation tests.
 
    The liveness facts are a pure host-speed optimisation: compiling
-   superblock slots with deferred condition codes, pre-folded constant
-   operands and deferred dead register writes must leave every
-   simulated observable bit-identical to the unguided compiler.  The
-   differential suite runs every catalog workload, bare and under the
-   VMM, with facts installed and without — and again with dead-store
-   deferral on and off — and compares cycles (total and guest/monitor
-   split), instruction counts, registers, PSL, console output, run
-   outcome, TLB statistics and the full event trace.
+   superblock slots with deferred condition codes and pre-folded
+   constant operands must leave every simulated observable
+   bit-identical to the unguided compiler.  The differential suite runs
+   every catalog workload, bare and under the VMM, with facts installed
+   and without, and compares cycles (total and guest/monitor split),
+   instruction counts, registers, PSL, console output, run outcome, TLB
+   statistics and the full event trace.
 
    The solver unit tests pin down the backward analysis itself on
    directed programs: a full kill proves all four codes dead, a
    conditional branch keeps exactly its condition alive — including
    across a block boundary and around a loop back-edge — an unresolved
    computed jump forces all-live, constants fold only when vaxflow
-   settles, and dead register writes are counted and (for R0..R13)
-   recorded for block-exit deferral.  The summary tests pin the
-   interprocedural pass: a callee's (gen, kill, clobber) summary lets a
-   caller-side write stay provably dead across a resolved JSB/BSBB
-   site, a computed call falls back to all-live, and a callee that
-   moves the stack pointer escapes to top.
+   settles, and dead register writes are counted.  The summary tests
+   pin the interprocedural pass: a callee's (gen, kill, clobber)
+   summary lets a caller-side write stay provably dead across a
+   resolved JSB/BSBB site, a computed call falls back to all-live, and
+   a callee that moves the stack pointer escapes to top.
 
    The runtime tests cover the two ways a deferred or folded fact can
    leak: a same-opcode byte patch (self-modifying code that rewrites an
    operand specifier without changing the opcode) must reject the stale
    fact through the page-generation stamp plus byte verification, and
-   an interrupt delivered mid-block must materialize deferred register
-   writes before the handler can observe them. *)
+   an interrupt delivered mid-block must see exactly the state the
+   per-step interpreter shows it. *)
 
 open Vax_arch
 open Vax_cpu
@@ -140,55 +138,6 @@ let test_two_vm_differential () =
   check_summary "two-vms vm1" off1 on1;
   check_summary "two-vms vm2" off2 on2
 
-(* Dead-store deferral on vs. off, liveness facts installed in both
-   runs: the elision itself must be architecturally invisible. *)
-let test_bare_dead_store_differential () =
-  List.iter
-    (fun w ->
-      let built = Catalog.build w in
-      let on =
-        summarize
-          (Runner.run_bare ~instrument:enable_trace ~liveness:true
-             ~dead_store:true built)
-      in
-      let off =
-        summarize
-          (Runner.run_bare ~instrument:enable_trace ~liveness:true
-             ~dead_store:false built)
-      in
-      check_summary ("bare dead-store " ^ w) off on)
-    Catalog.names
-
-let test_vm_dead_store_differential () =
-  List.iter
-    (fun w ->
-      let built = Catalog.build w in
-      let on =
-        summarize
-          (Runner.run_vm ~instrument:enable_trace ~liveness:true
-             ~dead_store:true built)
-      in
-      let off =
-        summarize
-          (Runner.run_vm ~instrument:enable_trace ~liveness:true
-             ~dead_store:false built)
-      in
-      check_summary ("vm dead-store " ^ w) off on)
-    Catalog.names
-
-let test_two_vm_dead_store_differential () =
-  let b1 = Catalog.build "editing" and b2 = Catalog.build "transaction" in
-  let run dead_store =
-    let m1, m2 =
-      Runner.run_two_vms ~instrument:enable_trace ~liveness:true ~dead_store b1
-        b2
-    in
-    (summarize m1, summarize m2)
-  in
-  let on1, on2 = run true and off1, off2 = run false in
-  check_summary "two-vms dead-store vm1" off1 on1;
-  check_summary "two-vms dead-store vm2" off2 on2
-
 (* The facts must actually engage on the workloads, otherwise the
    differential above proves nothing. *)
 let test_facts_engage () =
@@ -204,12 +153,11 @@ let test_facts_engage () =
   check_int "no fact slots when off" 0 bco.Block_cache.fact_slots
 
 (* The call-heavy workload is the stress case for the interprocedural
-   pass: its callee summaries must solve every resolved call site, its
-   caller-side dead writes must be detected across those sites, and the
-   compiled blocks must actually defer them. *)
-let test_dead_store_engages () =
+   pass: its callee summaries must solve every resolved call site, and
+   its caller-side dead writes must be detected across those sites. *)
+let test_summaries_engage () =
   let built = Catalog.build "calls" in
-  let m = Runner.run_bare ~liveness:true ~dead_store:true built in
+  let m = Runner.run_bare ~liveness:true built in
   let bc = m.Runner.machine.Vax_dev.Machine.bcache in
   let facts =
     match bc.Block_cache.facts with
@@ -220,14 +168,8 @@ let test_dead_store_engages () =
     (facts.Block_facts.summary_calls > 0);
   check_int "no summary fallbacks on calls" 0
     facts.Block_facts.summary_fallbacks;
-  Alcotest.(check bool) "dead write sites found" true
-    (Block_facts.dead_write_sites facts >= 2);
-  Alcotest.(check bool) "dead writes deferred at runtime" true
-    (bc.Block_cache.dead_writes_elided > 0);
-  let off = Runner.run_bare ~liveness:true ~dead_store:false built in
-  let bco = off.Runner.machine.Vax_dev.Machine.bcache in
-  check_int "nothing deferred when dead-store is off" 0
-    bco.Block_cache.dead_writes_elided
+  Alcotest.(check bool) "dead register writes found" true
+    (facts.Block_facts.dead_reg_writes >= 2)
 
 (* ------------------------------------------------------------------ *)
 (* Solver unit tests on directed programs *)
@@ -374,8 +316,7 @@ let test_const_fact () =
         [ (0, 5) ]
         f.Block_facts.f_consts
 
-(* Dead register writes are counted, and — for R0..R13 — recorded in
-   the per-fact deferral mask the slot compiler consumes. *)
+(* Dead register writes are counted (and never elided). *)
 let test_dead_reg_write_counted () =
   let image =
     image_of ~origin:0x1000 (fun a ->
@@ -385,13 +326,8 @@ let test_dead_reg_write_counted () =
         Asm.ins a Opcode.Halt [])
   in
   let facts, _ = Liveness.facts_of_images [ image ] in
-  Alcotest.(check bool) "first write to R5 detected dead" true
-    (facts.Block_facts.dead_reg_writes >= 1);
-  match fact_at facts image Opcode.Movl with
-  | None -> Alcotest.fail "no fact at the dead MOVL"
-  | Some f ->
-      check_int "R5 recorded in the deferral mask" (1 lsl 5)
-        (f.Block_facts.f_dead_regs land (1 lsl 5))
+  check_int "first write to R5 detected dead" 1
+    facts.Block_facts.dead_reg_writes
 
 (* ------------------------------------------------------------------ *)
 (* Interprocedural summary tests *)
@@ -418,11 +354,8 @@ let test_dead_across_call () =
     (facts.Block_facts.summary_calls >= 1);
   check_int "no fallback on a resolved call" 0
     facts.Block_facts.summary_fallbacks;
-  match fact_at facts image Opcode.Movl with
-  | None -> Alcotest.fail "no fact at the MOVL before the call"
-  | Some f ->
-      check_int "R5 write dead across the BSBB" (1 lsl 5)
-        (f.Block_facts.f_dead_regs land (1 lsl 5))
+  check_int "R5 write dead across the BSBB" 1
+    facts.Block_facts.dead_reg_writes
 
 (* The same caller with a computed callee: no summary applies, the
    call is all-read/all-clobbered, and the write before it stays
@@ -439,11 +372,8 @@ let test_computed_call_fallback () =
   let facts, _ = Liveness.facts_of_images [ image ] in
   check_int "no summary solves a computed call" 0
     facts.Block_facts.summary_calls;
-  match fact_at facts image Opcode.Movl with
-  | None -> ()
-  | Some f ->
-      check_int "R5 stays live into the unknown callee" 0
-        (f.Block_facts.f_dead_regs land (1 lsl 5))
+  check_int "R5 stays live into the unknown callee" 0
+    facts.Block_facts.dead_reg_writes
 
 (* The summary lattice on a directed leaf: reads R1 (and SP through
    the RSB), kills and clobbers R0, leaves R5 untouched. *)
@@ -558,14 +488,13 @@ let test_smc_same_opcode_patch () =
   (* iteration 1 adds the folded 5; iteration 2 must add R3 = 9 *)
   check_int "patched operand re-read, stale fact rejected" 9 (List.nth rb 1)
 
-(* An interrupt delivered mid-block must observe deferred register
-   writes: the MNEGL's destination is dead on every synchronous path
-   (the MOVL below rewrites R0 before any read) so the compiled slot
-   defers it into the shadow — but the handler reads R0
-   asynchronously, and exception delivery must materialize the shadow
-   first.  Compared against the per-step interpreter for several
-   posting offsets inside the loop body. *)
-let deferred_interrupt_program a =
+(* An interrupt delivered mid-block must observe exactly what the
+   per-step interpreter shows it: the MNEGL's R0 write and the MOVL's
+   condition codes are dead on every synchronous path, but the handler
+   reads R0 asynchronously and delivery pushes the PSL.  Compared
+   against the stepper for several posting offsets inside the loop
+   body. *)
+let interrupt_program a =
   Asm.ins a Opcode.Mtpr [ Asm.Imm 0x8000; Asm.Imm (Ipr.to_int Ipr.SCBB) ];
   Asm.ins a Opcode.Moval [ Asm.Abs_label "handler"; Asm.R 6 ];
   Asm.ins a Opcode.Movl [ Asm.R 6; Asm.Abs (0x8000 + Scb.interval_timer) ];
@@ -586,7 +515,7 @@ let deferred_interrupt_program a =
   Asm.ins a Opcode.Rei []
 
 let run_with_interrupt engine facts k =
-  let cpu, _ = boot ~engine ?facts deferred_interrupt_program in
+  let cpu, _ = boot ~engine ?facts interrupt_program in
   let st = cpu.Cpu.state in
   for _ = 1 to k do
     ignore (Cpu.step cpu)
@@ -601,20 +530,15 @@ let run_with_interrupt engine facts k =
   in
   go 5000;
   check_int "interrupt delivered once" 1 st.State.interrupts_taken;
-  (cpu_summary cpu, !delivery, cpu.Cpu.bcache.Block_cache.dead_writes_elided)
+  (cpu_summary cpu, !delivery)
 
-let test_interrupt_materializes_deferred () =
-  let image = image_of ~origin:0x1000 deferred_interrupt_program in
+let test_interrupt_mid_block () =
+  let image = image_of ~origin:0x1000 interrupt_program in
   let facts, _ = Liveness.facts_of_images [ image ] in
-  (match fact_at facts image Opcode.Mnegl with
-  | None -> Alcotest.fail "no fact at the MNEGL"
-  | Some f ->
-      check_int "R0 write dead on every synchronous path" 1
-        (f.Block_facts.f_dead_regs land 1));
   List.iter
     (fun k ->
-      let ss, sd, _ = run_with_interrupt Exec.Stepper None k in
-      let bs, bd, elided = run_with_interrupt Exec.Blocks (Some facts) k in
+      let ss, sd = run_with_interrupt Exec.Stepper None k in
+      let bs, bd = run_with_interrupt Exec.Blocks (Some facts) k in
       let rs, ps, cs, is = ss and rb, pb, cb, ib = bs in
       Alcotest.(check (list int)) (Printf.sprintf "k=%d registers" k) rs rb;
       check_int (Printf.sprintf "k=%d psl" k) ps pb;
@@ -622,10 +546,7 @@ let test_interrupt_materializes_deferred () =
       check_int (Printf.sprintf "k=%d instructions" k) is ib;
       let dc_s, di_s = sd and dc_b, di_b = bd in
       check_int (Printf.sprintf "k=%d delivery cycle" k) dc_s dc_b;
-      check_int (Printf.sprintf "k=%d delivery instruction" k) di_s di_b;
-      Alcotest.(check bool)
-        (Printf.sprintf "k=%d deferral engaged" k)
-        true (elided > 0))
+      check_int (Printf.sprintf "k=%d delivery instruction" k) di_s di_b)
     [ 5; 6; 7; 8; 9; 11; 14; 17; 23; 42 ]
 
 let () =
@@ -639,15 +560,9 @@ let () =
             test_vm_differential;
           Alcotest.test_case "two vms: facts = no facts" `Quick
             test_two_vm_differential;
-          Alcotest.test_case "bare workloads: dead-store on = off" `Quick
-            test_bare_dead_store_differential;
-          Alcotest.test_case "vm workloads: dead-store on = off" `Quick
-            test_vm_dead_store_differential;
-          Alcotest.test_case "two vms: dead-store on = off" `Quick
-            test_two_vm_dead_store_differential;
           Alcotest.test_case "facts engage" `Quick test_facts_engage;
-          Alcotest.test_case "dead-store deferral engages" `Quick
-            test_dead_store_engages;
+          Alcotest.test_case "summaries engage on calls" `Quick
+            test_summaries_engage;
         ] );
       ( "solver",
         [
@@ -677,7 +592,7 @@ let () =
         [
           Alcotest.test_case "same-opcode byte patch rejects stale fact"
             `Quick test_smc_same_opcode_patch;
-          Alcotest.test_case "interrupt materializes deferred writes" `Quick
-            test_interrupt_materializes_deferred;
+          Alcotest.test_case "interrupt mid-block: blocks+facts = stepper"
+            `Quick test_interrupt_mid_block;
         ] );
     ]
