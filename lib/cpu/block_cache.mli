@@ -105,8 +105,8 @@ type t = {
   mutable chains : int;  (** block entries through a chain link *)
   mutable built : int;  (** blocks finalized *)
   mutable invalidations : int;  (** blocks dropped on a generation mismatch *)
-  mutable fact_slots : int;  (** slots compiled with a matching fact *)
-  mutable cc_elided : int;  (** slots compiled with a deferred CC update *)
+  mutable fact_slots : int;  (** fast-tier slots compiled with a matching fact *)
+  mutable cc_elided : int;  (** fast-tier slots compiled with a deferred CC update *)
   mutable const_folded : int;  (** operands pre-folded to immediates *)
 }
 

@@ -7,7 +7,7 @@
     A fact licenses two compile-time specializations:
     - [f_cc_dead]: NZVC bits proven dead immediately {e after} the
       instruction (N=8, Z=4, V=2, C=1).  When N, Z and V are all dead
-      the slot compiler defers the condition-code update (see
+      the fast slot tier defers the condition-code update (see
       [State.cc_lazy]); the update stays architecturally invisible
       because every PSL observer materializes first.
     - [f_consts]: operand-index/value pairs proven constant on every

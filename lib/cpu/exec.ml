@@ -916,13 +916,11 @@ let run st ?(max_instructions = max_int) () =
 (* A block slot's closure replays one instruction exactly as [step]     *)
 (* would after the decode-cache probe: same operand-specifier charges   *)
 (* in the same order, same eval-time memory reads, same counter bumps,  *)
-(* same base-cycle charge, same fault next-PC protocol.  The common     *)
-(* addressing shapes compile to a fused closure with no decoded-record  *)
-(* allocation at all; everything else gets a generic slot that calls    *)
-(* [Decode.operandize] with the handler pre-resolved.                   *)
+(* same base-cycle charge, same fault next-PC protocol.  Two tiers: the *)
+(* shapes the workloads compile get a fused closure with no decoded-    *)
+(* record allocation at all; everything else gets a generic slot that  *)
+(* calls [Decode.operandize] with the handler pre-resolved.             *)
 (* ================================================================== *)
-
-let reserved_addressing () = raise (State.Fault State.Reserved_addressing)
 
 (* Fast operand IR: the side-effect-free addressing shapes.  Evaluating
    one never changes a register, so faults need no undo and addresses
@@ -991,7 +989,7 @@ let applicable_consts (fact : Block_facts.fact) (tmpl : Decode_cache.template) =
           | _ -> None)
         consts
 
-(* Operand list for the fast compilers, with fact-proven constants
+(* Operand list for the fast tier, with fact-proven constants
    folded to immediates.  Cycle-identical: [F_imm] and [F_reg] sit in
    the same pattern class at every fast-path use site, with the same
    charges and no fault points in either. *)
@@ -1010,56 +1008,16 @@ let fargs_of_tmpl ?fact (tmpl : Decode_cache.template) =
               | None -> fa)
             raw)
 
-let charge_spec st = Cycles.charge st.State.clock Cost.operand_specifier
-
-let faddr_va st start_pc = function
-  | A_reg rn -> State.reg st rn
-  | A_disp (rn, disp) -> Word.add (State.reg st rn) disp
-  | A_pc ofs -> Word.add start_pc ofs
-  | A_abs va -> va
-
-(* reads mirror [Decode.mk]: immediates raw, registers masked to the
-   operand width, memory through the mode-checked accessors *)
-let fread_long st start_pc = function
-  | F_imm v -> v
-  | F_reg rn -> State.reg st rn
-  | F_mem a -> State.read_long st (State.cur_mode st) (faddr_va st start_pc a)
-
-let fread_byte st start_pc = function
-  | F_imm v -> v
-  | F_reg rn -> State.reg st rn land 0xFF
-  | F_mem a -> State.read_byte st (State.cur_mode st) (faddr_va st start_pc a)
-
-let fmodify_long = fread_long
-
-(* writes mirror [Decode.write_value] *)
-let fwrite_long st start_pc f v =
-  match f with
-  | F_reg rn -> State.set_reg st rn v
-  | F_mem a -> State.write_long st (State.cur_mode st) (faddr_va st start_pc a) v
-  | F_imm _ -> reserved_addressing ()
-
-let fwrite_byte st start_pc f v =
-  match f with
-  | F_reg rn ->
-      State.set_reg st rn
-        (Word.logor (Word.logand (State.reg st rn) 0xFFFF_FF00) (v land 0xFF))
-  | F_mem a ->
-      State.write_byte st (State.cur_mode st) (faddr_va st start_pc a)
-        (v land 0xFF)
-  | F_imm _ -> reserved_addressing ()
-
-let wr = function F_imm _ -> false | F_reg _ | F_mem _ -> true
-
 (* ------------------------------------------------------------------ *)
-(* Hot-shape compiler.
+(* Fast tier.
 
-   The generic fast compiler below pays three per-execution overheads
-   that add up to more than the useful work of a register-to-register
-   instruction: a [ref] allocation plus a try frame for the fault
-   next-PC protocol, a two-level shape dispatch per operand access, and
-   one [Cycles.charge] call per specifier.  These arms re-express the
-   hottest opcode/operand combinations without them:
+   The generic slot pays per-execution overheads that add up to more
+   than the useful work of a register-to-register instruction: a
+   decoded-record allocation in [Decode.operandize], a [ref] plus a try
+   frame for the fault next-PC protocol, the handler's operand-list
+   match, and one [Cycles.charge] call per specifier.  These bodies
+   re-express the opcode/operand shapes the workloads compile (PERF.md
+   lists the census) without them:
 
    - adjacent cycle charges with no possible fault point between them
      are merged into a single [Cycles.charge].  Merging is
@@ -1077,7 +1035,9 @@ let wr = function F_imm _ -> false | F_reg _ | F_mem _ -> true
      register index or a single address closure.
 
    A fault raised by [dispatch_fault] itself propagates, as in
-   [step]. *)
+   [step].  Every other shape returns [None] and takes [generic_slot],
+   the stepper's own semantics; a body earns its place here only with
+   compiled slots in that census. *)
 
 let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
   let op = tmpl.Decode_cache.t_opcode in
@@ -1092,7 +1052,7 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
      pending write is dropped wholesale by the next eager [set_nzvc]
      (the common case: the next CC writer kills it) or materialized by
      the first PSL observer via [State.sync_cc].  The C bit is never
-     deferred: classes 1/2 keep it and the TST helpers clear it eagerly,
+     deferred: classes 1/2 keep it and the TSTL helper clears it eagerly,
      so [psl]'s C is exact at all times and an interleaved eager keep-C
      write (cold path, unfacted slot) reads the right value. *)
   let nzv_dead =
@@ -1127,14 +1087,6 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
       st.State.cc_value <- v
     else fun st v ->
       set_nzvc st ~n:(Word.to_signed v < 0) ~z:(v = 0) ~v:false ~c:false
-  in
-  let set_cc_tstb =
-    if nzv_dead then fun st v ->
-      st.State.psl <- Psl.with_c st.State.psl false;
-      st.State.cc_lazy <- 4;
-      st.State.cc_value <- v
-    else fun st v ->
-      set_nzvc st ~n:(v land 0x80 <> 0) ~z:(v = 0) ~v:false ~c:false
   in
   let commit st =
     st.State.instructions <- st.State.instructions + 1;
@@ -1242,12 +1194,6 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
         fun st _ v ->
           State.write_byte st (State.cur_mode st) va (v land 0xFF)
   in
-  (* write a byte into the low byte of a register, [Decode.write_value]
-     style *)
-  let set_reg_b st rn v =
-    Array.unsafe_set st.State.regs rn
-      (Array.unsafe_get st.State.regs rn land 0xFFFF_FF00 lor (v land 0xFF))
-  in
   (* conditional branch: one specifier, nothing can fault *)
   let cbr tofs cond =
     let call = spec + base in
@@ -1348,34 +1294,10 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
                 | () ->
                     if ovf then ovf_finish st pc was_vm
                     else finish st pc was_vm))
-    | F_mem sa, F_mem da ->
-        let rds = rd_mem sa in
-        let rdm = rd_mem da in
-        let wrm = wr_mem da in
-        Some
-          (fun st pc ->
-            Cycles.charge st.State.clock spec;
-            match rds st pc with
-            | exception State.Fault fe -> fault0 st pc fe
-            | sv -> (
-                Cycles.charge st.State.clock spec;
-                match rdm st pc with
-                | exception State.Fault fe -> fault0 st pc fe
-                | dv -> (
-                    Cycles.charge st.State.clock base;
-                    let was_vm = commit st in
-                    match
-                      let r = f st dv sv in
-                      wrm st pc r
-                    with
-                    | exception State.Fault fe -> fault1 st pc fe
-                    | () ->
-                        if ovf then ovf_finish st pc was_vm
-                        else finish st pc was_vm)))
-    | _, F_imm _ -> None
+    | _ -> None
   in
-  (* three-operand arithmetic with a register destination; memory
-     destinations fall back to the generic compiler *)
+  (* three-operand arithmetic from register/immediate sources into a
+     register; every other shape takes the generic slot *)
   let arith3 a b d f ~ovf =
     match (a, b, d) with
     | (F_imm _ | F_reg _), (F_imm _ | F_reg _), F_reg dr ->
@@ -1405,44 +1327,6 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
                       ~c:(if was_vm then 1 else 0)
                       pc
                 end)
-    | F_mem aa, (F_imm _ | F_reg _), F_reg dr ->
-        let rda = rd_mem aa in
-        let rdb = rd_pure b in
-        let tail = (2 * spec) + base in
-        Some
-          (fun st pc ->
-            Cycles.charge st.State.clock spec;
-            match rda st pc with
-            | exception State.Fault fe -> fault0 st pc fe
-            | av -> (
-                Cycles.charge st.State.clock tail;
-                let was_vm = commit st in
-                let bv = rdb st in
-                match f st av bv with
-                | exception State.Fault fe -> fault1 st pc fe
-                | r ->
-                    Array.unsafe_set st.State.regs dr (Word.mask r);
-                    if ovf then ovf_finish st pc was_vm
-                    else finish st pc was_vm))
-    | (F_imm _ | F_reg _), F_mem ba, F_reg dr ->
-        let rda = rd_pure a in
-        let rdb = rd_mem ba in
-        let tail = spec + base in
-        Some
-          (fun st pc ->
-            Cycles.charge st.State.clock (2 * spec);
-            match rdb st pc with
-            | exception State.Fault fe -> fault0 st pc fe
-            | bv -> (
-                Cycles.charge st.State.clock tail;
-                let was_vm = commit st in
-                let av = rda st in
-                match f st av bv with
-                | exception State.Fault fe -> fault1 st pc fe
-                | r ->
-                    Array.unsafe_set st.State.regs dr (Word.mask r);
-                    if ovf then ovf_finish st pc was_vm
-                    else finish st pc was_vm))
     | _ -> None
   in
   match (op, fargs_of_tmpl ?fact tmpl) with
@@ -1517,115 +1401,38 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
                     Vax_obs.Trace.emit tr Vax_obs.Trace.Retire ~b:enc
                       ~c:(if was_vm then 1 else 0)
                       pc)
-      | F_mem sa, F_mem da ->
-          let rd = rd_mem sa in
-          let wrm = wr_mem da in
-          let tail = spec + base in
-          Some
-            (fun st pc ->
-              Cycles.charge st.State.clock spec;
-              match rd st pc with
-              | exception State.Fault f -> fault0 st pc f
-              | v -> (
-                  Cycles.charge st.State.clock tail;
-                  let was_vm = commit st in
-                  match wrm st pc v with
-                  | exception State.Fault f -> fault1 st pc f
-                  | () ->
-                      set_nz_keep_c st v;
-                      finish st pc was_vm))
-      | _, F_imm _ -> None)
-  | Opcode.Movb, [ FA s; FA d ] -> (
-      match (s, d) with
-      | (F_imm _ | F_reg _), F_reg dr ->
-          let rd = rd_pure_b s in
-          let call = (2 * spec) + base in
-          Some
-            (fun st pc ->
-              Cycles.charge st.State.clock call;
-              let was_vm = commit st in
-              let v = rd st land 0xFF in
-              set_reg_b st dr v;
+      | _ -> None)
+  | Opcode.Movb, [ FA ((F_imm _ | F_reg _) as s); FA (F_mem a) ] ->
+      let rd = rd_pure_b s in
+      let wrm = wr_mem_b a in
+      let call = (2 * spec) + base in
+      Some
+        (fun st pc ->
+          Cycles.charge st.State.clock call;
+          let was_vm = commit st in
+          let v = rd st land 0xFF in
+          match wrm st pc v with
+          | exception State.Fault f -> fault1 st pc f
+          | () ->
               set_nz_byte_keep_c st v;
               finish st pc was_vm)
-      | F_mem a, F_reg dr ->
-          let rd = rd_mem_b a in
-          let tail = spec + base in
-          Some
-            (fun st pc ->
-              Cycles.charge st.State.clock spec;
-              match rd st pc with
-              | exception State.Fault f -> fault0 st pc f
-              | v0 ->
-                  Cycles.charge st.State.clock tail;
-                  let was_vm = commit st in
-                  let v = v0 land 0xFF in
-                  set_reg_b st dr v;
-                  set_nz_byte_keep_c st v;
-                  finish st pc was_vm)
-      | (F_imm _ | F_reg _), F_mem a ->
-          let rd = rd_pure_b s in
-          let wrm = wr_mem_b a in
-          let call = (2 * spec) + base in
-          Some
-            (fun st pc ->
-              Cycles.charge st.State.clock call;
+  | Opcode.Movzbl, [ FA (F_mem a); FA (F_reg dr) ] ->
+      let rd = rd_mem_b a in
+      let tail = spec + base in
+      Some
+        (fun st pc ->
+          Cycles.charge st.State.clock spec;
+          match rd st pc with
+          | exception State.Fault f -> fault0 st pc f
+          | v0 ->
+              Cycles.charge st.State.clock tail;
               let was_vm = commit st in
-              let v = rd st land 0xFF in
-              match wrm st pc v with
-              | exception State.Fault f -> fault1 st pc f
-              | () ->
-                  set_nz_byte_keep_c st v;
-                  finish st pc was_vm)
-      | F_mem sa, F_mem da ->
-          let rd = rd_mem_b sa in
-          let wrm = wr_mem_b da in
-          let tail = spec + base in
-          Some
-            (fun st pc ->
-              Cycles.charge st.State.clock spec;
-              match rd st pc with
-              | exception State.Fault f -> fault0 st pc f
-              | v0 -> (
-                  Cycles.charge st.State.clock tail;
-                  let was_vm = commit st in
-                  let v = v0 land 0xFF in
-                  match wrm st pc v with
-                  | exception State.Fault f -> fault1 st pc f
-                  | () ->
-                      set_nz_byte_keep_c st v;
-                      finish st pc was_vm))
-      | _, F_imm _ -> None)
-  | Opcode.Movzbl, [ FA s; FA (F_reg dr) ] -> (
-      match s with
-      | F_imm _ | F_reg _ ->
-          let rd = rd_pure_b s in
-          let call = (2 * spec) + base in
-          Some
-            (fun st pc ->
-              Cycles.charge st.State.clock call;
-              let was_vm = commit st in
-              let v = rd st land 0xFF in
+              let v = v0 land 0xFF in
               Array.unsafe_set st.State.regs dr v;
               (* zero-extended, so N is false either way: the long
                  keep-C helper computes the same bits and defers *)
               set_nz_keep_c st v;
               finish st pc was_vm)
-      | F_mem a ->
-          let rd = rd_mem_b a in
-          let tail = spec + base in
-          Some
-            (fun st pc ->
-              Cycles.charge st.State.clock spec;
-              match rd st pc with
-              | exception State.Fault f -> fault0 st pc f
-              | v0 ->
-                  Cycles.charge st.State.clock tail;
-                  let was_vm = commit st in
-                  let v = v0 land 0xFF in
-                  Array.unsafe_set st.State.regs dr v;
-                  set_nz_keep_c st v;
-                  finish st pc was_vm))
   | Opcode.Clrl, [ FA (F_reg dr) ] ->
       let call = spec + base in
       Some
@@ -1646,27 +1453,6 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
           | exception State.Fault f -> fault1 st pc f
           | () ->
               set_nz_keep_c st 0;
-              finish st pc was_vm)
-  | Opcode.Clrb, [ FA (F_reg dr) ] ->
-      let call = spec + base in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock call;
-          let was_vm = commit st in
-          set_reg_b st dr 0;
-          set_nz_byte_keep_c st 0;
-          finish st pc was_vm)
-  | Opcode.Clrb, [ FA (F_mem a) ] ->
-      let wrm = wr_mem_b a in
-      let call = spec + base in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock call;
-          let was_vm = commit st in
-          match wrm st pc 0 with
-          | exception State.Fault f -> fault1 st pc f
-          | () ->
-              set_nz_byte_keep_c st 0;
               finish st pc was_vm)
   | Opcode.Tstl, [ FA ((F_imm _ | F_reg _) as s) ] ->
       let rd = rd_pure s in
@@ -1689,29 +1475,6 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
               Cycles.charge st.State.clock base;
               let was_vm = commit st in
               set_cc_tstl st v;
-              finish st pc was_vm)
-  | Opcode.Tstb, [ FA ((F_imm _ | F_reg _) as s) ] ->
-      let rd = rd_pure_b s in
-      let call = spec + base in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock call;
-          let was_vm = commit st in
-          let v = rd st land 0xFF in
-          set_cc_tstb st v;
-          finish st pc was_vm)
-  | Opcode.Tstb, [ FA (F_mem a) ] ->
-      let rd = rd_mem_b a in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock spec;
-          match rd st pc with
-          | exception State.Fault f -> fault0 st pc f
-          | v0 ->
-              Cycles.charge st.State.clock base;
-              let was_vm = commit st in
-              let v = v0 land 0xFF in
-              set_cc_tstb st v;
               finish st pc was_vm)
   | Opcode.Cmpl, [ FA a; FA b ] -> (
       match (a, b) with
@@ -1769,62 +1532,6 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
                       let was_vm = commit st in
                       compare_long st av bv;
                       finish st pc was_vm)))
-  | Opcode.Cmpb, [ FA a; FA b ] -> (
-      match (a, b) with
-      | (F_imm _ | F_reg _), (F_imm _ | F_reg _) ->
-          let rda = rd_pure_b a in
-          let rdb = rd_pure_b b in
-          let call = (2 * spec) + base in
-          Some
-            (fun st pc ->
-              Cycles.charge st.State.clock call;
-              let was_vm = commit st in
-              compare_byte st (rda st) (rdb st);
-              finish st pc was_vm)
-      | F_mem aa, (F_imm _ | F_reg _) ->
-          let rda = rd_mem_b aa in
-          let rdb = rd_pure_b b in
-          let tail = spec + base in
-          Some
-            (fun st pc ->
-              Cycles.charge st.State.clock spec;
-              match rda st pc with
-              | exception State.Fault f -> fault0 st pc f
-              | av ->
-                  Cycles.charge st.State.clock tail;
-                  let was_vm = commit st in
-                  compare_byte st av (rdb st);
-                  finish st pc was_vm)
-      | (F_imm _ | F_reg _), F_mem ba ->
-          let rda = rd_pure_b a in
-          let rdb = rd_mem_b ba in
-          Some
-            (fun st pc ->
-              Cycles.charge st.State.clock (2 * spec);
-              match rdb st pc with
-              | exception State.Fault f -> fault0 st pc f
-              | bv ->
-                  Cycles.charge st.State.clock base;
-                  let was_vm = commit st in
-                  compare_byte st (rda st) bv;
-                  finish st pc was_vm)
-      | F_mem aa, F_mem ba ->
-          let rda = rd_mem_b aa in
-          let rdb = rd_mem_b ba in
-          Some
-            (fun st pc ->
-              Cycles.charge st.State.clock spec;
-              match rda st pc with
-              | exception State.Fault f -> fault0 st pc f
-              | av -> (
-                  Cycles.charge st.State.clock spec;
-                  match rdb st pc with
-                  | exception State.Fault f -> fault0 st pc f
-                  | bv ->
-                      Cycles.charge st.State.clock base;
-                      let was_vm = commit st in
-                      compare_byte st av bv;
-                      finish st pc was_vm)))
   | Opcode.Pushl, [ FA ((F_imm _ | F_reg _) as s) ] ->
       let rd = rd_pure s in
       let call = spec + base in
@@ -1838,21 +1545,6 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
           | () ->
               set_nz_keep_c st v;
               finish st pc was_vm)
-  | Opcode.Pushl, [ FA (F_mem a) ] ->
-      let rd = rd_mem a in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock spec;
-          match rd st pc with
-          | exception State.Fault f -> fault0 st pc f
-          | v -> (
-              Cycles.charge st.State.clock base;
-              let was_vm = commit st in
-              match State.push_long st v with
-              | exception State.Fault f -> fault1 st pc f
-              | () ->
-                  set_nz_keep_c st v;
-                  finish st pc was_vm))
   | Opcode.Moval, [ FA (F_mem a); FA (F_reg dr) ] ->
       let va = va_of a in
       let call = (2 * spec) + base in
@@ -1864,20 +1556,6 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
           Array.unsafe_set st.State.regs dr (Word.mask v);
           set_nz_keep_c st v;
           finish st pc was_vm)
-  | Opcode.Moval, [ FA (F_mem a); FA (F_mem da) ] ->
-      let va = va_of a in
-      let wrm = wr_mem da in
-      let call = (2 * spec) + base in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock call;
-          let was_vm = commit st in
-          let v = va st pc in
-          match wrm st pc v with
-          | exception State.Fault f -> fault1 st pc f
-          | () ->
-              set_nz_keep_c st v;
-              finish st pc was_vm)
   | Opcode.Incl, [ FA (F_reg dr) ] ->
       let call = spec + base in
       Some
@@ -1888,27 +1566,6 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
           if was_vm then
             st.State.vm_instructions <- st.State.vm_instructions + 1;
           let r = do_add st (Array.unsafe_get st.State.regs dr) 1 in
-          Array.unsafe_set st.State.regs dr r;
-          if Psl.v st.State.psl && Psl.iv st.State.psl then
-            fault1 st pc (State.Arithmetic_trap 1)
-          else begin
-            State.set_pc st (Word.add pc len);
-            let tr = st.State.trace in
-            if Vax_obs.Trace.enabled tr then
-              Vax_obs.Trace.emit tr Vax_obs.Trace.Retire ~b:enc
-                ~c:(if was_vm then 1 else 0)
-                pc
-          end)
-  | Opcode.Decl, [ FA (F_reg dr) ] ->
-      let call = spec + base in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock call;
-          st.State.instructions <- st.State.instructions + 1;
-          let was_vm = Psl.vm st.State.psl in
-          if was_vm then
-            st.State.vm_instructions <- st.State.vm_instructions + 1;
-          let r = do_sub st (Array.unsafe_get st.State.regs dr) 1 in
           Array.unsafe_set st.State.regs dr r;
           if Psl.v st.State.psl && Psl.iv st.State.psl then
             fault1 st pc (State.Arithmetic_trap 1)
@@ -1950,30 +1607,6 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
               match wrm st pc r with
               | exception State.Fault f -> fault1 st pc f
               | () -> ovf_finish st pc was_vm))
-  | Opcode.Mnegl, [ FA ((F_imm _ | F_reg _) as s); FA (F_reg dr) ] ->
-      let rd = rd_pure s in
-      let call = (2 * spec) + base in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock call;
-          let was_vm = commit st in
-          let r = do_sub st 0 (rd st) in
-          Array.unsafe_set st.State.regs dr r;
-          ovf_finish st pc was_vm)
-  | Opcode.Mnegl, [ FA (F_mem a); FA (F_reg dr) ] ->
-      let rd = rd_mem a in
-      let tail = spec + base in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock spec;
-          match rd st pc with
-          | exception State.Fault f -> fault0 st pc f
-          | sv ->
-              Cycles.charge st.State.clock tail;
-              let was_vm = commit st in
-              let r = do_sub st 0 sv in
-              Array.unsafe_set st.State.regs dr r;
-              ovf_finish st pc was_vm)
   | Opcode.Addl2, [ FA s; FA d ] -> arith2 s d do_add ~ovf:true
   | Opcode.Subl2, [ FA s; FA d ] -> arith2 s d do_sub ~ovf:true
   | Opcode.Mull2, [ FA s; FA d ] -> arith2 s d do_mul ~ovf:true
@@ -2013,33 +1646,6 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
   | Opcode.Bvs, [ FB t ] -> cbr t Psl.v
   | Opcode.Bcc, [ FB t ] -> cbr t (fun p -> not (Psl.c p))
   | Opcode.Bcs, [ FB t ] -> cbr t Psl.c
-  | (Opcode.Blbs | Opcode.Blbc), [ FA ((F_imm _ | F_reg _) as s); FB tofs ]
-    ->
-      let want = if op = Opcode.Blbs then 1 else 0 in
-      let rd = rd_pure s in
-      let call = (2 * spec) + base in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock call;
-          let was_vm = commit st in
-          if rd st land 1 = want then State.set_pc st (Word.add pc tofs)
-          else State.set_pc st (Word.add pc len);
-          retire st pc was_vm)
-  | (Opcode.Blbs | Opcode.Blbc), [ FA (F_mem a); FB tofs ] ->
-      let want = if op = Opcode.Blbs then 1 else 0 in
-      let rd = rd_mem a in
-      let tail = spec + base in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock spec;
-          match rd st pc with
-          | exception State.Fault f -> fault0 st pc f
-          | v ->
-              Cycles.charge st.State.clock tail;
-              let was_vm = commit st in
-              if v land 1 = want then State.set_pc st (Word.add pc tofs)
-              else State.set_pc st (Word.add pc len);
-              retire st pc was_vm)
   | Opcode.Sobgtr, [ FA (F_reg rn); FB tofs ] ->
       let call = (2 * spec) + base in
       Some
@@ -2058,20 +1664,6 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
             Vax_obs.Trace.emit tr Vax_obs.Trace.Retire ~b:enc
               ~c:(if was_vm then 1 else 0)
               pc)
-  | Opcode.Aoblss, [ FA ((F_imm _ | F_reg _) as l); FA (F_reg rn); FB tofs ]
-    ->
-      let rdl = rd_pure l in
-      let call = (3 * spec) + base in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock call;
-          let was_vm = commit st in
-          let lv = rdl st in
-          let r = do_add st (Array.unsafe_get st.State.regs rn) 1 in
-          Array.unsafe_set st.State.regs rn r;
-          if Word.signed_lt r lv then State.set_pc st (Word.add pc tofs)
-          else State.set_pc st (Word.add pc len);
-          retire st pc was_vm)
   | Opcode.Bsbb, [ FB tofs ] ->
       let call = spec + base in
       Some
@@ -2117,332 +1709,6 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
               retire st pc was_vm)
   | _ -> None
 
-(* Generic fast compiler: the [np] ref tracks the fault next-PC exactly
-   like [step]'s [decoded] option: [start_pc] while operands are still
-   being evaluated (no undo needed — fast shapes have no side effects),
-   the instruction's end once evaluation committed.  A fault raised by
-   [dispatch_fault] itself propagates, as in [step].  The hottest
-   opcode/operand combinations never reach this compiler — see
-   [compile_fast_hot] below. *)
-let compile_fast_gen ?fact (tmpl : Decode_cache.template) =
-  let op = tmpl.Decode_cache.t_opcode in
-  let len = tmpl.Decode_cache.t_len in
-  let base = Opcode.base_cycles op in
-  let enc = enc_int op in
-  let commit st =
-    st.State.instructions <- st.State.instructions + 1;
-    let was_vm = Psl.vm st.State.psl in
-    if was_vm then st.State.vm_instructions <- st.State.vm_instructions + 1;
-    Cycles.charge st.State.clock base;
-    was_vm
-  in
-  let retire st start_pc was_vm =
-    let tr = st.State.trace in
-    if Vax_obs.Trace.enabled tr then
-      Vax_obs.Trace.emit tr Vax_obs.Trace.Retire ~b:enc
-        ~c:(if was_vm then 1 else 0)
-        start_pc
-  in
-  let finish st start_pc was_vm =
-    State.set_pc st (Word.add start_pc len);
-    retire st start_pc was_vm
-  in
-  let slot body =
-    Some
-      (fun st start_pc ->
-        let np = ref start_pc in
-        try body st start_pc np
-        with State.Fault f ->
-          Microcode.dispatch_fault st ~start_pc ~next_pc:!np f)
-  in
-  let cbr tofs cond =
-    slot (fun st pc np ->
-        charge_spec st;
-        np := Word.add pc len;
-        let was_vm = commit st in
-        if cond st.State.psl then State.set_pc st (Word.add pc tofs)
-        else State.set_pc st (Word.add pc len);
-        retire st pc was_vm)
-  in
-  let arith2 s d f ~ovf =
-    slot (fun st pc np ->
-        charge_spec st;
-        let sv = fread_long st pc s in
-        charge_spec st;
-        let dv = fmodify_long st pc d in
-        np := Word.add pc len;
-        let was_vm = commit st in
-        let r = f st dv sv in
-        fwrite_long st pc d r;
-        if ovf then check_overflow_trap st;
-        finish st pc was_vm)
-  in
-  let arith3 a b d f ~ovf =
-    slot (fun st pc np ->
-        charge_spec st;
-        let av = fread_long st pc a in
-        charge_spec st;
-        let bv = fread_long st pc b in
-        charge_spec st;
-        np := Word.add pc len;
-        let was_vm = commit st in
-        let r = f st av bv in
-        fwrite_long st pc d r;
-        if ovf then check_overflow_trap st;
-        finish st pc was_vm)
-  in
-  match (op, fargs_of_tmpl ?fact tmpl) with
-  | Opcode.Nop, [] ->
-      slot (fun st pc np ->
-          np := Word.add pc len;
-          let was_vm = commit st in
-          finish st pc was_vm)
-  | Opcode.Movl, [ FA s; FA d ] when wr d ->
-      slot (fun st pc np ->
-          charge_spec st;
-          let v = fread_long st pc s in
-          charge_spec st;
-          np := Word.add pc len;
-          let was_vm = commit st in
-          fwrite_long st pc d v;
-          set_nz_keep_c st v;
-          finish st pc was_vm)
-  | Opcode.Movb, [ FA s; FA d ] when wr d ->
-      slot (fun st pc np ->
-          charge_spec st;
-          let v = fread_byte st pc s land 0xFF in
-          charge_spec st;
-          np := Word.add pc len;
-          let was_vm = commit st in
-          fwrite_byte st pc d v;
-          set_nz_byte_keep_c st v;
-          finish st pc was_vm)
-  | Opcode.Movzbl, [ FA s; FA d ] when wr d ->
-      slot (fun st pc np ->
-          charge_spec st;
-          let v = fread_byte st pc s land 0xFF in
-          charge_spec st;
-          np := Word.add pc len;
-          let was_vm = commit st in
-          fwrite_long st pc d v;
-          set_nzvc st ~n:false ~z:(v = 0) ~v:false ~c:(Psl.c st.State.psl);
-          finish st pc was_vm)
-  | Opcode.Clrl, [ FA d ] when wr d ->
-      slot (fun st pc np ->
-          charge_spec st;
-          np := Word.add pc len;
-          let was_vm = commit st in
-          fwrite_long st pc d 0;
-          set_nz_keep_c st 0;
-          finish st pc was_vm)
-  | Opcode.Clrb, [ FA d ] when wr d ->
-      slot (fun st pc np ->
-          charge_spec st;
-          np := Word.add pc len;
-          let was_vm = commit st in
-          fwrite_byte st pc d 0;
-          set_nz_byte_keep_c st 0;
-          finish st pc was_vm)
-  | Opcode.Tstl, [ FA s ] ->
-      slot (fun st pc np ->
-          charge_spec st;
-          let v = fread_long st pc s in
-          np := Word.add pc len;
-          let was_vm = commit st in
-          set_nzvc st ~n:(Word.to_signed v < 0) ~z:(v = 0) ~v:false ~c:false;
-          finish st pc was_vm)
-  | Opcode.Tstb, [ FA s ] ->
-      slot (fun st pc np ->
-          charge_spec st;
-          let v = fread_byte st pc s land 0xFF in
-          np := Word.add pc len;
-          let was_vm = commit st in
-          set_nzvc st ~n:(v land 0x80 <> 0) ~z:(v = 0) ~v:false ~c:false;
-          finish st pc was_vm)
-  | Opcode.Cmpl, [ FA a; FA b ] ->
-      slot (fun st pc np ->
-          charge_spec st;
-          let av = fread_long st pc a in
-          charge_spec st;
-          let bv = fread_long st pc b in
-          np := Word.add pc len;
-          let was_vm = commit st in
-          compare_long st av bv;
-          finish st pc was_vm)
-  | Opcode.Cmpb, [ FA a; FA b ] ->
-      slot (fun st pc np ->
-          charge_spec st;
-          let av = fread_byte st pc a in
-          charge_spec st;
-          let bv = fread_byte st pc b in
-          np := Word.add pc len;
-          let was_vm = commit st in
-          compare_byte st av bv;
-          finish st pc was_vm)
-  | Opcode.Pushl, [ FA s ] ->
-      slot (fun st pc np ->
-          charge_spec st;
-          let v = fread_long st pc s in
-          np := Word.add pc len;
-          let was_vm = commit st in
-          State.push_long st v;
-          set_nz_keep_c st v;
-          finish st pc was_vm)
-  | Opcode.Moval, [ FA (F_mem a); FA d ] when wr d ->
-      slot (fun st pc np ->
-          charge_spec st;
-          let va = faddr_va st pc a in
-          charge_spec st;
-          np := Word.add pc len;
-          let was_vm = commit st in
-          fwrite_long st pc d va;
-          set_nz_keep_c st va;
-          finish st pc was_vm)
-  | Opcode.Incl, [ FA d ] when wr d ->
-      slot (fun st pc np ->
-          charge_spec st;
-          let dv = fmodify_long st pc d in
-          np := Word.add pc len;
-          let was_vm = commit st in
-          let r = do_add st dv 1 in
-          fwrite_long st pc d r;
-          check_overflow_trap st;
-          finish st pc was_vm)
-  | Opcode.Decl, [ FA d ] when wr d ->
-      slot (fun st pc np ->
-          charge_spec st;
-          let dv = fmodify_long st pc d in
-          np := Word.add pc len;
-          let was_vm = commit st in
-          let r = do_sub st dv 1 in
-          fwrite_long st pc d r;
-          check_overflow_trap st;
-          finish st pc was_vm)
-  | Opcode.Mnegl, [ FA s; FA d ] when wr d ->
-      slot (fun st pc np ->
-          charge_spec st;
-          let sv = fread_long st pc s in
-          charge_spec st;
-          np := Word.add pc len;
-          let was_vm = commit st in
-          let r = do_sub st 0 sv in
-          fwrite_long st pc d r;
-          check_overflow_trap st;
-          finish st pc was_vm)
-  | Opcode.Addl2, [ FA s; FA d ] when wr d -> arith2 s d do_add ~ovf:true
-  | Opcode.Subl2, [ FA s; FA d ] when wr d -> arith2 s d do_sub ~ovf:true
-  | Opcode.Mull2, [ FA s; FA d ] when wr d -> arith2 s d do_mul ~ovf:true
-  | Opcode.Divl2, [ FA s; FA d ] when wr d -> arith2 s d do_div ~ovf:false
-  | Opcode.Bisl2, [ FA s; FA d ] when wr d ->
-      arith2 s d (fun st x y -> do_logic st Word.logor x y) ~ovf:false
-  | Opcode.Bicl2, [ FA s; FA d ] when wr d ->
-      arith2 s d
-        (fun st x y -> do_logic st (fun a b -> Word.logand a (Word.lognot b)) x y)
-        ~ovf:false
-  | Opcode.Xorl2, [ FA s; FA d ] when wr d ->
-      arith2 s d (fun st x y -> do_logic st Word.logxor x y) ~ovf:false
-  | Opcode.Addl3, [ FA a; FA b; FA d ] when wr d -> arith3 a b d do_add ~ovf:true
-  | Opcode.Subl3, [ FA a; FA b; FA d ] when wr d ->
-      arith3 a b d (fun st x y -> do_sub st y x) ~ovf:true
-  | Opcode.Mull3, [ FA a; FA b; FA d ] when wr d -> arith3 a b d do_mul ~ovf:true
-  | Opcode.Divl3, [ FA a; FA b; FA d ] when wr d ->
-      arith3 a b d (fun st x y -> do_div st y x) ~ovf:false
-  | Opcode.Bisl3, [ FA a; FA b; FA d ] when wr d ->
-      arith3 a b d (fun st x y -> do_logic st Word.logor x y) ~ovf:false
-  | Opcode.Bicl3, [ FA a; FA b; FA d ] when wr d ->
-      arith3 a b d
-        (fun st x y -> do_logic st (fun a b -> Word.logand b (Word.lognot a)) x y)
-        ~ovf:false
-  | Opcode.Xorl3, [ FA a; FA b; FA d ] when wr d ->
-      arith3 a b d (fun st x y -> do_logic st Word.logxor x y) ~ovf:false
-  | (Opcode.Brb | Opcode.Brw), [ FB tofs ] -> cbr tofs (fun _ -> true)
-  | Opcode.Bneq, [ FB t ] -> cbr t (fun p -> not (Psl.z p))
-  | Opcode.Beql, [ FB t ] -> cbr t Psl.z
-  | Opcode.Bgtr, [ FB t ] -> cbr t (fun p -> not (Psl.n p || Psl.z p))
-  | Opcode.Bleq, [ FB t ] -> cbr t (fun p -> Psl.n p || Psl.z p)
-  | Opcode.Bgeq, [ FB t ] -> cbr t (fun p -> not (Psl.n p))
-  | Opcode.Blss, [ FB t ] -> cbr t Psl.n
-  | Opcode.Bgtru, [ FB t ] -> cbr t (fun p -> not (Psl.c p || Psl.z p))
-  | Opcode.Blequ, [ FB t ] -> cbr t (fun p -> Psl.c p || Psl.z p)
-  | Opcode.Bvc, [ FB t ] -> cbr t (fun p -> not (Psl.v p))
-  | Opcode.Bvs, [ FB t ] -> cbr t Psl.v
-  | Opcode.Bcc, [ FB t ] -> cbr t (fun p -> not (Psl.c p))
-  | Opcode.Bcs, [ FB t ] -> cbr t Psl.c
-  | (Opcode.Blbs | Opcode.Blbc), [ FA s; FB tofs ] ->
-      let want = if op = Opcode.Blbs then 1 else 0 in
-      slot (fun st pc np ->
-          charge_spec st;
-          let v = fread_long st pc s in
-          charge_spec st;
-          np := Word.add pc len;
-          let was_vm = commit st in
-          if v land 1 = want then State.set_pc st (Word.add pc tofs)
-          else State.set_pc st (Word.add pc len);
-          retire st pc was_vm)
-  | Opcode.Sobgtr, [ FA d; FB tofs ] when wr d ->
-      slot (fun st pc np ->
-          charge_spec st;
-          let dv = fmodify_long st pc d in
-          charge_spec st;
-          np := Word.add pc len;
-          let was_vm = commit st in
-          let r = do_sub st dv 1 in
-          fwrite_long st pc d r;
-          if Word.to_signed r > 0 then State.set_pc st (Word.add pc tofs)
-          else State.set_pc st (Word.add pc len);
-          retire st pc was_vm)
-  | Opcode.Aoblss, [ FA l; FA d; FB tofs ] when wr d ->
-      slot (fun st pc np ->
-          charge_spec st;
-          let lv = fread_long st pc l in
-          charge_spec st;
-          let dv = fmodify_long st pc d in
-          charge_spec st;
-          np := Word.add pc len;
-          let was_vm = commit st in
-          let r = do_add st dv 1 in
-          fwrite_long st pc d r;
-          if Word.signed_lt r lv then State.set_pc st (Word.add pc tofs)
-          else State.set_pc st (Word.add pc len);
-          retire st pc was_vm)
-  | Opcode.Bsbb, [ FB tofs ] ->
-      slot (fun st pc np ->
-          charge_spec st;
-          np := Word.add pc len;
-          let was_vm = commit st in
-          State.push_long st (Word.add pc len);
-          State.set_pc st (Word.add pc tofs);
-          retire st pc was_vm)
-  | Opcode.Jsb, [ FA (F_mem a) ] ->
-      slot (fun st pc np ->
-          charge_spec st;
-          let va = faddr_va st pc a in
-          np := Word.add pc len;
-          let was_vm = commit st in
-          State.push_long st (Word.add pc len);
-          State.set_pc st va;
-          retire st pc was_vm)
-  | Opcode.Jmp, [ FA (F_mem a) ] ->
-      slot (fun st pc np ->
-          charge_spec st;
-          let va = faddr_va st pc a in
-          np := Word.add pc len;
-          let was_vm = commit st in
-          State.set_pc st va;
-          retire st pc was_vm)
-  | Opcode.Rsb, [] ->
-      slot (fun st pc np ->
-          np := Word.add pc len;
-          let was_vm = commit st in
-          State.set_pc st (State.pop_long st);
-          retire st pc was_vm)
-  | _ -> None
-
-let compile_fast ?fact tmpl =
-  match compile_fast_hot ?fact tmpl with
-  | Some _ as r -> r
-  | None -> compile_fast_gen ?fact tmpl
-
 (* Generic slot: [Decode.operandize] against the cached template with the
    handler and constants pre-resolved — the body of [step] after its
    decode-cache probe, verbatim. *)
@@ -2467,9 +1733,6 @@ let generic_slot (tmpl : Decode_cache.template) =
           ~c:(if was_vm then 1 else 0)
           start_pc
     with State.Fault f -> fault_finish st !decoded ~start_pc f
-
-let compile_slot ?fact tmpl =
-  match compile_fast ?fact tmpl with Some f -> f | None -> generic_slot tmpl
 
 (* Block enders: everything that sets the PC ends a block (and is its
    last slot). *)
@@ -2499,6 +1762,36 @@ let finish_builder st (bc : Block_cache.t) =
   if n > 0 && Vax_obs.Trace.enabled st.State.trace then
     Vax_obs.Trace.emit st.State.trace Vax_obs.Trace.Block_build ~b:n pa
 
+(* Opcodes whose fast-tier bodies all defer the CC write when a fact
+   proves N, Z and V dead (the shadowed helpers in [compile_fast_hot]);
+   used only for the [cc_elided] compile-time gauge. *)
+let cc_deferrable = function
+  | Opcode.Movl | Opcode.Movb | Opcode.Movzbl | Opcode.Clrl | Opcode.Pushl
+  | Opcode.Moval | Opcode.Tstl | Opcode.Bisl2 | Opcode.Bisl3 | Opcode.Bicl2
+  | Opcode.Bicl3 | Opcode.Xorl2 | Opcode.Xorl3 ->
+      true
+  | _ -> false
+
+(* The fast tier when it has a body for the shape, the generic slot
+   otherwise.  Only a fast-tier body reads the fact, so only it is
+   credited to the engagement gauges. *)
+let compile_slot (bc : Block_cache.t) ?fact (tmpl : Decode_cache.template) =
+  match compile_fast_hot ?fact tmpl with
+  | None -> generic_slot tmpl
+  | Some exec ->
+      (match fact with
+      | None -> ()
+      | Some f ->
+          let open Block_cache in
+          bc.fact_slots <- bc.fact_slots + 1;
+          if
+            f.Block_facts.f_cc_dead land Block_facts.nzv = Block_facts.nzv
+            && cc_deferrable tmpl.Decode_cache.t_opcode
+          then bc.cc_elided <- bc.cc_elided + 1;
+          bc.const_folded <-
+            bc.const_folded + List.length (applicable_consts f tmpl));
+      exec
+
 (* Feed one cold-path instruction to the block builder.  Called before
    the instruction executes: the slot is a compilation of the bytes at
    [pa], valid whatever the instruction then does at run time.  Must not
@@ -2510,17 +1803,6 @@ let finish_builder st (bc : Block_cache.t) =
    on the page of [b_pa], guarded by that page's store generation alone,
    and the block survives translation changes (every instruction that
    can change translations is itself block-excluded). *)
-(* Opcodes whose hot arms defer the CC write when a fact proves N, Z
-   and V dead (the shadowed helpers in [compile_fast_hot]); used only
-   for the [cc_elided] compile-time gauge. *)
-let cc_deferrable = function
-  | Opcode.Movl | Opcode.Movb | Opcode.Movzbl | Opcode.Clrl | Opcode.Clrb
-  | Opcode.Pushl | Opcode.Moval | Opcode.Tstl | Opcode.Tstb | Opcode.Bisl2
-  | Opcode.Bisl3 | Opcode.Bicl2 | Opcode.Bicl3 | Opcode.Xorl2 | Opcode.Xorl3
-    ->
-      true
-  | _ -> false
-
 let feed_builder st (bc : Block_cache.t) pa ~va (tmpl : Decode_cache.template) =
   let open Block_cache in
   let phys = Mmu.phys st.State.mmu in
@@ -2586,22 +1868,12 @@ let feed_builder st (bc : Block_cache.t) pa ~va (tmpl : Decode_cache.template) =
           None
       | f -> f
     in
-    (match fact with
-    | None -> ()
-    | Some f ->
-        bc.fact_slots <- bc.fact_slots + 1;
-        if
-          f.Block_facts.f_cc_dead land Block_facts.nzv = Block_facts.nzv
-          && cc_deferrable op
-        then bc.cc_elided <- bc.cc_elided + 1;
-        bc.const_folded <-
-          bc.const_folded + List.length (applicable_consts f tmpl));
     bld_append bc
       {
         s_pa = pa;
         s_len = len;
         s_gen1 = Phys_mem.page_gen phys (pa lsr Addr.page_shift);
-        s_exec = compile_slot ?fact tmpl;
+        s_exec = compile_slot bc ?fact tmpl;
       };
     if is_pc_setter op || Addr.offset pa + len >= Addr.page_size || bld_full bc
     then finish_builder st bc

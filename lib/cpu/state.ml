@@ -158,7 +158,7 @@ let create ?(variant = Variant.Standard) ?sid ~mmu ~clock () =
 
 (* Materialize deferred condition codes.  Computes exactly what the
    elided eager helper would have written (classes mirror Exec's
-   [set_nz_keep_c] / [set_nz_byte_keep_c] / TSTL / TSTB), so calling
+   [set_nz_keep_c] / [set_nz_byte_keep_c] / TSTL), so calling
    this at any PSL observer makes the deferral bit-invisible. *)
 let sync_cc t =
   if t.cc_lazy <> 0 then begin
@@ -179,11 +179,6 @@ let sync_cc t =
           Psl.with_nzvc t.psl
             ~n:(Word.to_signed value < 0)
             ~z:(value = 0) ~v:false ~c:false
-    | 4 ->
-        let b = value land 0xFF in
-        t.psl <-
-          Psl.with_nzvc t.psl ~n:(b land 0x80 <> 0) ~z:(b = 0) ~v:false
-            ~c:false
     | _ -> ());
     t.cc_lazy <- 0
   end

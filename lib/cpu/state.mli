@@ -90,7 +90,7 @@ type t = {
           [psl] holds the live NZVC; otherwise the slot compiler proved
           N, Z and V dead and recorded the would-be CC source in
           [cc_value] instead of updating [psl] — class 1 long/keep-C,
-          2 byte/keep-C, 3 long/clear-C, 4 byte/clear-C.  Every PSL
+          2 byte/keep-C, 3 long/clear-C.  Every PSL
           observer calls {!sync_cc} first, so the deferral is
           architecturally invisible. *)
   mutable cc_value : Word.t;  (** the deferred CC source value *)

@@ -6,7 +6,9 @@
    ([Exec.Stepper]).  These tests run the same programs under both
    engines and compare everything observable: cycles (total and
    guest/monitor split), instruction counts, registers, PSL, console
-   output and run outcome.
+   output and run outcome.  Directed programs run every operand shape
+   the fast slot tier has no body for, and two post-commit arithmetic
+   traps, from a block and against the stepper.
 
    They also pin down the invalidation rules: self-modifying code must
    take effect at the same instruction boundary under both engines, even
@@ -261,6 +263,127 @@ let test_straddler_invalidation () =
   (* a stale straddler decode would reproduce 0x11223344 *)
   check_int "second read sees patched byte" 0x11AA3344 (List.nth regs 0)
 
+(* ------------------------------------------------------------------ *)
+(* Directed shapes run from a block *)
+
+(* Operand shapes the fast tier has no body for, so their block slots
+   take the generic slot.  Each body runs in a three-pass loop: the first
+   pass builds the blocks, the later ones dispatch the shape from them.
+   R6 points at an eight-longword data area that is compared too, and
+   after the shape MOVPSL folds its condition codes into R11 (the loop's
+   SOBGTR would otherwise overwrite them unseen). *)
+let data_base = 0x3000
+
+let data_init =
+  [ 0x12345685; 0x7FFFFFFE; 0x00000101; 0x80000000; 0x000000F0; 5; 0; 2 ]
+
+let shape_program body a =
+  Asm.ins a Opcode.Mtpr [ Asm.Imm 0x8000; Asm.Imm (Ipr.to_int Ipr.SCBB) ];
+  Asm.ins a Opcode.Moval
+    [ Asm.Abs_label "arith"; Asm.Abs (0x8000 + Scb.arithmetic) ];
+  Asm.ins a Opcode.Movl [ Asm.Imm 3; Asm.R 9 ];
+  Asm.label a "loop";
+  body a;
+  Asm.ins a Opcode.Movpsl [ Asm.R 8 ];
+  Asm.ins a Opcode.Addl2 [ Asm.R 8; Asm.R 11 ];
+  Asm.ins a Opcode.Sobgtr [ Asm.R 9; Asm.Branch "loop" ];
+  Asm.ins a Opcode.Halt [];
+  Asm.align a 4;
+  (* arithmetic trap handler: drop the trap code, count the trap *)
+  Asm.label a "arith";
+  Asm.ins a Opcode.Addl2 [ Asm.Imm 4; Asm.R 14 ];
+  Asm.ins a Opcode.Incl [ Asm.R 10 ];
+  Asm.ins a Opcode.Rei []
+
+let run_shape body engine =
+  let cpu, _ = boot ~engine (shape_program body) in
+  let st = cpu.Cpu.state in
+  List.iteri
+    (fun i v -> Vax_mem.Phys_mem.write_long cpu.Cpu.phys (data_base + (4 * i)) v)
+    data_init;
+  List.iteri (fun i v -> State.set_reg st (i + 1) v)
+    [ 0x12345685; 5; 0x80; 7; 0xFFFFFFFF; data_base ];
+  (match Cpu.run cpu ~max_instructions:1000 () with
+  | Exec.Machine_halted -> ()
+  | _ -> Alcotest.fail "no halt");
+  if engine = Exec.Blocks then
+    Alcotest.(check bool) "ran from blocks" true (Block_cache.hits cpu.Cpu.bcache > 0);
+  let regs, psl, cycles, instrs = cpu_summary cpu in
+  let data =
+    List.init (List.length data_init) (fun i ->
+        Vax_mem.Phys_mem.read_long cpu.Cpu.phys (data_base + (4 * i)))
+  in
+  (regs @ data, psl, cycles, instrs)
+
+let one op operands a = Asm.ins a op operands
+
+(* a conditional branch over an INCL R7, so the passes take both ways *)
+let branch_over op operands a =
+  let skip = Asm.fresh_label ~prefix:"skip" a in
+  Asm.ins a op (operands @ [ Asm.Branch skip ]);
+  Asm.ins a Opcode.Incl [ Asm.R 7 ];
+  Asm.label a skip
+
+let directed_shapes =
+  let r n = Asm.R n and m = Asm.Deref 6 and d k = Asm.Disp (k, 6) in
+  [
+    ("MOVL mem,mem", one Opcode.Movl [ m; d 4 ]);
+    ("MOVB imm,reg", one Opcode.Movb [ Asm.Imm 0x85; r 3 ]);
+    ("MOVB reg,reg", one Opcode.Movb [ r 1; r 3 ]);
+    ("MOVB mem,reg", one Opcode.Movb [ m; r 3 ]);
+    ("MOVB mem,mem", one Opcode.Movb [ m; d 8 ]);
+    ("MOVZBL reg,reg", one Opcode.Movzbl [ r 1; r 4 ]);
+    ("MOVZBL imm,reg", one Opcode.Movzbl [ Asm.Imm 0xF0; r 4 ]);
+    ("MOVZBL reg,mem", one Opcode.Movzbl [ r 1; d 20 ]);
+    ("CLRB reg", one Opcode.Clrb [ r 1 ]);
+    ("CLRB mem", one Opcode.Clrb [ d 12 ]);
+    ("TSTB reg", one Opcode.Tstb [ r 1 ]);
+    ("TSTB mem", one Opcode.Tstb [ m ]);
+    ("CMPB reg,imm", one Opcode.Cmpb [ r 1; Asm.Imm 5 ]);
+    ("CMPB mem,imm", one Opcode.Cmpb [ m; Asm.Imm 0x85 ]);
+    ("CMPB reg,mem", one Opcode.Cmpb [ r 1; d 4 ]);
+    ("CMPB mem,mem", one Opcode.Cmpb [ m; d 8 ]);
+    ("PUSHL mem", one Opcode.Pushl [ m ]);
+    ("MOVAL mem,mem", one Opcode.Moval [ d 8; d 16 ]);
+    ("DECL reg", one Opcode.Decl [ r 2 ]);
+    ("MNEGL reg,reg", one Opcode.Mnegl [ r 1; r 4 ]);
+    ("MNEGL mem,reg", one Opcode.Mnegl [ m; r 4 ]);
+    ("MNEGL reg,mem", one Opcode.Mnegl [ r 1; d 24 ]);
+    ("ADDL2 mem,mem", one Opcode.Addl2 [ m; d 4 ]);
+    ("ADDL3 mem,reg,reg", one Opcode.Addl3 [ m; r 2; r 4 ]);
+    ("SUBL3 reg,mem,reg", one Opcode.Subl3 [ r 2; m; r 4 ]);
+    ( "BLBS reg",
+      fun a ->
+        Asm.ins a Opcode.Incl [ r 2 ];
+        branch_over Opcode.Blbs [ r 2 ] a );
+    ( "BLBC mem",
+      fun a ->
+        Asm.ins a Opcode.Incl [ m ];
+        branch_over Opcode.Blbc [ m ] a );
+    ("AOBLSS imm,reg", branch_over Opcode.Aoblss [ Asm.Imm 7; r 2 ]);
+    ("SOBGTR mem", branch_over Opcode.Sobgtr [ d 28 ]);
+  ]
+
+(* Post-commit traps: the arithmetic trap is taken once evaluation has
+   committed, with the next instruction's PC saved. *)
+let trap_shapes =
+  [
+    ("DIVL3 by zero into mem", one Opcode.Divl3 [ Asm.R 0; Asm.R 2; Asm.Disp (4, 6) ]);
+    ( "MNEGL #^x80000000 with IV",
+      fun a ->
+        Asm.ins a Opcode.Bispsw [ Asm.Imm 0x20 ];
+        Asm.ins a Opcode.Mnegl [ Asm.Imm 0x80000000; Asm.R 4 ] );
+  ]
+
+let test_directed_shape body () = ignore (both_engines (run_shape body))
+
+let test_traps_taken () =
+  List.iter
+    (fun (name, body) ->
+      let regs, _, _, _ = run_shape body Exec.Blocks in
+      check_int (name ^ ": one trap per pass") 3 (List.nth regs 10))
+    trap_shapes
+
 (* The block cache actually engages on these runs: hits and built blocks
    are non-zero under the block engine. *)
 let test_block_cache_engages () =
@@ -285,6 +408,13 @@ let () =
           Alcotest.test_case "interrupt mid-block: same boundary" `Quick
             test_interrupt_mid_block;
         ] );
+      ( "directed shapes",
+        List.map
+          (fun (name, body) ->
+            Alcotest.test_case (name ^ ": blocks = stepper") `Quick
+              (test_directed_shape body))
+          (directed_shapes @ trap_shapes)
+        @ [ Alcotest.test_case "traps taken every pass" `Quick test_traps_taken ] );
       ( "invalidation",
         [
           Alcotest.test_case "smc inside a block" `Quick test_smc_inside_block;

@@ -7,7 +7,8 @@
    every catalog workload, bare and under the VMM, with facts installed
    and without, and compares cycles (total and guest/monitor split),
    instruction counts, registers, PSL, console output, run outcome, TLB
-   statistics and the full event trace.
+   statistics and the full event trace.  The engagement gauges count
+   only slots the fast tier compiled, never a generic slot.
 
    The solver unit tests pin down the backward analysis itself on
    directed programs: a full kill proves all four codes dead, a
@@ -549,6 +550,40 @@ let test_interrupt_mid_block () =
       check_int (Printf.sprintf "k=%d delivery instruction" k) di_s di_b)
     [ 5; 6; 7; 8; 9; 11; 14; 17; 23; 42 ]
 
+(* The engagement gauges credit only slots the fast tier compiled: a
+   generic slot never reads its fact.  [MOVL (R1)+, R2] has no fast-tier
+   body, so its dead NZV must add nothing to [cc_elided] or
+   [fact_slots]; the same MOVL from [(R1)], a fast shape, adds one to
+   each. *)
+let gauge_program src a =
+  Asm.label a "loop";
+  Asm.ins a Opcode.Movl [ src; Asm.R 2 ];
+  Asm.ins a Opcode.Cmpl [ Asm.R 2; Asm.Imm 0 ];
+  Asm.ins a Opcode.Sobgtr [ Asm.R 5; Asm.Branch "loop" ];
+  Asm.ins a Opcode.Halt []
+
+let gauges_after src =
+  let prog = gauge_program src in
+  let image = image_of ~origin:0x1000 prog in
+  let facts, _ = Liveness.facts_of_images [ image ] in
+  check_int "NZV dead after the MOVL" Block_facts.nzv
+    (cc_dead facts image Opcode.Movl land Block_facts.nzv);
+  let cpu, _ = boot ~engine:Exec.Blocks ~facts prog in
+  State.set_reg cpu.Cpu.state 1 0x3000;
+  State.set_reg cpu.Cpu.state 5 2;
+  (match Cpu.run cpu ~max_instructions:100 () with
+  | Exec.Machine_halted -> ()
+  | _ -> Alcotest.fail "no halt");
+  let bc = cpu.Cpu.bcache in
+  (bc.Block_cache.cc_elided, bc.Block_cache.fact_slots)
+
+let test_gauges_count_fast_tier_only () =
+  let elided_gen, slots_gen = gauges_after (Asm.Postinc 1) in
+  let elided_fast, slots_fast = gauges_after (Asm.Deref 1) in
+  check_int "generic MOVL (R1)+ elides nothing" 0 elided_gen;
+  check_int "fast MOVL (R1) elides its NZV" 1 elided_fast;
+  check_int "only the fast MOVL is a fact slot" 1 (slots_fast - slots_gen)
+
 let () =
   Alcotest.run "liveness"
     [
@@ -563,6 +598,8 @@ let () =
           Alcotest.test_case "facts engage" `Quick test_facts_engage;
           Alcotest.test_case "summaries engage on calls" `Quick
             test_summaries_engage;
+          Alcotest.test_case "gauges count fast-tier slots only" `Quick
+            test_gauges_count_fast_tier_only;
         ] );
       ( "solver",
         [
