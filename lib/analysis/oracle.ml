@@ -31,10 +31,12 @@ type flow_stats = {
   fs_pairs_flowless : int;
 }
 
+module Pc_table = Hashtbl.Make (Int)
+
 type t = {
   name : string;
-  predicted : (int, int) Hashtbl.t;  (* pc -> kind bitmask *)
-  hits : (int, int) Hashtbl.t;  (* pc -> bitmask of kinds observed *)
+  predicted : int Pc_table.t;  (* pc -> kind bitmask *)
+  hits : int Pc_table.t;  (* pc -> bitmask of kinds observed *)
   mutable observed : int;  (* total observed events *)
   mutable unpredicted : int;  (* events off the predicted table (tolerant) *)
   mutable flow : flow_stats option;  (* present for flow-sensitive passes *)
@@ -62,18 +64,19 @@ let bitmask kinds = List.fold_left (fun m k -> m lor kind_bit k) 0 kinds
 let create ~name =
   {
     name;
-    predicted = Hashtbl.create 512;
-    hits = Hashtbl.create 64;
+    predicted = Pc_table.create 512;
+    hits = Pc_table.create 64;
     observed = 0;
     unpredicted = 0;
     flow = None;
   }
 
-let find0 tbl pc = match Hashtbl.find_opt tbl pc with Some m -> m | None -> 0
+let find0 tbl pc =
+  match Pc_table.find tbl pc with m -> m | exception Not_found -> 0
 
 let predict t ~pc kinds =
   let m = bitmask kinds in
-  if m <> 0 then Hashtbl.replace t.predicted pc (find0 t.predicted pc lor m)
+  if m <> 0 then Pc_table.replace t.predicted pc (find0 t.predicted pc lor m)
 
 (* flowless predictions for [sites] *)
 let add_sites t ~mode sites =
@@ -84,7 +87,7 @@ let add_sites t ~mode sites =
 let popcount m = (m land 1) + ((m lsr 1) land 1) + ((m lsr 2) land 1)
 
 let predicted_pairs t =
-  Hashtbl.fold (fun _ m n -> n + popcount m) t.predicted 0
+  Pc_table.fold (fun _ m n -> n + popcount m) t.predicted 0
 
 (* Flow-sensitive static pass over a workload-wide [Analysis]: escaped
    addresses are pooled across the whole workload (a vector cell written
@@ -165,7 +168,7 @@ let with_predictions ~name src =
   {
     name;
     predicted = src.predicted;
-    hits = Hashtbl.create 64;
+    hits = Pc_table.create 64;
     observed = 0;
     unpredicted = 0;
     flow = src.flow;
@@ -181,7 +184,9 @@ let observe ?(strict = true) t kind pc =
   if find0 t.predicted pc land b = 0 then
     if strict then raise (Unpredicted (t.name, kind, pc))
     else t.unpredicted <- t.unpredicted + 1
-  else Hashtbl.replace t.hits pc (find0 t.hits pc lor b)
+  else
+    let h = find0 t.hits pc in
+    if h land b = 0 then Pc_table.replace t.hits pc (h lor b)
 
 let unpredicted_events t = t.unpredicted
 
@@ -196,8 +201,8 @@ type coverage = {
 
 let coverage t =
   {
-    predicted_pairs = Hashtbl.fold (fun _ m n -> n + popcount m) t.predicted 0;
-    hit_pairs = Hashtbl.fold (fun _ m n -> n + popcount m) t.hits 0;
+    predicted_pairs = Pc_table.fold (fun _ m n -> n + popcount m) t.predicted 0;
+    hit_pairs = Pc_table.fold (fun _ m n -> n + popcount m) t.hits 0;
     observed_events = t.observed;
   }
 

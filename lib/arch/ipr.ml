@@ -77,7 +77,15 @@ let all =
     TBIA; TBIS; SID; VMPSL; VMPEND; MEMSIZE; KCALL; IORESET; UPTIME;
   ]
 
-let of_int n = List.find_opt (fun r -> to_int r = n) all
+(* register number -> [Some r], built once so a lookup allocates nothing *)
+let by_number =
+  let top = List.fold_left (fun m r -> max m (to_int r)) 0 all in
+  let t = Array.make (top + 1) None in
+  List.iter (fun r -> t.(to_int r) <- Some r) all;
+  t
+
+let of_int n =
+  if n >= 0 && n < Array.length by_number then by_number.(n) else None
 
 let name = function
   | KSP -> "KSP"

@@ -151,6 +151,18 @@ let encoding = function
   | Probevmr -> [ 0xFD; 0x0C ]
   | Probevmw -> [ 0xFD; 0x0D ]
 
+let code op =
+  match encoding op with
+  | [ b ] -> b
+  | [ p; b ] -> (p lsl 8) lor b
+  | _ -> assert false
+
+let index op =
+  let c = code op in
+  if c < 0x100 then c else 0x100 lor (c land 0xFF)
+
+let index_count = 0x200
+
 let all =
   [
     Halt; Nop; Rei; Bpt; Ret; Rsb; Ldpctx; Svpctx; Prober; Probew; Bsbb; Brb;

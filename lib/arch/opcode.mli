@@ -96,6 +96,16 @@ type t =
 val encoding : t -> int list
 (** The one- or two-byte opcode. *)
 
+val code : t -> int
+(** The encoding as one integer, prefix byte high: [0x02] for REI,
+    [0xFD02] for PROBEVMR.  This is the opcode word of the VM-emulation
+    frame and of retire trace events. *)
+
+val index : t -> int
+(** A dense index in [\[0, index_count)], for per-opcode counters. *)
+
+val index_count : int
+
 val decode : int -> ?second:int -> unit -> t option
 (** [decode b ()] decodes a one-byte opcode; [decode 0xFD ~second ()]
     decodes an extended one.  [None] = reserved instruction. *)

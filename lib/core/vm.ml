@@ -40,7 +40,7 @@ type slot = {
 
 type stats = {
   mutable emulation_traps : int;
-  by_opcode : (Opcode.t, int) Hashtbl.t;
+  by_opcode : int array;  (** emulation traps by [Opcode.index] *)
   mutable shadow_fills : int;
   mutable shadow_invalidations : int;
   mutable modify_faults : int;
@@ -64,7 +64,7 @@ type stats = {
 let fresh_stats () =
   {
     emulation_traps = 0;
-    by_opcode = Hashtbl.create 16;
+    by_opcode = Array.make Opcode.index_count 0;
     shadow_fills = 0;
     shadow_invalidations = 0;
     modify_faults = 0;
@@ -86,8 +86,10 @@ let fresh_stats () =
   }
 
 let count_opcode stats op =
-  let n = Option.value ~default:0 (Hashtbl.find_opt stats.by_opcode op) in
-  Hashtbl.replace stats.by_opcode op (n + 1)
+  let i = Opcode.index op in
+  stats.by_opcode.(i) <- stats.by_opcode.(i) + 1
+
+let opcode_count stats op = stats.by_opcode.(Opcode.index op)
 
 (* Virtual disk controller registers, used only in Mmio_io mode. *)
 type vdisk = {
@@ -106,7 +108,10 @@ type t = {
   io_mode : io_mode;
   mutable run_state : run_state;
   (* saved CPU context while descheduled *)
-  saved_regs : Word.t array;  (** R0–R15 *)
+  saved_regs : Word.t array;
+      (** R0–R15.  R0–R13 lag the CPU while the VM is resident; the VMM
+          writes them back when it switches away, goes idle, or returns
+          from [Vmm.run]. *)
   mutable saved_psl : Word.t;  (** real PSL to resume with, incl. PSL<VM> *)
   mutable saved_vmpsl : Word.t;
   (* virtual privileged registers *)
@@ -166,21 +171,24 @@ let retract_virq vm ~vector =
 
 (* highest pending virtual interrupt above the VM's current IPL *)
 let deliverable_virq vm ~vm_ipl =
-  let soft =
-    let rec scan l =
-      if l = 0 then None
-      else if vm.sisr land (1 lsl l) <> 0 then Some (l, Scb.software_interrupt l)
-      else scan (l - 1)
+  if vm.sisr = 0 && vm.pending_virq == [] then None
+  else
+    let soft =
+      let rec scan l =
+        if l = 0 then None
+        else if vm.sisr land (1 lsl l) <> 0 then
+          Some (l, Scb.software_interrupt l)
+        else scan (l - 1)
+      in
+      scan 15
     in
-    scan 15
-  in
-  let best =
-    List.fold_left
-      (fun acc (l, v) ->
-        match acc with Some (bl, _) when bl >= l -> acc | _ -> Some (l, v))
-      soft vm.pending_virq
-  in
-  match best with Some (l, _) when l > vm_ipl -> best | _ -> None
+    let best =
+      List.fold_left
+        (fun acc (l, v) ->
+          match acc with Some (bl, _) when bl >= l -> acc | _ -> Some (l, v))
+        soft vm.pending_virq
+    in
+    match best with Some (l, _) when l > vm_ipl -> best | _ -> None
 
 let highest_pending_level vm =
   match deliverable_virq vm ~vm_ipl:(-1) with Some (l, _) -> l | None -> 0

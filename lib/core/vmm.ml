@@ -31,9 +31,12 @@ type t = {
   cfg : config;
   alloc : Layout.allocator;
   shared_stack_pfn : int;
-  mutable vm_list : Vm.t list;
+  mutable vm_order : Vm.t array;  (** round-robin order, next in line first *)
   mutable running : Vm.t option;
-  mutable installed_for : int option;  (** vid whose shadow tables are live *)
+      (** the VM last entered; its R0–R13 are live in the CPU (see
+          {!vm_reg}) *)
+  mutable installed_for : int;
+      (** vid whose shadow tables are live; -1 = none *)
   mutable slice_expired : bool;
   mutable next_vid : int;
   mutable next_disk_block : int;
@@ -41,7 +44,7 @@ type t = {
 
 let machine t = t.m
 let config t = t.cfg
-let vms t = t.vm_list
+let vms t = Array.to_list t.vm_order
 let doorbell_level = 1
 
 let st t = t.m.Machine.cpu
@@ -70,12 +73,43 @@ let vm_phys_write_long t vm vmpa v =
   Phys_mem.write_long (phys t) (vm_phys_pa vm vmpa) v
 
 (* ------------------------------------------------------------------ *)
+(* The live register file                                              *)
+
+(* While a VM is resident — entered and not yet switched away from —
+   its R0–R13 live only in the CPU's registers: the monitor is host code
+   and never touches them, so a same-VM exit and re-entry copies
+   nothing.  Handlers reach them through [vm_reg]/[set_vm_reg].  They
+   are written back to [saved_regs] when the VMM switches to another
+   VM, goes idle, or returns from [run], so readers outside the VMM see
+   them there.  Halting a VM needs no write-back of its own: the
+   scheduler runs after every halt and either switches or goes idle.
+   R14 and R15 are kept in [saved_regs] at every exit. *)
+
+let resident t (vm : Vm.t) =
+  match t.running with Some v -> v == vm | None -> false
+
+let vm_reg t (vm : Vm.t) r =
+  if r < 14 && resident t vm then State.reg (st t) r else vm.Vm.saved_regs.(r)
+
+let set_vm_reg t (vm : Vm.t) r v =
+  if r < 14 && resident t vm then State.set_reg (st t) r v
+  else vm.Vm.saved_regs.(r) <- Word.mask v
+
+let write_back_running t =
+  match t.running with
+  | Some vm ->
+      let s = st t in
+      for r = 0 to 13 do
+        vm.Vm.saved_regs.(r) <- State.reg s r
+      done
+  | None -> ()
+
+(* ------------------------------------------------------------------ *)
 (* Halting a VM                                                        *)
 
-let halt_vm t (vm : Vm.t) reason =
+let halt_vm (vm : Vm.t) reason =
   vm.Vm.run_state <- Vm.Halted_vm reason;
-  vm.Vm.timer_gen <- vm.Vm.timer_gen + 1;
-  if t.running == Some vm then t.running <- None
+  vm.Vm.timer_gen <- vm.Vm.timer_gen + 1
 
 (* ------------------------------------------------------------------ *)
 (* Guest virtual-memory access with shadow servicing                   *)
@@ -83,9 +117,9 @@ let halt_vm t (vm : Vm.t) reason =
 exception Reflect_to_vm of Mmu.fault
 
 let ensure_installed t (vm : Vm.t) =
-  if t.installed_for <> Some vm.Vm.vid then begin
+  if t.installed_for <> vm.Vm.vid then begin
     Shadow.install_mm_registers (mmu t) vm;
-    t.installed_for <- Some vm.Vm.vid
+    t.installed_for <- vm.Vm.vid
   end
 
 (* Perform a guest memory access, demand-filling shadow PTEs and
@@ -111,15 +145,25 @@ let rec guest_try t vm ~attempts f =
       | Error m -> raise (Shadow.Vm_nxm m))
   | Error f' -> raise (Reflect_to_vm f')
 
+(* Both accessors try the MMU's allocation-free fast half first: it
+   charges exactly what the first [guest_try] attempt would on a TLB
+   hit, and nothing otherwise. *)
 let guest_read_long t vm ~vmode va =
   ensure_installed t vm;
   let mode = Ring.compress_mode vmode in
-  guest_try t vm ~attempts:3 (fun () -> Mmu.v_read_long (mmu t) ~mode va)
+  let v = Mmu.v_read_long_fast (mmu t) ~mode va in
+  if v >= 0 then begin
+    charge t Cost.vmm_guest_mem;
+    v
+  end
+  else guest_try t vm ~attempts:3 (fun () -> Mmu.v_read_long (mmu t) ~mode va)
 
 let guest_write_long t vm ~vmode va v =
   ensure_installed t vm;
   let mode = Ring.compress_mode vmode in
-  guest_try t vm ~attempts:4 (fun () -> Mmu.v_write_long (mmu t) ~mode va v)
+  if Mmu.v_write_long_fast (mmu t) ~mode va v then charge t Cost.vmm_guest_mem
+  else
+    guest_try t vm ~attempts:4 (fun () -> Mmu.v_write_long (mmu t) ~mode va v)
 
 (* ------------------------------------------------------------------ *)
 (* PSL plumbing                                                        *)
@@ -156,16 +200,20 @@ let read_vm_scb_entry t (vm : Vm.t) vector =
 
 (* Build an exception/interrupt frame on one of the VM's stacks and
    redirect the VM to its handler.  Operates on the VM's saved context. *)
+let push_guest t vm sp v =
+  let sp = Word.sub sp 4 in
+  guest_write_long t vm ~vmode:Mode.Kernel sp v;
+  sp
+
+(* the last parameter is pushed first, the first ends on top *)
+let rec push_params t vm sp = function
+  | [] -> sp
+  | p :: rest -> push_guest t vm (push_params t vm sp rest) p
+
 let push_vm_frame t (vm : Vm.t) ~target_slot ~params ~pc ~psl =
-  let sp = ref vm.Vm.sps.(target_slot) in
-  let push v =
-    sp := Word.sub !sp 4;
-    guest_write_long t vm ~vmode:Mode.Kernel !sp v
-  in
-  push psl;
-  push pc;
-  List.iter push (List.rev params);
-  vm.Vm.sps.(target_slot) <- !sp
+  let sp = push_guest t vm vm.Vm.sps.(target_slot) psl in
+  let sp = push_guest t vm sp pc in
+  vm.Vm.sps.(target_slot) <- push_params t vm sp params
 
 let reflect_exception t (vm : Vm.t) ~vector ~params ~pc =
   if Sys.getenv_opt "VMM_DEBUG" <> None then
@@ -175,12 +223,9 @@ let reflect_exception t (vm : Vm.t) ~vector ~params ~pc =
       vm.Vm.sps.(0);
   charge t Cost.vmm_interrupt_deliver;
   vm.Vm.stats.Vm.reflected_faults <- vm.Vm.stats.Vm.reflected_faults + 1;
-  match
-    try `Entry (read_vm_scb_entry t vm vector)
-    with Shadow.Vm_nxm m -> `Nxm m
-  with
-  | `Nxm m -> halt_vm t vm ("SCB unreachable: " ^ m)
-  | `Entry entry -> (
+  match read_vm_scb_entry t vm vector with
+  | exception Shadow.Vm_nxm m -> halt_vm vm ("SCB unreachable: " ^ m)
+  | entry -> (
       let use_is = entry land 1 = 1 || Psl.is vm.Vm.saved_vmpsl in
       let target_slot = if use_is then 4 else 0 in
       let old_cur = Psl.cur vm.Vm.saved_vmpsl in
@@ -188,8 +233,8 @@ let reflect_exception t (vm : Vm.t) ~vector ~params ~pc =
         push_vm_frame t vm ~target_slot ~params ~pc ~psl:(merged_saved_psl vm)
       with
       | exception Reflect_to_vm _ ->
-          halt_vm t vm "VM kernel stack not valid during exception"
-      | exception Shadow.Vm_nxm m -> halt_vm t vm m
+          halt_vm vm "VM kernel stack not valid during exception"
+      | exception Shadow.Vm_nxm m -> halt_vm vm m
       | () ->
           let vp = vm.Vm.saved_vmpsl in
           let vp = Psl.with_cur vp Mode.Kernel in
@@ -228,12 +273,9 @@ let deliver_virq t (vm : Vm.t) ~level ~vector =
   (if vector >= Scb.software_interrupt 1 && vector <= Scb.software_interrupt 15
    then vm.Vm.sisr <- vm.Vm.sisr land lnot (1 lsl ((vector - 0x80) / 4))
    else Vm.retract_virq vm ~vector);
-  match
-    try `Entry (read_vm_scb_entry t vm vector)
-    with Shadow.Vm_nxm m -> `Nxm m
-  with
-  | `Nxm m -> halt_vm t vm ("SCB unreachable: " ^ m)
-  | `Entry entry -> (
+  match read_vm_scb_entry t vm vector with
+  | exception Shadow.Vm_nxm m -> halt_vm vm ("SCB unreachable: " ^ m)
+  | entry -> (
       let use_is = entry land 1 = 1 || Psl.is vm.Vm.saved_vmpsl in
       let target_slot = if use_is then 4 else 0 in
       match
@@ -242,8 +284,8 @@ let deliver_virq t (vm : Vm.t) ~level ~vector =
           ~psl:(merged_saved_psl vm)
       with
       | exception Reflect_to_vm _ ->
-          halt_vm t vm "VM interrupt stack not valid"
-      | exception Shadow.Vm_nxm m -> halt_vm t vm m
+          halt_vm vm "VM interrupt stack not valid"
+      | exception Shadow.Vm_nxm m -> halt_vm vm m
       | () ->
           let vp = vm.Vm.saved_vmpsl in
           let vp = Psl.with_cur vp Mode.Kernel in
@@ -284,19 +326,18 @@ let cancel_vtimer (vm : Vm.t) = vm.Vm.timer_gen <- vm.Vm.timer_gen + 1
 (* ------------------------------------------------------------------ *)
 (* Entering and leaving VMs                                            *)
 
-let sync_vm_on_exit t (vm : Vm.t) (ev : State.event) =
+(* R0–R13 stay live in the CPU (see [vm_reg]); the rest of the guest
+   context is saved. *)
+let sync_vm_on_exit t (vm : Vm.t) (x : State.exit_record) =
   let s = st t in
-  let real_slot = Mode.to_int (Psl.cur ev.State.ev_psl) in
+  let real_slot = Mode.to_int (Psl.cur x.State.x_psl) in
   let guest_sp = State.read_sp_of s real_slot in
   (* [vstack_slot] reads saved_vmpsl, so refresh it before using it *)
   vm.Vm.saved_vmpsl <- s.State.vmpsl;
   vm.Vm.sps.(vstack_slot vm) <- guest_sp;
-  for r = 0 to 13 do
-    vm.Vm.saved_regs.(r) <- State.reg s r
-  done;
   vm.Vm.saved_regs.(14) <- guest_sp;
-  vm.Vm.saved_regs.(15) <- ev.State.ev_pc;
-  vm.Vm.saved_psl <- ev.State.ev_psl;
+  vm.Vm.saved_regs.(15) <- x.State.x_pc;
+  vm.Vm.saved_psl <- x.State.x_psl;
   vm.Vm.guest_instructions <-
     vm.Vm.guest_instructions + (s.State.vm_instructions - vm.Vm.instr_mark);
   vm.Vm.instr_mark <- s.State.vm_instructions
@@ -317,9 +358,13 @@ let enter_vm t (vm : Vm.t) =
         charge t Cost.vmm_address_space_switch;
         Mmu.tbia (mmu t)
       end;
-      for r = 0 to 13 do
-        State.set_reg s r vm.Vm.saved_regs.(r)
-      done;
+      let same = resident t vm in
+      if not same then begin
+        write_back_running t;
+        for r = 0 to 13 do
+          State.set_reg s r vm.Vm.saved_regs.(r)
+        done
+      end;
       s.State.vmpsl <- vm.Vm.saved_vmpsl;
       s.State.vmpend <- Vm.highest_pending_level vm;
       s.State.ipl_assist <- t.cfg.ipl_assist;
@@ -347,48 +392,57 @@ let enter_vm t (vm : Vm.t) =
           vm.Vm.saved_regs.(15);
       vm.Vm.instr_mark <- s.State.vm_instructions;
       vm.Vm.run_state <- Vm.Runnable;
-      t.running <- Some vm;
+      if not same then t.running <- Some vm;
       s.State.idle_hint <- false;
       true
 
 (* ------------------------------------------------------------------ *)
 (* Scheduling                                                          *)
 
+(* Move [vm] to the back of the round-robin order, in place. *)
 let rotate_to_back t vm =
-  t.vm_list <- List.filter (fun v -> v != vm) t.vm_list @ [ vm ]
+  let order = t.vm_order in
+  let n = Array.length order in
+  let rec find i = if i >= n || order.(i) == vm then i else find (i + 1) in
+  let i = find 0 in
+  if i < n then begin
+    Array.blit order (i + 1) order i (n - i - 1);
+    order.(n - 1) <- vm
+  end
 
+let rec first_runnable order ~now i =
+  if i >= Array.length order then None
+  else if Vm.is_runnable order.(i) ~now then Some order.(i)
+  else first_runnable order ~now (i + 1)
+
+(* Round robin: keep the running VM until its slice expires or it stops
+   being runnable, then rotate it to the back and take the first
+   runnable VM. *)
 let pick t =
   let now' = now t in
-  let runnable = List.filter (fun v -> Vm.is_runnable v ~now:now') t.vm_list in
-  match runnable with
-  | [] -> None
-  | first :: _ -> (
-      match t.running with
-      | Some cur
-        when (not t.slice_expired) && Vm.is_runnable cur ~now:now'
-             && List.memq cur runnable ->
-          Some cur
-      | Some cur ->
-          t.slice_expired <- false;
-          rotate_to_back t cur;
-          let next =
-            match
-              List.filter (fun v -> Vm.is_runnable v ~now:now') t.vm_list
-            with
-            | [] -> first
-            | v :: _ -> v
-          in
-          Some next
-      | None -> Some first)
+  match t.running with
+  | Some cur when (not t.slice_expired) && Vm.is_runnable cur ~now:now' ->
+      t.running
+  | running -> (
+      match first_runnable t.vm_order ~now:now' 0 with
+      | None -> None
+      | Some _ as first -> (
+          match running with
+          | Some cur ->
+              t.slice_expired <- false;
+              rotate_to_back t cur;
+              first_runnable t.vm_order ~now:now' 0
+          | None -> first))
 
 let go_idle t =
   let s = st t in
+  write_back_running t;
   t.running <- None;
   let all_halted =
-    List.for_all
+    Array.for_all
       (fun (v : Vm.t) ->
         match v.Vm.run_state with Vm.Halted_vm _ -> true | _ -> false)
-      t.vm_list
+      t.vm_order
   in
   if all_halted then s.State.stop_requested <- true
   else begin
@@ -400,62 +454,59 @@ let go_idle t =
     State.set_sp s Layout.interrupt_stack_top_va;
     s.State.idle_hint <- true;
     (* make sure idle deadlines generate wakeups *)
-    List.iter
+    Array.iter
       (fun (v : Vm.t) ->
         match v.Vm.run_state with
         | Vm.Idle_until deadline when deadline > now t ->
             Sched.at t.m.Machine.sched ~cycle:deadline (fun () -> doorbell t)
         | _ -> ())
-      t.vm_list
+      t.vm_order
   end
 
-let schedule t =
-  let before = t.running in
-  let rec try_enter () =
-    match pick t with
-    | None -> go_idle t
-    | Some vm ->
-        let same = match before with Some v -> v == vm | None -> false in
-        if not same then charge t Cost.vmm_context_switch;
-        if enter_vm t vm then () else try_enter ()
-  in
-  try_enter ()
+let rec schedule_from t before =
+  match pick t with
+  | None -> go_idle t
+  | Some vm ->
+      let same = match before with Some v -> v == vm | None -> false in
+      if not same then charge t Cost.vmm_context_switch;
+      if not (enter_vm t vm) then schedule_from t before
+
+let schedule t = schedule_from t t.running
 
 (* ------------------------------------------------------------------ *)
 (* Emulation helpers: operand plumbing                                 *)
 
-let op_value (o : State.vm_operand) = o.State.value
+let op_value (x : State.exit_record) i = x.State.x_op_value.(i)
 
-let resume_after t (vm : Vm.t) (f : State.vm_frame) =
-  ignore t;
+let resume_after t (vm : Vm.t) (x : State.exit_record) =
   (* emulated rather than retried: advance the PC and re-apply operand
      side effects that the trap microcode backed out *)
-  vm.Vm.saved_regs.(15) <- Word.add vm.Vm.saved_regs.(15) f.State.vf_length;
-  List.iter
-    (fun (o : State.vm_operand) ->
-      match o.State.side_effect with
-      | Some (rn, delta) ->
-          let d = Word.sext ~width:8 delta in
-          if rn = 14 then begin
-            let vs = vstack_slot vm in
-            vm.Vm.sps.(vs) <- Word.add vm.Vm.sps.(vs) d;
-            vm.Vm.saved_regs.(14) <- vm.Vm.sps.(vs)
-          end
-          else vm.Vm.saved_regs.(rn) <- Word.add vm.Vm.saved_regs.(rn) d
-      | None -> ())
-    f.State.vf_operands
+  vm.Vm.saved_regs.(15) <- Word.add vm.Vm.saved_regs.(15) x.State.x_length;
+  for i = 0 to x.State.x_noperands - 1 do
+    let se = x.State.x_op_side_effect.(i) in
+    if se >= 0 then begin
+      let rn = se lsr 8 and d = Word.sext ~width:8 (se land 0xFF) in
+      if rn = 14 then begin
+        let vs = vstack_slot vm in
+        vm.Vm.sps.(vs) <- Word.add vm.Vm.sps.(vs) d;
+        vm.Vm.saved_regs.(14) <- vm.Vm.sps.(vs)
+      end
+      else set_vm_reg t vm rn (Word.add (vm_reg t vm rn) d)
+    end
+  done
 
-let write_result t (vm : Vm.t) (o : State.vm_operand) v =
-  match o.State.tag with
+(* Store an emulated instruction's result into its operand [i]. *)
+let write_result t (vm : Vm.t) (x : State.exit_record) i v =
+  let dst = op_value x i in
+  match x.State.x_op_tag.(i) with
   | 2 ->
-      if o.State.value = 14 then begin
+      if dst = 14 then begin
         let vs = vstack_slot vm in
         vm.Vm.sps.(vs) <- Word.mask v;
         vm.Vm.saved_regs.(14) <- Word.mask v
       end
-      else vm.Vm.saved_regs.(o.State.value) <- Word.mask v
-  | 1 ->
-      guest_write_long t vm ~vmode:(Psl.cur vm.Vm.saved_vmpsl) o.State.value v
+      else set_vm_reg t vm dst v
+  | 1 -> guest_write_long t vm ~vmode:(Psl.cur vm.Vm.saved_vmpsl) dst v
   | _ -> ()
 
 let set_result_cc (vm : Vm.t) ~n ~z ~v ~c =
@@ -505,7 +556,7 @@ let kcall t (vm : Vm.t) packet_vmpa =
     let buf = vm_phys_read_long t vm (Word.add packet_vmpa 8) in
     (fn, block, buf)
   with
-  | exception Shadow.Vm_nxm m -> halt_vm t vm ("bad KCALL packet: " ^ m)
+  | exception Shadow.Vm_nxm m -> halt_vm vm ("bad KCALL packet: " ^ m)
   | fn, block, buf -> (
       (let tr = (st t).State.trace in
        if Vax_obs.Trace.enabled tr then
@@ -621,7 +672,7 @@ let virtual_mtpr t (vm : Vm.t) ~value ~regnum =
             (* bind the guest's current process registers to a shadow slot *)
             Shadow.activate_process (mmu t) vm
               ~cache:t.cfg.shadow_cache_enabled;
-          t.installed_for <- None
+          t.installed_for <- -1
       | Ipr.TBIA -> Shadow.invalidate_all (mmu t) vm
       | Ipr.TBIS -> Shadow.invalidate_single (mmu t) vm value
       | Ipr.ICCS ->
@@ -659,7 +710,7 @@ let virtual_mtpr t (vm : Vm.t) ~value ~regnum =
 (* ------------------------------------------------------------------ *)
 (* Emulation of the sensitive instructions (paper §4.2, §4.4)          *)
 
-let emulate_rei t (vm : Vm.t) (f : State.vm_frame) =
+let emulate_rei t (vm : Vm.t) =
   charge t Cost.vmm_rei_emulate;
   vm.Vm.stats.Vm.rei_emulated <- vm.Vm.stats.Vm.rei_emulated + 1;
   let vp = vm.Vm.saved_vmpsl in
@@ -689,28 +740,22 @@ let emulate_rei t (vm : Vm.t) (f : State.vm_frame) =
   vm.Vm.saved_vmpsl <- vp';
   vm.Vm.saved_psl <- resume_psl vm new_psl;
   vm.Vm.saved_regs.(15) <- new_pc;
-  vm.Vm.saved_regs.(14) <- vm.Vm.sps.(vstack_slot vm);
-  ignore f
+  vm.Vm.saved_regs.(14) <- vm.Vm.sps.(vstack_slot vm)
 
-let emulate_chm t (vm : Vm.t) (f : State.vm_frame) target =
+let emulate_chm t (vm : Vm.t) (x : State.exit_record) target =
   charge t Cost.vmm_chm_emulate;
   vm.Vm.stats.Vm.chm_forwarded <- vm.Vm.stats.Vm.chm_forwarded + 1;
   let code =
-    match f.State.vf_operands with
-    | [ o ] -> Word.sext ~width:16 (op_value o)
-    | _ -> 0
+    if x.State.x_noperands = 1 then Word.sext ~width:16 (op_value x 0) else 0
   in
   let cur = Psl.cur vm.Vm.saved_vmpsl in
   let new_mode =
     if Mode.to_int target < Mode.to_int cur then target else cur
   in
-  let next_pc = Word.add vm.Vm.saved_regs.(15) f.State.vf_length in
-  match
-    try `Entry (read_vm_scb_entry t vm (Scb.chm_vector target))
-    with Shadow.Vm_nxm m -> `Nxm m
-  with
-  | `Nxm m -> halt_vm t vm ("SCB unreachable: " ^ m)
-  | `Entry entry -> (
+  let next_pc = Word.add vm.Vm.saved_regs.(15) x.State.x_length in
+  match read_vm_scb_entry t vm (Scb.chm_vector target) with
+  | exception Shadow.Vm_nxm m -> halt_vm vm ("SCB unreachable: " ^ m)
+  | entry -> (
       let target_slot = Mode.to_int new_mode in
       match
         push_vm_frame t vm ~target_slot ~params:[ code ] ~pc:next_pc
@@ -718,7 +763,7 @@ let emulate_chm t (vm : Vm.t) (f : State.vm_frame) target =
       with
       | exception Reflect_to_vm fault ->
           reflect_fault t vm fault ~orig_write:true ~pc:vm.Vm.saved_regs.(15)
-      | exception Shadow.Vm_nxm m -> halt_vm t vm m
+      | exception Shadow.Vm_nxm m -> halt_vm vm m
       | () ->
           let vp = vm.Vm.saved_vmpsl in
           let vp = Psl.with_prv (Psl.with_cur vp new_mode) cur in
@@ -726,7 +771,7 @@ let emulate_chm t (vm : Vm.t) (f : State.vm_frame) target =
           vm.Vm.saved_regs.(15) <- Word.logand entry (Word.lognot 3);
           vm.Vm.saved_psl <- resume_psl vm vm.Vm.saved_psl)
 
-let emulate_ldpctx t (vm : Vm.t) (f : State.vm_frame) =
+let emulate_ldpctx t (vm : Vm.t) (x : State.exit_record) =
   charge t (Opcode.base_cycles Opcode.Ldpctx + (24 * Cost.vmm_guest_mem));
   match
     let pcb off = vm_phys_read_long t vm (Word.add vm.Vm.pcbb off) in
@@ -734,7 +779,7 @@ let emulate_ldpctx t (vm : Vm.t) (f : State.vm_frame) =
       vm.Vm.sps.(slot) <- pcb (4 * slot)
     done;
     for r = 0 to 13 do
-      vm.Vm.saved_regs.(r) <- pcb (16 + (4 * r))
+      set_vm_reg t vm r (pcb (16 + (4 * r)))
     done;
     let p0br = pcb 80 in
     if Addr.region_of p0br <> Addr.S then raise Vm_reserved_operand;
@@ -747,15 +792,15 @@ let emulate_ldpctx t (vm : Vm.t) (f : State.vm_frame) =
     let pc = pcb Microcode.pcb_off_pc and psl = pcb Microcode.pcb_off_psl in
     vm.Vm.saved_vmpsl <- Psl.with_is vm.Vm.saved_vmpsl false;
     push_vm_frame t vm ~target_slot:0 ~params:[] ~pc ~psl;
-    vm.Vm.saved_regs.(15) <- Word.add vm.Vm.saved_regs.(15) f.State.vf_length;
+    vm.Vm.saved_regs.(15) <- Word.add vm.Vm.saved_regs.(15) x.State.x_length;
     vm.Vm.saved_regs.(14) <- vm.Vm.sps.(0);
     vm.Vm.saved_psl <- resume_psl vm vm.Vm.saved_psl
   with
-  | exception Shadow.Vm_nxm m -> halt_vm t vm ("LDPCTX: " ^ m)
-  | exception Reflect_to_vm _ -> halt_vm t vm "LDPCTX: kernel stack not valid"
+  | exception Shadow.Vm_nxm m -> halt_vm vm ("LDPCTX: " ^ m)
+  | exception Reflect_to_vm _ -> halt_vm vm "LDPCTX: kernel stack not valid"
   | () -> ()
 
-let emulate_svpctx t (vm : Vm.t) (f : State.vm_frame) =
+let emulate_svpctx t (vm : Vm.t) (x : State.exit_record) =
   charge t (Opcode.base_cycles Opcode.Svpctx + (20 * Cost.vmm_guest_mem));
   match
     let cur_slot = vstack_slot vm in
@@ -771,115 +816,112 @@ let emulate_svpctx t (vm : Vm.t) (f : State.vm_frame) =
       pcb_write (4 * slot) vm.Vm.sps.(slot)
     done;
     for r = 0 to 13 do
-      pcb_write (16 + (4 * r)) vm.Vm.saved_regs.(r)
+      pcb_write (16 + (4 * r)) (vm_reg t vm r)
     done;
     vm.Vm.saved_vmpsl <- Psl.with_is vm.Vm.saved_vmpsl true;
-    vm.Vm.saved_regs.(15) <- Word.add vm.Vm.saved_regs.(15) f.State.vf_length;
+    vm.Vm.saved_regs.(15) <- Word.add vm.Vm.saved_regs.(15) x.State.x_length;
     vm.Vm.saved_regs.(14) <- vm.Vm.sps.(4);
     vm.Vm.saved_psl <- resume_psl vm vm.Vm.saved_psl
   with
-  | exception Shadow.Vm_nxm m -> halt_vm t vm ("SVPCTX: " ^ m)
-  | exception Reflect_to_vm _ -> halt_vm t vm "SVPCTX: stack not valid"
+  | exception Shadow.Vm_nxm m -> halt_vm vm ("SVPCTX: " ^ m)
+  | exception Reflect_to_vm _ -> halt_vm vm "SVPCTX: stack not valid"
   | () -> ()
 
-let emulate_probe t (vm : Vm.t) (f : State.vm_frame) ~write =
+let emulate_probe t (vm : Vm.t) (x : State.exit_record) ~write =
   vm.Vm.stats.Vm.probe_emulated <- vm.Vm.stats.Vm.probe_emulated + 1;
-  match f.State.vf_operands with
-  | [ mode_op; len_op; base_op ] -> (
-      let requested = Mode.of_int (op_value mode_op land 3) in
-      let probe_mode =
-        Mode.least_privileged (Psl.prv vm.Vm.saved_vmpsl) requested
-      in
-      let len =
-        let l = op_value len_op land 0xFFFF in
-        if l = 0 then 1 else l
-      in
-      let base = op_value base_op in
-      let check va =
-        (* opportunistically fill the shadow so later PROBEs take the
-           microcode path *)
-        (match Shadow.fill (mmu t) vm ~prefill:0 va with
-        | Shadow.Filled | Shadow.Reflect _ | Shadow.Io_ref _
-        | Shadow.Halt_nxm _ ->
-            ());
-        Shadow.probe_vm_pte (mmu t) vm ~write ~mode:probe_mode va
-      in
-      match
-        let first = check base in
-        let last = check (Word.add base (len - 1)) in
-        (first, last)
-      with
-      | exception Shadow.Vm_nxm m -> halt_vm t vm ("PROBE: " ^ m)
-      | Error fault, _ | _, Error fault ->
-          reflect_fault t vm fault ~orig_write:write ~pc:vm.Vm.saved_regs.(15)
-      | Ok a, Ok b ->
-          let accessible = a && b in
-          set_result_cc vm ~n:false ~z:(not accessible) ~v:false ~c:false;
-          resume_after t vm f)
-  | _ -> halt_vm t vm "malformed PROBE frame"
+  if x.State.x_noperands <> 3 then halt_vm vm "malformed PROBE frame"
+  else
+    let requested = Mode.of_int (op_value x 0 land 3) in
+    let probe_mode =
+      Mode.least_privileged (Psl.prv vm.Vm.saved_vmpsl) requested
+    in
+    let len =
+      let l = op_value x 1 land 0xFFFF in
+      if l = 0 then 1 else l
+    in
+    let base = op_value x 2 in
+    let check va =
+      (* opportunistically fill the shadow so later PROBEs take the
+         microcode path *)
+      (match Shadow.fill (mmu t) vm ~prefill:0 va with
+      | Shadow.Filled | Shadow.Reflect _ | Shadow.Io_ref _
+      | Shadow.Halt_nxm _ ->
+          ());
+      Shadow.probe_vm_pte (mmu t) vm ~write ~mode:probe_mode va
+    in
+    match
+      let first = check base in
+      let last = check (Word.add base (len - 1)) in
+      (first, last)
+    with
+    | exception Shadow.Vm_nxm m -> halt_vm vm ("PROBE: " ^ m)
+    | Error fault, _ | _, Error fault ->
+        reflect_fault t vm fault ~orig_write:write ~pc:vm.Vm.saved_regs.(15)
+    | Ok a, Ok b ->
+        let accessible = a && b in
+        set_result_cc vm ~n:false ~z:(not accessible) ~v:false ~c:false;
+        resume_after t vm x
 
-let emulate_mtpr_trap t (vm : Vm.t) (f : State.vm_frame) =
-  match f.State.vf_operands with
-  | [ src; regnum ] -> (
-      match virtual_mtpr t vm ~value:(op_value src) ~regnum:(op_value regnum) with
-      | exception Vm_reserved_operand ->
-          reflect_exception t vm ~vector:Scb.reserved_operand ~params:[]
-            ~pc:vm.Vm.saved_regs.(15)
-      | exception Shadow.Vm_nxm m -> halt_vm t vm m
-      | () -> resume_after t vm f)
-  | _ -> halt_vm t vm "malformed MTPR frame"
+let emulate_mtpr_trap t (vm : Vm.t) (x : State.exit_record) =
+  if x.State.x_noperands <> 2 then halt_vm vm "malformed MTPR frame"
+  else
+    match virtual_mtpr t vm ~value:(op_value x 0) ~regnum:(op_value x 1) with
+    | exception Vm_reserved_operand ->
+        reflect_exception t vm ~vector:Scb.reserved_operand ~params:[]
+          ~pc:vm.Vm.saved_regs.(15)
+    | exception Shadow.Vm_nxm m -> halt_vm vm m
+    | () -> resume_after t vm x
 
-let emulate_mfpr_trap t (vm : Vm.t) (f : State.vm_frame) =
-  match f.State.vf_operands with
-  | [ regnum; dst ] -> (
-      match virtual_mfpr t vm (op_value regnum) with
-      | exception Vm_reserved_operand ->
-          reflect_exception t vm ~vector:Scb.reserved_operand ~params:[]
-            ~pc:vm.Vm.saved_regs.(15)
-      | exception Shadow.Vm_nxm m -> halt_vm t vm m
-      | v -> (
-          match write_result t vm dst v with
-          | exception Reflect_to_vm fault ->
-              reflect_fault t vm fault ~orig_write:true
-                ~pc:vm.Vm.saved_regs.(15)
-          | exception Shadow.Vm_nxm m -> halt_vm t vm m
-          | () -> resume_after t vm f))
-  | _ -> halt_vm t vm "malformed MFPR frame"
+let emulate_mfpr_trap t (vm : Vm.t) (x : State.exit_record) =
+  if x.State.x_noperands <> 2 then halt_vm vm "malformed MFPR frame"
+  else
+    match virtual_mfpr t vm (op_value x 0) with
+    | exception Vm_reserved_operand ->
+        reflect_exception t vm ~vector:Scb.reserved_operand ~params:[]
+          ~pc:vm.Vm.saved_regs.(15)
+    | exception Shadow.Vm_nxm m -> halt_vm vm m
+    | v -> (
+        match write_result t vm x 1 v with
+        | exception Reflect_to_vm fault ->
+            reflect_fault t vm fault ~orig_write:true
+              ~pc:vm.Vm.saved_regs.(15)
+        | exception Shadow.Vm_nxm m -> halt_vm vm m
+        | () -> resume_after t vm x)
 
-let emulate t (vm : Vm.t) (f : State.vm_frame) =
+let emulate t (vm : Vm.t) (x : State.exit_record) =
   vm.Vm.stats.Vm.emulation_traps <- vm.Vm.stats.Vm.emulation_traps + 1;
-  Vm.count_opcode vm.Vm.stats f.State.vf_opcode;
-  match f.State.vf_opcode with
+  Vm.count_opcode vm.Vm.stats x.State.x_opcode;
+  match x.State.x_opcode with
   | Opcode.Rei -> (
-      match emulate_rei t vm f with
+      match emulate_rei t vm with
       | exception Vm_reserved_operand ->
           reflect_exception t vm ~vector:Scb.reserved_operand ~params:[]
             ~pc:vm.Vm.saved_regs.(15)
       | exception Reflect_to_vm fault ->
           reflect_fault t vm fault ~orig_write:false ~pc:vm.Vm.saved_regs.(15)
-      | exception Shadow.Vm_nxm m -> halt_vm t vm m
+      | exception Shadow.Vm_nxm m -> halt_vm vm m
       | () -> ())
-  | Opcode.Chmk -> emulate_chm t vm f Mode.Kernel
-  | Opcode.Chme -> emulate_chm t vm f Mode.Executive
-  | Opcode.Chms -> emulate_chm t vm f Mode.Supervisor
-  | Opcode.Chmu -> emulate_chm t vm f Mode.User
-  | Opcode.Mtpr -> emulate_mtpr_trap t vm f
-  | Opcode.Mfpr -> emulate_mfpr_trap t vm f
-  | Opcode.Ldpctx -> emulate_ldpctx t vm f
-  | Opcode.Svpctx -> emulate_svpctx t vm f
-  | Opcode.Halt -> halt_vm t vm "guest HALT"
+  | Opcode.Chmk -> emulate_chm t vm x Mode.Kernel
+  | Opcode.Chme -> emulate_chm t vm x Mode.Executive
+  | Opcode.Chms -> emulate_chm t vm x Mode.Supervisor
+  | Opcode.Chmu -> emulate_chm t vm x Mode.User
+  | Opcode.Mtpr -> emulate_mtpr_trap t vm x
+  | Opcode.Mfpr -> emulate_mfpr_trap t vm x
+  | Opcode.Ldpctx -> emulate_ldpctx t vm x
+  | Opcode.Svpctx -> emulate_svpctx t vm x
+  | Opcode.Halt -> halt_vm vm "guest HALT"
   | Opcode.Wait ->
       vm.Vm.saved_regs.(15) <-
-        Word.add vm.Vm.saved_regs.(15) f.State.vf_length;
+        Word.add vm.Vm.saved_regs.(15) x.State.x_length;
       vm.Vm.run_state <- Vm.Idle_until (now t + Cost.wait_timeout_cycles)
-  | Opcode.Prober -> emulate_probe t vm f ~write:false
-  | Opcode.Probew -> emulate_probe t vm f ~write:true
+  | Opcode.Prober -> emulate_probe t vm x ~write:false
+  | Opcode.Probew -> emulate_probe t vm x ~write:true
   | Opcode.Probevmr | Opcode.Probevmw ->
       (* self-virtualization unsupported: unimplemented instruction *)
       reflect_exception t vm ~vector:Scb.privileged_instruction ~params:[]
         ~pc:vm.Vm.saved_regs.(15)
   | op ->
-      halt_vm t vm
+      halt_vm vm
         (Printf.sprintf "unexpected VM-emulation trap for %s" (Opcode.name op))
 
 (* ------------------------------------------------------------------ *)
@@ -961,17 +1003,22 @@ let emulate_mmio t (vm : Vm.t) ~va ~io_vmpa =
         Mmu.tbis (mmu t) va
     | _ -> ()
   in
+  (* an emulation that gives up leaves the VM's registers as the exit
+     found them: back out the operand side effects the decode applied
+     before the VM is halted (and its registers written back) *)
+  let abandon d =
+    Decode.undo_side_effects s d;
+    restore ()
+  in
   let io_offset = io_vmpa - Phys_mem.io_space_base in
   match Decode.decode s with
   | exception State.Fault _ ->
       restore ();
-      halt_vm t vm "MMIO emulation: cannot decode instruction"
+      halt_vm vm "MMIO emulation: cannot decode instruction"
   | d -> (
       let finish () =
-        (* changes made through Decode land in the live registers *)
-        for r = 0 to 13 do
-          vm.Vm.saved_regs.(r) <- State.reg s r
-        done;
+        (* changes made through Decode land in the live registers, where
+           R0–R13 stay (the VM is resident) *)
         vm.Vm.sps.(vstack_slot vm) <- State.sp s;
         vm.Vm.saved_regs.(14) <- State.sp s;
         vm.Vm.saved_regs.(15) <- d.Decode.next_pc;
@@ -996,49 +1043,50 @@ let emulate_mmio t (vm : Vm.t) ~va ~io_vmpa =
           let v = vdisk_read vm io_offset in
           match Decode.write_value s dst v with
           | exception State.Fault _ ->
-              restore ();
-              halt_vm t vm "MMIO emulation: destination fault"
+              abandon d;
+              halt_vm vm "MMIO emulation: destination fault"
           | () -> finish ())
       | Opcode.Movl, [ src; dst ] when is_io dst -> (
           match Decode.read_value s src with
           | exception State.Fault _ ->
-              restore ();
-              halt_vm t vm "MMIO emulation: source fault"
+              abandon d;
+              halt_vm vm "MMIO emulation: source fault"
           | v ->
               vdisk_write t vm io_offset v;
               finish ())
       | (Opcode.Tstl | Opcode.Bisl2), _ ->
-          restore ();
-          halt_vm t vm "MMIO emulation: unsupported read-modify-write"
+          abandon d;
+          halt_vm vm "MMIO emulation: unsupported read-modify-write"
       | _ ->
-          restore ();
-          halt_vm t vm
+          abandon d;
+          halt_vm vm
             (Printf.sprintf "MMIO emulation: unsupported opcode %s"
                (Opcode.name d.Decode.opcode)))
 
-let param_write params =
-  match params with p :: _ -> p land 4 <> 0 | [] -> false
+(* the faulting VA and the write flag of a memory-management frame *)
+let fault_va (x : State.exit_record) =
+  if x.State.x_nparams = 2 then x.State.x_params.(1) else 0
 
-let handle_tnv t (vm : Vm.t) (ev : State.event) =
-  let va = match ev.State.ev_params with [ _; va ] -> va | _ -> 0 in
+let param_write (x : State.exit_record) =
+  x.State.x_nparams > 0 && x.State.x_params.(0) land 4 <> 0
+
+let handle_tnv t (vm : Vm.t) (x : State.exit_record) =
+  let va = fault_va x in
   match Shadow.fill (mmu t) vm ~prefill:t.cfg.prefill_group
               ~ro_scheme:t.cfg.ro_shadow_scheme va with
   | Shadow.Filled -> () (* retry at the same PC *)
   | Shadow.Reflect fault ->
       reflect_fault t vm fault
-        ~orig_write:(param_write ev.State.ev_params)
-        ~pc:ev.State.ev_pc
+        ~orig_write:(param_write x)
+        ~pc:x.State.x_pc
   | Shadow.Io_ref io_vmpa ->
       if vm.Vm.io_mode = Vm.Mmio_io then emulate_mmio t vm ~va ~io_vmpa
-      else halt_vm t vm "VM mapped I/O space in KCALL mode"
-  | Shadow.Halt_nxm m -> halt_vm t vm m
+      else halt_vm vm "VM mapped I/O space in KCALL mode"
+  | Shadow.Halt_nxm m -> halt_vm vm m
 
-let handle_acv t (vm : Vm.t) (ev : State.event) =
-  let param, va =
-    match ev.State.ev_params with
-    | [ p; va ] -> (p, va)
-    | _ -> (0, 0)
-  in
+let handle_acv t (vm : Vm.t) (x : State.exit_record) =
+  let param = if x.State.x_nparams = 2 then x.State.x_params.(0) else 0 in
+  let va = fault_va x in
   let write = param land 4 <> 0 in
   let length = param land 1 <> 0 in
   if length then
@@ -1047,7 +1095,7 @@ let handle_acv t (vm : Vm.t) (ev : State.event) =
     reflect_fault t vm
       (Mmu.Access_violation
          { va; length_violation = true; ptbl_ref = param land 2 <> 0; write })
-      ~orig_write:write ~pc:ev.State.ev_pc
+      ~orig_write:write ~pc:x.State.x_pc
   else begin
     (* protection violation: distinguish VM I/O space (MMIO emulation)
        from a genuine VM-level protection fault *)
@@ -1062,26 +1110,25 @@ let handle_acv t (vm : Vm.t) (ev : State.event) =
            && (not (Pte.modify pte))
            && Protection.can_write
                 (Protection.compress (Pte.prot pte))
-                (Psl.cur ev.State.ev_psl) -> (
+                (Psl.cur x.State.x_psl) -> (
         (* read-only-shadow scheme: first write to the page *)
         match Shadow.upgrade_ro (mmu t) vm va with
         | Ok () -> () (* retry *)
-        | Error m -> halt_vm t vm m)
-    | exception Shadow.Vm_nxm m -> halt_vm t vm m
+        | Error m -> halt_vm vm m)
+    | exception Shadow.Vm_nxm m -> halt_vm vm m
     | _ ->
         reflect_fault t vm
           (Mmu.Access_violation
              { va; length_violation = false; ptbl_ref = false; write })
-          ~orig_write:write ~pc:ev.State.ev_pc
+          ~orig_write:write ~pc:x.State.x_pc
   end
 
-let handle_modify t (vm : Vm.t) (ev : State.event) =
-  let va = match ev.State.ev_params with [ _; va ] -> va | _ -> 0 in
-  match Shadow.set_modify (mmu t) vm va with
+let handle_modify t (vm : Vm.t) (x : State.exit_record) =
+  match Shadow.set_modify (mmu t) vm (fault_va x) with
   | Ok () -> () (* retry *)
   | Error _ ->
       (* shadow PTE invalid: treat as TNV (fill first) *)
-      handle_tnv t vm ev
+      handle_tnv t vm x
 
 (* ------------------------------------------------------------------ *)
 (* Host (real) interrupts                                              *)
@@ -1091,8 +1138,8 @@ let ack_real_timer t =
   charge t (Opcode.base_cycles Opcode.Mtpr);
   ignore ((st t).State.ipr_write_hook Ipr.ICCS 0xC1)
 
-let handle_host_interrupt t (ev : State.event) =
-  if ev.State.ev_vector = Scb.interval_timer then begin
+let handle_host_interrupt t (x : State.exit_record) =
+  if x.State.x_vector = Scb.interval_timer then begin
     ack_real_timer t;
     t.slice_expired <- true
   end
@@ -1109,15 +1156,19 @@ let handle_host_interrupt t (ev : State.event) =
    through the VM's SCB, so the guest OS sees the frame a real VAX
    would push; a guest whose SCB or stack cannot take the frame is
    cleanly halted instead (the fault is absorbed with the VM). *)
-let handle_guest_machine_check t vm (ev : State.event) =
-  reflect_exception t vm ~vector:Scb.machine_check ~params:ev.State.ev_params
-    ~pc:ev.State.ev_pc;
+(* the frame's fault parameters as a list, for reflection *)
+let fault_params (x : State.exit_record) =
+  List.init x.State.x_nparams (fun i -> x.State.x_params.(i))
+
+let handle_guest_machine_check t vm (x : State.exit_record) =
+  reflect_exception t vm ~vector:Scb.machine_check ~params:(fault_params x)
+    ~pc:x.State.x_pc;
   let inject = (st t).State.inject in
   match vm.Vm.run_state with
   | Vm.Halted_vm _ -> Vax_fault.Engine.note_mc_absorbed inject
   | _ -> Vax_fault.Engine.note_mc_reflected inject
 
-let dispatch t (ev : State.event) =
+let dispatch t (x : State.exit_record) =
   let s = st t in
   Cycles.set_in_monitor (clock t) true;
   charge t Cost.vmm_dispatch;
@@ -1126,49 +1177,45 @@ let dispatch t (ev : State.event) =
     Mmu.tbia (mmu t)
   end;
   (* consume the trap frame the microcode pushed *)
-  State.set_sp s
-    (Word.add (State.sp s) (8 + (4 * List.length ev.State.ev_params)));
-  (if ev.State.ev_from_vm then begin
+  State.set_sp s (Word.add (State.sp s) (4 * x.State.x_frame_words));
+  (if x.State.x_from_vm then begin
      match t.running with
      | None -> () (* cannot happen: PSL<VM> only set while a VM runs *)
      | Some vm -> (
-         sync_vm_on_exit t vm ev;
-         if ev.State.ev_interrupt then handle_host_interrupt t ev
+         sync_vm_on_exit t vm x;
+         if x.State.x_interrupt then handle_host_interrupt t x
          else
-           match ev.State.ev_vector with
-           | v when v = Scb.vm_emulation -> (
-               match ev.State.ev_vm_frame with
-               | Some f -> emulate t vm f
-               | None -> halt_vm t vm "VM-emulation trap without frame")
-           | v when v = Scb.translation_not_valid -> handle_tnv t vm ev
-           | v when v = Scb.access_violation -> handle_acv t vm ev
-           | v when v = Scb.modify_fault -> handle_modify t vm ev
+           match x.State.x_vector with
+           | v when v = Scb.vm_emulation -> emulate t vm x
+           | v when v = Scb.translation_not_valid -> handle_tnv t vm x
+           | v when v = Scb.access_violation -> handle_acv t vm x
+           | v when v = Scb.modify_fault -> handle_modify t vm x
            | v when v = Scb.machine_check ->
-               handle_guest_machine_check t vm ev
+               handle_guest_machine_check t vm x
            | v
              when v = Scb.privileged_instruction
                   || v = Scb.reserved_operand
                   || v = Scb.reserved_addressing_mode
                   || v = Scb.breakpoint ->
-               reflect_exception t vm ~vector:v ~params:[] ~pc:ev.State.ev_pc
+               reflect_exception t vm ~vector:v ~params:[] ~pc:x.State.x_pc
            | v when v = Scb.arithmetic ->
-               reflect_exception t vm ~vector:v ~params:ev.State.ev_params
-                 ~pc:ev.State.ev_pc
+               reflect_exception t vm ~vector:v ~params:(fault_params x)
+                 ~pc:x.State.x_pc
            | v when v = Scb.chmk || v = Scb.chme || v = Scb.chms || v = Scb.chmu
              ->
                (* CHM traps are turned into VM-emulation traps by the
                   microcode; reaching here means a bug *)
-               halt_vm t vm "unexpected CHM trap from VM"
-           | v -> halt_vm t vm (Printf.sprintf "unhandled vector 0x%x" v))
+               halt_vm vm "unexpected CHM trap from VM"
+           | v -> halt_vm vm (Printf.sprintf "unhandled vector 0x%x" v))
    end
    else if
-     (not ev.State.ev_interrupt) && ev.State.ev_vector = Scb.machine_check
+     (not x.State.x_interrupt) && x.State.x_vector = Scb.machine_check
    then
      (* the monitor's own memory reference machine-checked; there is no
         more privileged software to reflect to — halt cleanly instead
         of silently dismissing it as a spurious host event *)
      State.double_fault_halt s "machine check in the monitor"
-   else handle_host_interrupt t ev);
+   else handle_host_interrupt t x);
   schedule t;
   if t.cfg.separate_vmm_space then charge t Cost.vmm_address_space_switch;
   Cycles.set_in_monitor (clock t) false
@@ -1192,9 +1239,9 @@ let create ?(config = default_config) (m : Machine.t) =
       cfg = config;
       alloc;
       shared_stack_pfn;
-      vm_list = [];
+      vm_order = [||];
       running = None;
-      installed_for = None;
+      installed_for = -1;
       slice_expired = false;
       next_vid = 0;
       next_disk_block = 0;
@@ -1312,14 +1359,20 @@ let add_vm t ~name ~memory_pages ~disk_blocks ?io_mode ~images ~start_pc () =
   (* power-on virtual PSL: kernel, interrupt stack, IPL 31 *)
   vm.Vm.saved_vmpsl <- Psl.initial;
   vm.Vm.saved_psl <- resume_psl vm 0;
-  t.vm_list <- t.vm_list @ [ vm ];
+  t.vm_order <- Array.append t.vm_order [| vm |];
   vm
 
 let run t ?max_cycles () =
   Cycles.set_in_monitor (clock t) true;
   schedule t;
   Cycles.set_in_monitor (clock t) false;
-  Machine.run t.m ?max_cycles ()
+  match Machine.run t.m ?max_cycles () with
+  | outcome ->
+      write_back_running t;
+      outcome
+  | exception e ->
+      write_back_running t;
+      raise e
 
 let pp_vm_stats ppf (vm : Vm.t) =
   let s = vm.Vm.stats in

@@ -4,7 +4,7 @@ type loc = Reg of int | Mem of Word.t | Imm of Word.t
 
 type operand = {
   loc : loc;
-  value : Word.t option;
+  value : Word.t;
   width : Opcode.width;
   access : Opcode.access;
   side_effect : (int * int) option;
@@ -18,6 +18,15 @@ type decoded = {
   next_pc : Word.t;
   tmpl : Decode_cache.template;
 }
+
+let undecoded =
+  {
+    opcode = Opcode.Halt;
+    operands = [];
+    length = 0;
+    next_pc = 0;
+    tmpl = { Decode_cache.t_opcode = Opcode.Halt; t_specs = []; t_len = 0 };
+  }
 
 let width_bytes = function Opcode.Byte -> 1 | Opcode.Word -> 2 | Opcode.Long -> 4
 
@@ -149,22 +158,24 @@ let parse_branch c access =
    order, side effects, and cycle charges are identical in the two
    paths. *)
 
+let no_value = -1
+
 let mk c access width loc side_effect =
   let value =
     match access with
     | Opcode.Read | Opcode.Modify -> (
         match loc with
-        | Imm v -> Some v
+        | Imm v -> v
         | Reg rn -> (
             let v = State.reg c.st rn in
             match width with
-            | Opcode.Byte -> Some (v land 0xFF)
-            | Opcode.Word -> Some (v land 0xFFFF)
-            | Opcode.Long -> Some v)
-        | Mem va -> Some (read_mem c width va))
+            | Opcode.Byte -> v land 0xFF
+            | Opcode.Word -> v land 0xFFFF
+            | Opcode.Long -> v)
+        | Mem va -> read_mem c width va)
     | Opcode.Write | Opcode.Address | Opcode.Branch_byte | Opcode.Branch_word
       ->
-        None
+        no_value
   in
   { loc; value; width; access; side_effect; branch_target = None }
 
@@ -205,7 +216,7 @@ let eval_spec c
   | Decode_cache.Sh_branch disp ->
       {
         loc = Imm disp;
-        value = None;
+        value = no_value;
         width;
         access;
         side_effect = None;
@@ -263,16 +274,18 @@ let decode st =
     undo_all c;
     raise e
 
+(* the cached specifiers in order, each charged as it is evaluated *)
+let rec eval_specs c = function
+  | [] -> []
+  | ts :: rest ->
+      Cycles.charge c.st.State.clock Cost.operand_specifier;
+      let o = eval_spec c ts in
+      o :: eval_specs c rest
+
 let operandize st (tmpl : Decode_cache.template) ~start_pc =
   let c = { st; start = start_pc; pos = start_pc; applied = [] } in
   try
-    let operands =
-      List.map
-        (fun ts ->
-          Cycles.charge st.State.clock Cost.operand_specifier;
-          eval_spec c ts)
-        tmpl.Decode_cache.t_specs
-    in
+    let operands = eval_specs c tmpl.Decode_cache.t_specs in
     {
       opcode = tmpl.Decode_cache.t_opcode;
       operands;
@@ -284,26 +297,21 @@ let operandize st (tmpl : Decode_cache.template) ~start_pc =
     undo_all c;
     raise e
 
-let undo_side_effects st d =
-  List.iter
-    (fun o ->
-      match o.side_effect with
-      | Some (rn, delta) -> State.set_reg st rn (Word.sub (State.reg st rn) delta)
-      | None -> ())
-    d.operands
+let rec shift_side_effects st sign = function
+  | [] -> ()
+  | o :: rest ->
+      (match o.side_effect with
+      | Some (rn, delta) ->
+          State.set_reg st rn (Word.add (State.reg st rn) (sign * delta))
+      | None -> ());
+      shift_side_effects st sign rest
 
-let redo_side_effects st d =
-  List.iter
-    (fun o ->
-      match o.side_effect with
-      | Some (rn, delta) -> State.set_reg st rn (Word.add (State.reg st rn) delta)
-      | None -> ())
-    d.operands
+let undo_side_effects st d = shift_side_effects st (-1) d.operands
+let redo_side_effects st d = shift_side_effects st 1 d.operands
 
 let read_value st o =
-  match o.value with
-  | Some v -> v
-  | None -> (
+  if o.value <> no_value then o.value
+  else (
       match o.loc with
       | Imm v -> v
       | Reg rn -> State.reg st rn
@@ -331,22 +339,29 @@ let write_value st o v =
       | Opcode.Word -> State.write_word16 st (State.cur_mode st) va (v land 0xFFFF)
       | Opcode.Long -> State.write_long st (State.cur_mode st) va v)
 
-let capture_vm_operands d =
-  List.map
-    (fun o ->
-      let tag, value =
-        match (o.access, o.loc) with
-        | (Opcode.Read | Opcode.Modify), Imm v -> (0, v)
-        | Opcode.Read, Reg _ | Opcode.Read, Mem _ ->
-            (0, Option.value ~default:0 o.value)
-        | Opcode.Modify, Reg rn -> (2, rn)
-        | Opcode.Modify, Mem va -> (1, va)
-        | Opcode.Write, Reg rn -> (2, rn)
-        | (Opcode.Write | Opcode.Address), Mem va -> (1, va)
-        | Opcode.Address, Reg _ | Opcode.Address, Imm _ -> (0, 0)
-        | Opcode.Write, Imm v -> (0, v)
-        | (Opcode.Branch_byte | Opcode.Branch_word), _ ->
-            (3, Option.value ~default:0 o.branch_target)
-      in
-      { State.tag; value; side_effect = o.side_effect })
-    d.operands
+let set_operand (x : State.exit_record) i tag value =
+  x.State.x_op_tag.(i) <- tag;
+  x.State.x_op_value.(i) <- value
+
+let rec capture_operands (x : State.exit_record) i = function
+  | [] -> x.State.x_noperands <- i
+  | o :: rest ->
+      (match (o.access, o.loc) with
+      | (Opcode.Read | Opcode.Modify), Imm v -> set_operand x i 0 v
+      | Opcode.Read, Reg _ | Opcode.Read, Mem _ ->
+          set_operand x i 0 (if o.value = no_value then 0 else o.value)
+      | Opcode.Modify, Reg rn -> set_operand x i 2 rn
+      | Opcode.Modify, Mem va -> set_operand x i 1 va
+      | Opcode.Write, Reg rn -> set_operand x i 2 rn
+      | (Opcode.Write | Opcode.Address), Mem va -> set_operand x i 1 va
+      | Opcode.Address, Reg _ | Opcode.Address, Imm _ -> set_operand x i 0 0
+      | Opcode.Write, Imm v -> set_operand x i 0 v
+      | (Opcode.Branch_byte | Opcode.Branch_word), _ ->
+          set_operand x i 3 (Option.value ~default:0 o.branch_target));
+      x.State.x_op_side_effect.(i) <-
+        (match o.side_effect with
+        | Some (rn, delta) -> (rn lsl 8) lor (delta land 0xFF)
+        | None -> -1);
+      capture_operands x (i + 1) rest
+
+let capture_vm_operands x d = capture_operands x 0 d.operands

@@ -28,12 +28,17 @@ type loc =
 
 type operand = {
   loc : loc;
-  value : Word.t option;  (** fetched for Read/Modify accesses, raw *)
+  value : Word.t;
+      (** fetched for Read/Modify accesses, raw; {!no_value} otherwise *)
   width : Opcode.width;
   access : Opcode.access;
   side_effect : (int * int) option;  (** (register, signed delta) applied *)
   branch_target : Word.t option;
 }
+
+val no_value : Word.t
+(** [-1], never a longword: the [value] of an operand not fetched at
+    decode time. *)
 
 type decoded = {
   opcode : Opcode.t;
@@ -42,6 +47,10 @@ type decoded = {
   next_pc : Word.t;
   tmpl : Decode_cache.template;  (** static half, for the decode cache *)
 }
+
+val undecoded : decoded
+(** A placeholder meaning "not decoded (yet)", for callers that hold a
+    decode result across a [try]; compare it with [==]. *)
 
 val decode : State.t -> decoded
 (** Decode the instruction at the current PC.  Applies register side
@@ -71,7 +80,8 @@ val write_value : State.t -> operand -> Word.t -> unit
 (** Store to the operand location, respecting width (byte and word stores
     to registers merge into the low bits). *)
 
-val capture_vm_operands : decoded -> State.vm_operand list
-(** Render decoded operands in the VM-emulation trap frame format. *)
+val capture_vm_operands : State.exit_record -> decoded -> unit
+(** Write the decoded operands into the exit record's VM-emulation
+    operand fields (see {!State.exit_record}). *)
 
 val width_bytes : Opcode.width -> int

@@ -819,12 +819,6 @@ let execute st (d : Decode.decoded) ~start_pc =
 (* ------------------------------------------------------------------ *)
 (* Step                                                                *)
 
-let enc_int op =
-  match Opcode.encoding op with
-  | [ b ] -> b
-  | [ p; b ] -> (p lsl 8) lor b
-  | _ -> 0
-
 (* The post-decode half of a step, shared verbatim between the per-step
    loop and the block engine's cold path so the two engines agree on
    counter/charge/retire order by construction. *)
@@ -838,19 +832,20 @@ let run_decoded st (d : Decode.decoded) ~start_pc =
   (* retire: the instruction completed without faulting *)
   let tr = st.State.trace in
   if Vax_obs.Trace.enabled tr then
-    Vax_obs.Trace.emit tr Vax_obs.Trace.Retire ~b:(enc_int d.Decode.opcode)
+    Vax_obs.Trace.emit tr Vax_obs.Trace.Retire ~b:(Opcode.code d.Decode.opcode)
       ~c:(if was_vm then 1 else 0)
       start_pc
 
-let fault_finish st decoded ~start_pc f =
-  let next_pc =
-    match decoded with Some d -> d.Decode.next_pc | None -> start_pc
-  in
+(* [d] is [Decode.undecoded] when the fault came before decode
+   finished. *)
+let fault_finish st (d : Decode.decoded) ~start_pc f =
+  let decoded = d != Decode.undecoded in
+  let next_pc = if decoded then d.Decode.next_pc else start_pc in
   (* fault-style exceptions back out operand side effects; trap-style
      (arithmetic) leave them applied *)
-  (match (f, decoded) with
-  | State.Arithmetic_trap _, _ | _, None -> ()
-  | _, Some d -> Decode.undo_side_effects st d);
+  (match f with
+  | State.Arithmetic_trap _ -> ()
+  | _ -> if decoded then Decode.undo_side_effects st d);
   Microcode.dispatch_fault st ~start_pc ~next_pc f
 
 (* Physical address of a page-straddling instruction's first byte on its
@@ -876,7 +871,7 @@ let step st =
     | Some (ipl, vector) -> Microcode.take_interrupt st ~ipl ~vector
     | None -> (
         let start_pc = State.pc st in
-        let decoded = ref None in
+        let decoded = ref Decode.undecoded in
         try
           let d =
             (* consult the decode cache by physical PC; the lookup
@@ -892,7 +887,7 @@ let step st =
                   pa d.Decode.tmpl;
                 d
           in
-          decoded := Some d;
+          decoded := d;
           run_decoded st d ~start_pc
         with State.Fault f -> fault_finish st !decoded ~start_pc f));
     if st.State.halted then Machine_halted
@@ -1043,7 +1038,7 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
   let op = tmpl.Decode_cache.t_opcode in
   let len = tmpl.Decode_cache.t_len in
   let base = Opcode.base_cycles op in
-  let enc = enc_int op in
+  let enc = Opcode.code op in
   let spec = Cost.operand_specifier in
   (* Liveness-guided specialization: when the fact proves N, Z and V
      dead after this instruction, the CC helpers below are shadowed by
@@ -1715,12 +1710,12 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
 let generic_slot (tmpl : Decode_cache.template) =
   let h = handler_of tmpl.Decode_cache.t_opcode in
   let base = Opcode.base_cycles tmpl.Decode_cache.t_opcode in
-  let enc = enc_int tmpl.Decode_cache.t_opcode in
+  let enc = Opcode.code tmpl.Decode_cache.t_opcode in
   fun st start_pc ->
-    let decoded = ref None in
+    let decoded = ref Decode.undecoded in
     try
       let d = Decode.operandize st tmpl ~start_pc in
-      decoded := Some d;
+      decoded := d;
       st.State.instructions <- st.State.instructions + 1;
       let was_vm = Psl.vm st.State.psl in
       if was_vm then st.State.vm_instructions <- st.State.vm_instructions + 1;
@@ -1887,7 +1882,7 @@ let step_cold st (bc : Block_cache.t) pa start_pc =
   bc.Block_cache.misses <- bc.Block_cache.misses + 1;
   bc.Block_cache.cur_pa <- -1;
   bc.Block_cache.cur_va <- -1;
-  let decoded = ref None in
+  let decoded = ref Decode.undecoded in
   try
     let d =
       match Decode_cache.find st.State.dcache ~mmu:st.State.mmu pa with
@@ -1902,7 +1897,7 @@ let step_cold st (bc : Block_cache.t) pa start_pc =
           feed_builder st bc pa ~va:start_pc d.Decode.tmpl;
           d
     in
-    decoded := Some d;
+    decoded := d;
     run_decoded st d ~start_pc
   with State.Fault f -> fault_finish st !decoded ~start_pc f
 

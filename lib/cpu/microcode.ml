@@ -5,12 +5,30 @@ module Trace = Vax_obs.Trace
 (* ------------------------------------------------------------------ *)
 (* Exception initiation                                                *)
 
-let push_kernel_frame st words =
-  (* Push [words] (last element pushed first) on the current stack.  A
-     fault here means the service stack itself is bad: kernel stack not
-     valid, which we treat as fatal for the machine (the VAX aborts to
-     the console; our console is the test harness). *)
-  List.iter (State.push_long st) (List.rev words)
+(* Push the [n] longwords assembled in [st.frame] on the current stack,
+   [frame.(n-1)] first (highest address) and [frame.(0)] last, on top.
+   When the whole frame lies on one page that the TLB maps for a write,
+   in RAM, with no fault plan armed, the push takes one translation and
+   charges, counts and stores exactly what the per-word pushes would;
+   otherwise it is one [State.push_long] per word.  A fault here means
+   the service stack itself is bad: the callers contain it as a double
+   fault. *)
+let push_frame st n =
+  let sp = State.sp st in
+  let base = sp - (4 * n) in
+  if
+    base >= 0
+    && Vax_fault.Engine.is_null st.State.inject
+    && Mmu.v_write_longs_fast st.State.mmu ~mode:(State.cur_mode st) base
+         st.State.frame n
+  then begin
+    State.set_sp st base;
+    st.State.frame_pushes_fast <- st.State.frame_pushes_fast + 1
+  end
+  else
+    for i = n - 1 downto 0 do
+      State.push_long st st.State.frame.(i)
+    done
 
 (* Convert a raw physical-memory exception (SCB or PCB reference made
    via SCBB/PCBB without translation) into the architectural
@@ -44,29 +62,49 @@ let double_fault st ~vector e =
     (Printf.sprintf "exception delivery through vector 0x%02X faulted: %s"
        vector what)
 
-let vm_frame_params (f : State.vm_frame) =
-  let opcode_byte =
-    match Opcode.encoding f.State.vf_opcode with
-    | [ b ] -> b
-    | [ p; b ] -> (p lsl 8) lor b
-    | _ -> assert false
-  in
-  let per_operand =
-    List.concat_map
-      (fun (o : State.vm_operand) ->
-        let se =
-          match o.State.side_effect with
-          | None -> 0xFFFF_FFFF
-          | Some (rn, delta) -> (rn lsl 8) lor (delta land 0xFF)
-        in
-        [ o.State.tag; o.State.value; se ])
-      f.State.vf_operands
-  in
-  (opcode_byte :: f.State.vf_length :: f.State.vf_vm_psl
-   :: List.length f.State.vf_operands :: per_operand)
+(* Lay out the VM-emulation header and operands from the exit record in
+   [st.frame] (opcode, length, VM PSL, operand count, then tag, value and
+   side effect per operand, top of stack first); returns the words
+   used. *)
+let vm_frame_words st =
+  let x = st.State.exit and f = st.State.frame in
+  let nops = x.State.x_noperands in
+  Cycles.charge st.State.clock (nops * Cost.vm_operand_capture);
+  f.(0) <- Opcode.code x.State.x_opcode;
+  f.(1) <- x.State.x_length;
+  f.(2) <- x.State.x_vm_psl;
+  f.(3) <- nops;
+  for i = 0 to nops - 1 do
+    f.(4 + (3 * i)) <- x.State.x_op_tag.(i);
+    f.(5 + (3 * i)) <- x.State.x_op_value.(i);
+    let se = x.State.x_op_side_effect.(i) in
+    f.(6 + (3 * i)) <- (if se < 0 then 0xFFFF_FFFF else se)
+  done;
+  4 + (3 * nops)
 
-let deliver_exception st ~vector ~params ~saved_pc ?(interrupt = false)
-    ?new_ipl ?(force_is = false) ?vm_frame () =
+(* Hand the event to the agent through the machine's exit record. *)
+let call_agent st agent ~vector ~nparams ~p0 ~p1 ~saved_pc ~saved_psl
+    ~interrupt ~from_vm ~words =
+  let x = st.State.exit in
+  x.State.x_vector <- vector;
+  x.State.x_pc <- saved_pc;
+  x.State.x_psl <- saved_psl;
+  x.State.x_interrupt <- interrupt;
+  x.State.x_from_vm <- from_vm;
+  x.State.x_nparams <- nparams;
+  x.State.x_params.(0) <- p0;
+  x.State.x_params.(1) <- p1;
+  x.State.x_frame_words <- words;
+  agent x
+
+(* Initiate an exception or interrupt: push PSL, PC, the [nparams] (0–2)
+   parameters [p0] (top of stack) and [p1], and with [vm_frame] the
+   VM-emulation header and operands above them, on the service stack;
+   switch mode (and stack), clear PSL<VM> (charging the VM exit cost when
+   it was set), then dispatch to the agent or through the SCB.
+   [new_ipl] < 0 keeps the current IPL. *)
+let deliver_exception st ~vector ~nparams ~p0 ~p1 ~saved_pc ~interrupt
+    ~new_ipl ~force_is ~vm_frame =
   (* the PSL is about to be observed (saved/pushed): materialize any
      condition codes the superblock engine deferred *)
   State.sync_cc st;
@@ -113,7 +151,7 @@ let deliver_exception st ~vector ~params ~saved_pc ?(interrupt = false)
       let p = Psl.with_vm p false in
       let p = Psl.with_fpd p false in
       let p = Psl.with_is p use_is in
-      match new_ipl with Some l -> Psl.with_ipl p l | None -> p
+      if new_ipl >= 0 then Psl.with_ipl p new_ipl else p
     in
     let target_slot = if use_is then 4 else Mode.to_int Mode.Kernel in
     let old_slot = State.stack_slot st in
@@ -122,34 +160,27 @@ let deliver_exception st ~vector ~params ~saved_pc ?(interrupt = false)
       State.set_sp st st.State.sp_bank.(target_slot)
     end;
     st.State.psl <- new_psl;
-    let all_params =
-      match vm_frame with
-      | None -> params
-      | Some f ->
-          List.iter
-            (fun (_ : State.vm_operand) ->
-              Cycles.charge st.State.clock Cost.vm_operand_capture)
-            f.State.vf_operands;
-          vm_frame_params f @ params
-    in
-    push_kernel_frame st (all_params @ [ saved_pc; saved_psl ]);
+    let f = st.State.frame in
+    let w = if vm_frame then vm_frame_words st else 0 in
+    if nparams > 0 then f.(w) <- p0;
+    if nparams > 1 then f.(w + 1) <- p1;
+    let w = w + nparams in
+    f.(w) <- saved_pc;
+    f.(w + 1) <- saved_psl;
+    push_frame st (w + 2);
     match st.State.agent with
     | Some agent ->
-        agent
-          {
-            State.ev_vector = vector;
-            ev_params = all_params;
-            ev_pc = saved_pc;
-            ev_psl = saved_psl;
-            ev_interrupt = interrupt;
-            ev_from_vm = from_vm;
-            ev_vm_frame = vm_frame;
-          }
+        call_agent st agent ~vector ~nparams ~p0 ~p1 ~saved_pc ~saved_psl
+          ~interrupt ~from_vm ~words:(w + 2)
     | None -> State.set_pc st (Word.logand entry (Word.lognot 3))
   with
   | (State.Fault _ | Phys_mem.Nonexistent_memory _
     | Vax_fault.Engine.Parity_error _) as e ->
       double_fault st ~vector e
+
+let deliver_fault st ~vector ~nparams ~p0 ~p1 ~saved_pc =
+  deliver_exception st ~vector ~nparams ~p0 ~p1 ~saved_pc ~interrupt:false
+    ~new_ipl:(-1) ~force_is:false ~vm_frame:false
 
 (* ------------------------------------------------------------------ *)
 (* Fault dispatch                                                      *)
@@ -174,7 +205,7 @@ let dispatch_fault st ~start_pc ~next_pc (fault : State.fault) =
       observe_trap st State.Trap_privileged ~pc:start_pc;
       if Trace.enabled st.State.trace then
         Trace.emit st.State.trace Trace.Trap_privileged start_pc
-  | State.Vm_emulation_fault _ ->
+  | State.Vm_emulation_fault ->
       observe_trap st State.Trap_vm_emulation ~pc:start_pc;
       if Trace.enabled st.State.trace then
         Trace.emit st.State.trace Trace.Trap_vm_emulation start_pc
@@ -182,42 +213,43 @@ let dispatch_fault st ~start_pc ~next_pc (fault : State.fault) =
   match fault with
   | State.Mm_fault (Mmu.Access_violation { va; length_violation; ptbl_ref; write })
     ->
-      deliver_exception st ~vector:Scb.access_violation
-        ~params:[ mm_param ~length_violation ~ptbl_ref ~write; va ]
-        ~saved_pc:start_pc ()
+      deliver_fault st ~vector:Scb.access_violation ~nparams:2
+        ~p0:(mm_param ~length_violation ~ptbl_ref ~write)
+        ~p1:va ~saved_pc:start_pc
   | State.Mm_fault (Mmu.Translation_not_valid { va; ptbl_ref; write }) ->
-      deliver_exception st ~vector:Scb.translation_not_valid
-        ~params:[ mm_param ~length_violation:false ~ptbl_ref ~write; va ]
-        ~saved_pc:start_pc ()
+      deliver_fault st ~vector:Scb.translation_not_valid ~nparams:2
+        ~p0:(mm_param ~length_violation:false ~ptbl_ref ~write)
+        ~p1:va ~saved_pc:start_pc
   | State.Mm_fault (Mmu.Modify_fault { va }) ->
-      deliver_exception st ~vector:Scb.modify_fault
-        ~params:[ mm_param ~length_violation:false ~ptbl_ref:false ~write:true; va ]
-        ~saved_pc:start_pc ()
+      deliver_fault st ~vector:Scb.modify_fault ~nparams:2
+        ~p0:(mm_param ~length_violation:false ~ptbl_ref:false ~write:true)
+        ~p1:va ~saved_pc:start_pc
   | State.Privileged_instruction | State.Reserved_instruction ->
-      deliver_exception st ~vector:Scb.privileged_instruction ~params:[]
-        ~saved_pc:start_pc ()
+      deliver_fault st ~vector:Scb.privileged_instruction ~nparams:0 ~p0:0
+        ~p1:0 ~saved_pc:start_pc
   | State.Reserved_operand ->
-      deliver_exception st ~vector:Scb.reserved_operand ~params:[]
-        ~saved_pc:start_pc ()
+      deliver_fault st ~vector:Scb.reserved_operand ~nparams:0 ~p0:0 ~p1:0
+        ~saved_pc:start_pc
   | State.Reserved_addressing ->
-      deliver_exception st ~vector:Scb.reserved_addressing_mode ~params:[]
-        ~saved_pc:start_pc ()
+      deliver_fault st ~vector:Scb.reserved_addressing_mode ~nparams:0 ~p0:0
+        ~p1:0 ~saved_pc:start_pc
   | State.Breakpoint_fault ->
-      deliver_exception st ~vector:Scb.breakpoint ~params:[] ~saved_pc:start_pc
-        ()
+      deliver_fault st ~vector:Scb.breakpoint ~nparams:0 ~p0:0 ~p1:0
+        ~saved_pc:start_pc
   | State.Chm_trap _ ->
       (* handled by [chm], never dispatched here *)
       assert false
   | State.Arithmetic_trap code ->
-      deliver_exception st ~vector:Scb.arithmetic ~params:[ code ]
-        ~saved_pc:next_pc ()
-  | State.Vm_emulation_fault frame ->
-      deliver_exception st ~vector:Scb.vm_emulation ~params:[]
-        ~saved_pc:start_pc ~vm_frame:frame ()
+      deliver_fault st ~vector:Scb.arithmetic ~nparams:1 ~p0:code ~p1:0
+        ~saved_pc:next_pc
+  | State.Vm_emulation_fault ->
+      deliver_exception st ~vector:Scb.vm_emulation ~nparams:0 ~p0:0 ~p1:0
+        ~saved_pc:start_pc ~interrupt:false ~new_ipl:(-1) ~force_is:false
+        ~vm_frame:true
   | State.Machine_check_fault { mc_code; mc_pa } ->
-      deliver_exception st ~vector:Scb.machine_check
-        ~params:[ mc_code; mc_pa ] ~saved_pc:start_pc ~new_ipl:31
-        ~force_is:true ();
+      deliver_exception st ~vector:Scb.machine_check ~nparams:2 ~p0:mc_code
+        ~p1:mc_pa ~saved_pc:start_pc ~interrupt:false ~new_ipl:31
+        ~force_is:true ~vm_frame:false;
       (* delivered through the bare machine's SCB (an attached agent —
          the VMM — does its own reflected/absorbed accounting) *)
       if st.State.agent = None && st.State.double_fault = None then
@@ -230,8 +262,8 @@ let take_interrupt st ~ipl ~vector =
   if vector >= Scb.software_interrupt 1 && vector <= Scb.software_interrupt 15
   then st.State.sisr <- st.State.sisr land lnot (1 lsl ((vector - 0x80) / 4))
   else State.retract_interrupt st ~vector;
-  deliver_exception st ~vector ~params:[] ~saved_pc:(State.pc st)
-    ~interrupt:true ~new_ipl:ipl ()
+  deliver_exception st ~vector ~nparams:0 ~p0:0 ~p1:0 ~saved_pc:(State.pc st)
+    ~interrupt:true ~new_ipl:ipl ~force_is:false ~vm_frame:false
 
 (* ------------------------------------------------------------------ *)
 (* REI                                                                 *)
@@ -313,21 +345,18 @@ let chm st ~target ~code ~next_pc =
       State.set_sp st st.State.sp_bank.(new_slot)
     end;
     st.State.psl <- new_psl;
-    push_kernel_frame st [ Word.sext ~width:16 code; next_pc; saved_psl ];
+    let code = Word.sext ~width:16 code in
+    let f = st.State.frame in
+    f.(0) <- code;
+    f.(1) <- next_pc;
+    f.(2) <- saved_psl;
+    push_frame st 3;
     if Trace.enabled st.State.trace then
       Trace.emit st.State.trace Trace.Chm ~b:next_pc (Mode.to_int target);
     match st.State.agent with
     | Some agent ->
-        agent
-          {
-            State.ev_vector = vector;
-            ev_params = [ Word.sext ~width:16 code ];
-            ev_pc = next_pc;
-            ev_psl = saved_psl;
-            ev_interrupt = false;
-            ev_from_vm = false;
-            ev_vm_frame = None;
-          }
+        call_agent st agent ~vector ~nparams:1 ~p0:code ~p1:0 ~saved_pc:next_pc
+          ~saved_psl ~interrupt:false ~from_vm:false ~words:3
     | None -> State.set_pc st (Word.logand entry (Word.lognot 3))
   with
   | (State.Fault _ | Phys_mem.Nonexistent_memory _
@@ -511,16 +540,16 @@ let mfpr st ~regnum =
 (* VM-emulation trap construction                                      *)
 
 (* Side effects are NOT undone here: the step loop backs them out for all
-   fault-style exceptions uniformly, and the frame's side-effect fields
-   let the VMM re-apply them when it emulates rather than retries. *)
+   fault-style exceptions uniformly, and the exit record's side-effect
+   fields let the VMM re-apply them when it emulates rather than
+   retries. *)
+let vm_emulation_exn = State.Fault State.Vm_emulation_fault
+
 let vm_emulation_trap st (d : Decode.decoded) ~start_pc =
   ignore start_pc;
-  let frame =
-    {
-      State.vf_opcode = d.Decode.opcode;
-      vf_length = d.Decode.length;
-      vf_vm_psl = State.merged_vm_psl st;
-      vf_operands = Decode.capture_vm_operands d;
-    }
-  in
-  raise (State.Fault (State.Vm_emulation_fault frame))
+  let x = st.State.exit in
+  x.State.x_opcode <- d.Decode.opcode;
+  x.State.x_length <- d.Decode.length;
+  x.State.x_vm_psl <- State.merged_vm_psl st;
+  Decode.capture_vm_operands x d;
+  raise vm_emulation_exn

@@ -10,25 +10,18 @@
 
 open Vax_arch
 
-val deliver_exception :
-  State.t ->
-  vector:Scb.vector ->
-  params:Word.t list ->
-  saved_pc:Word.t ->
-  ?interrupt:bool ->
-  ?new_ipl:int ->
-  ?force_is:bool ->
-  ?vm_frame:State.vm_frame ->
-  unit ->
-  unit
-(** Initiate an exception or interrupt: push PSL, PC and [params] on the
-    service stack, switch mode (and stack), clear PSL<VM> (charging the VM
-    exit cost when it was set), then dispatch to the agent or through the
-    SCB.  [params] are listed top-of-stack first. *)
-
 val dispatch_fault : State.t -> start_pc:Word.t -> next_pc:Word.t -> State.fault -> unit
 (** Map a {!State.fault} to its vector, parameters and PC-backup
-    convention and deliver it. *)
+    convention and deliver it: push PSL, PC and the parameters on the
+    service stack, switch mode (and stack), clear PSL<VM> (charging the
+    VM exit cost when it was set), then hand the machine's
+    {!State.exit_record} to the agent or vector through the SCB.
+
+    The frame is assembled in [State.frame] and pushed with one
+    translation when it lies on one page that the TLB maps for a write,
+    in RAM, with no fault plan armed ([State.frame_pushes_fast] counts
+    these); otherwise word by word.  Both paths charge, count and store
+    the same. *)
 
 val take_interrupt : State.t -> ipl:int -> vector:Scb.vector -> unit
 (** Deliver a pending interrupt (device or software). *)
@@ -62,5 +55,7 @@ val mtpr : State.t -> value:Word.t -> regnum:Word.t -> unit
 val mfpr : State.t -> regnum:Word.t -> Word.t
 
 val vm_emulation_trap : State.t -> Decode.decoded -> start_pc:Word.t -> 'a
-(** Undo the instruction's side effects, build the VM-emulation frame and
-    raise it as a fault (never returns). *)
+(** Record the instruction and its decoded operands in the machine's
+    {!State.exit_record} and raise {!State.Vm_emulation_fault} (never
+    returns); the step loop backs out the operand side effects and
+    dispatches the fault. *)

@@ -1,19 +1,6 @@
 open Vax_arch
 open Vax_mem
 
-type vm_operand = {
-  tag : int;
-  value : Word.t;
-  side_effect : (int * int) option;
-}
-
-type vm_frame = {
-  vf_opcode : Opcode.t;
-  vf_length : int;
-  vf_vm_psl : Word.t;
-  vf_operands : vm_operand list;
-}
-
 type fault =
   | Mm_fault of Mmu.fault
   | Privileged_instruction
@@ -23,7 +10,7 @@ type fault =
   | Breakpoint_fault
   | Chm_trap of { target : Mode.t; code : Word.t }
   | Arithmetic_trap of int
-  | Vm_emulation_fault of vm_frame
+  | Vm_emulation_fault
   | Machine_check_fault of { mc_code : int; mc_pa : Word.t }
 
 (* machine-check codes, the first parameter of the SCB 0x04 frame *)
@@ -57,21 +44,50 @@ let pp_fault ppf = function
         (Char.uppercase_ascii (Mode.name target).[0])
         Word.pp code
   | Arithmetic_trap c -> Format.fprintf ppf "arithmetic trap %d" c
-  | Vm_emulation_fault f ->
-      Format.fprintf ppf "VM-emulation trap (%s)" (Opcode.name f.vf_opcode)
+  | Vm_emulation_fault -> Format.pp_print_string ppf "VM-emulation trap"
   | Machine_check_fault { mc_code; mc_pa } ->
       Format.fprintf ppf "machine check (%s) pa=%a" (mc_name mc_code) Word.pp
         mc_pa
 
-type event = {
-  ev_vector : Scb.vector;
-  ev_params : Word.t list;
-  ev_pc : Word.t;
-  ev_psl : Word.t;
-  ev_interrupt : bool;
-  ev_from_vm : bool;
-  ev_vm_frame : vm_frame option;
+let max_vm_operands = 6
+let max_frame_words = 4 + (3 * max_vm_operands) + 2 + 2
+
+type exit_record = {
+  mutable x_vector : Scb.vector;
+  mutable x_pc : Word.t;
+  mutable x_psl : Word.t;
+  mutable x_interrupt : bool;
+  mutable x_from_vm : bool;
+  mutable x_nparams : int;
+  x_params : Word.t array;
+  mutable x_frame_words : int;
+  mutable x_opcode : Opcode.t;
+  mutable x_length : int;
+  mutable x_vm_psl : Word.t;
+  mutable x_noperands : int;
+  x_op_tag : int array;
+  x_op_value : Word.t array;
+  x_op_side_effect : int array;
 }
+
+let create_exit_record () =
+  {
+    x_vector = 0;
+    x_pc = 0;
+    x_psl = 0;
+    x_interrupt = false;
+    x_from_vm = false;
+    x_nparams = 0;
+    x_params = Array.make 2 0;
+    x_frame_words = 0;
+    x_opcode = Opcode.Halt;
+    x_length = 0;
+    x_vm_psl = 0;
+    x_noperands = 0;
+    x_op_tag = Array.make max_vm_operands 0;
+    x_op_value = Array.make max_vm_operands 0;
+    x_op_side_effect = Array.make max_vm_operands (-1);
+  }
 
 type t = {
   variant : Variant.t;
@@ -91,7 +107,9 @@ type t = {
   mutable sisr : int;
   mutable sid : Word.t;
   mutable pending_interrupts : (int * Scb.vector) list;
-  mutable agent : (event -> unit) option;
+  exit : exit_record;
+  frame : Word.t array;
+  mutable agent : (exit_record -> unit) option;
   mutable ipr_read_hook : Ipr.t -> Word.t option;
   mutable ipr_write_hook : Ipr.t -> Word.t -> bool;
   mutable trap_observer : (trap_kind -> Word.t -> unit) option;
@@ -103,7 +121,9 @@ type t = {
   mutable instructions : int;
   mutable vm_instructions : int;
   mutable interrupts_taken : int;
-  exceptions_by_vector : (Scb.vector, int) Hashtbl.t;
+  mutable frame_pushes_fast : int;
+  exceptions_by_vector : int array;
+  exceptions_elsewhere : (Scb.vector, int) Hashtbl.t;
   mutable trace : Vax_obs.Trace.t;
       (* Trace.null unless the owning machine wires a live trace in;
          emit sites guard with [Trace.enabled]. *)
@@ -140,6 +160,8 @@ let create ?(variant = Variant.Standard) ?sid ~mmu ~clock () =
     sisr = 0;
     sid;
     pending_interrupts = [];
+    exit = create_exit_record ();
+    frame = Array.make max_frame_words 0;
     agent = None;
     ipr_read_hook = (fun _ -> None);
     ipr_write_hook = (fun _ _ -> false);
@@ -152,7 +174,9 @@ let create ?(variant = Variant.Standard) ?sid ~mmu ~clock () =
     instructions = 0;
     vm_instructions = 0;
     interrupts_taken = 0;
-    exceptions_by_vector = Hashtbl.create 32;
+    frame_pushes_fast = 0;
+    exceptions_by_vector = Array.make (Scb.size_bytes / 4) 0;
+    exceptions_elsewhere = Hashtbl.create 4;
     trace = Vax_obs.Trace.null;
   }
 
@@ -370,6 +394,32 @@ let double_fault_halt t reason =
   t.halted <- true;
   Vax_fault.Engine.note_double_fault t.inject
 
+(* Vectors inside the architected SCB page count in an array slot; any
+   other number (a fault plan may post an arbitrary spurious vector)
+   falls back to a table. *)
+let in_scb vector = vector >= 0 && vector < Scb.size_bytes && vector land 3 = 0
+
 let count_exception t vector =
-  let n = Option.value ~default:0 (Hashtbl.find_opt t.exceptions_by_vector vector) in
-  Hashtbl.replace t.exceptions_by_vector vector (n + 1)
+  if in_scb vector then begin
+    let i = vector lsr 2 in
+    t.exceptions_by_vector.(i) <- t.exceptions_by_vector.(i) + 1
+  end
+  else
+    let n =
+      Option.value ~default:0 (Hashtbl.find_opt t.exceptions_elsewhere vector)
+    in
+    Hashtbl.replace t.exceptions_elsewhere vector (n + 1)
+
+let exception_count t vector =
+  if in_scb vector then t.exceptions_by_vector.(vector lsr 2)
+  else Option.value ~default:0 (Hashtbl.find_opt t.exceptions_elsewhere vector)
+
+let exception_counts t =
+  let acc =
+    ref (Hashtbl.fold (fun v n acc -> (v, n) :: acc) t.exceptions_elsewhere [])
+  in
+  for i = Array.length t.exceptions_by_vector - 1 downto 0 do
+    let n = t.exceptions_by_vector.(i) in
+    if n > 0 then acc := (i lsl 2, n) :: !acc
+  done;
+  !acc

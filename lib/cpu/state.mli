@@ -10,26 +10,6 @@
 open Vax_arch
 open Vax_mem
 
-(** One operand captured by the modified microcode for the VM-emulation
-    trap frame (paper §4.2: the VMM receives the instruction "and its
-    decoded operands"). *)
-type vm_operand = {
-  tag : int;  (** 0 = value, 1 = memory address, 2 = register number,
-                  3 = branch target *)
-  value : Word.t;
-  side_effect : (int * int) option;
-      (** register autoincrement/-decrement the instruction would apply,
-          as [(register, signed delta)]; the VMM re-applies it when it
-          emulates the instruction rather than retrying it *)
-}
-
-type vm_frame = {
-  vf_opcode : Opcode.t;
-  vf_length : int;  (** total instruction length in bytes *)
-  vf_vm_psl : Word.t;  (** the VM's merged PSL at the time of the trap *)
-  vf_operands : vm_operand list;
-}
-
 type fault =
   | Mm_fault of Mmu.fault
   | Privileged_instruction
@@ -39,7 +19,9 @@ type fault =
   | Breakpoint_fault
   | Chm_trap of { target : Mode.t; code : Word.t }
   | Arithmetic_trap of int  (** 1 = integer overflow, 2 = divide by zero *)
-  | Vm_emulation_fault of vm_frame
+  | Vm_emulation_fault
+      (** the instruction and its decoded operands are in the machine's
+          {!exit_record}, filled by [Microcode.vm_emulation_trap] *)
   | Machine_check_fault of { mc_code : int; mc_pa : Word.t }
       (** delivered through SCB vector 0x04 with the code and the
           faulting physical address as frame parameters *)
@@ -63,19 +45,54 @@ type trap_kind = Trap_vm_emulation | Trap_privileged | Trap_modify
 
 val trap_kind_name : trap_kind -> string
 
-(** What the microcode hands to the host kernel agent (the VMM) after
-    initiating an exception or interrupt: the frame is already on the
-    service stack; this is a decoded summary so the agent does not need to
-    re-parse it (it may still read the stack, which is where the data
-    architecturally lives). *)
-type event = {
-  ev_vector : Scb.vector;
-  ev_params : Word.t list;  (** parameters, first = top of stack *)
-  ev_pc : Word.t;  (** saved PC in the frame *)
-  ev_psl : Word.t;  (** saved PSL in the frame *)
-  ev_interrupt : bool;
-  ev_from_vm : bool;  (** PSL<VM> was set when the event occurred *)
-  ev_vm_frame : vm_frame option;  (** for VM-emulation traps *)
+val max_vm_operands : int
+(** 6: the most operands any instruction carries into a VM-emulation
+    frame. *)
+
+val max_frame_words : int
+(** Longwords in the largest exception frame: the four VM-emulation
+    header words, three per operand, two fault parameters, PC and PSL. *)
+
+(** The exit record: what the microcode hands to the host kernel agent
+    (the VMM) after initiating an exception or interrupt.  The frame is
+    already on the service stack; this is a decoded summary so the agent
+    does not need to re-parse it (the data still architecturally lives on
+    the stack).
+
+    There is one record per machine, overwritten by every exception, so
+    an exit allocates nothing.  The agent must read it before the next
+    exception is initiated; the VMM is host code and initiates none while
+    it services one.
+
+    The VM-emulation fields (paper §4.2: the VMM receives the instruction
+    "and its decoded operands") are written by
+    [Microcode.vm_emulation_trap] when it raises {!Vm_emulation_fault},
+    and are meaningful while [x_vector] is [Scb.vm_emulation].  Operand
+    [i < x_noperands] is [x_op_tag.(i)] (0 = value, 1 = memory address,
+    2 = register number, 3 = branch target), [x_op_value.(i)], and
+    [x_op_side_effect.(i)]: the register autoincrement/-decrement the
+    instruction would apply, encoded [(register lsl 8) lor (delta land
+    0xFF)], or [-1] for none.  The trap microcode backs the side effect
+    out; the VMM re-applies it when it emulates the instruction rather
+    than retrying it. *)
+type exit_record = {
+  mutable x_vector : Scb.vector;
+  mutable x_pc : Word.t;  (** saved PC in the frame *)
+  mutable x_psl : Word.t;  (** saved PSL in the frame *)
+  mutable x_interrupt : bool;
+  mutable x_from_vm : bool;  (** PSL<VM> was set when the event occurred *)
+  mutable x_nparams : int;  (** fault parameters, 0–2 *)
+  x_params : Word.t array;
+      (** the fault parameters, [x_params.(0)] nearest the top of stack *)
+  mutable x_frame_words : int;
+      (** longwords pushed, PC and PSL included: what the agent pops *)
+  mutable x_opcode : Opcode.t;
+  mutable x_length : int;  (** total instruction length in bytes *)
+  mutable x_vm_psl : Word.t;  (** the VM's merged PSL at the trap *)
+  mutable x_noperands : int;
+  x_op_tag : int array;
+  x_op_value : Word.t array;
+  x_op_side_effect : int array;
 }
 
 type t = {
@@ -105,7 +122,11 @@ type t = {
   mutable sisr : int;
   mutable sid : Word.t;
   mutable pending_interrupts : (int * Scb.vector) list;
-  mutable agent : (event -> unit) option;
+  exit : exit_record;  (** reused by every exception; see {!exit_record} *)
+  frame : Word.t array;
+      (** scratch of {!max_frame_words} longwords in which exception
+          delivery assembles a frame before pushing it *)
+  mutable agent : (exit_record -> unit) option;
   mutable ipr_read_hook : Ipr.t -> Word.t option;
   mutable ipr_write_hook : Ipr.t -> Word.t -> bool;
   mutable trap_observer : (trap_kind -> Word.t -> unit) option;
@@ -129,7 +150,16 @@ type t = {
   mutable instructions : int;
   mutable vm_instructions : int;
   mutable interrupts_taken : int;
-  exceptions_by_vector : (Scb.vector, int) Hashtbl.t;
+  mutable frame_pushes_fast : int;
+      (** exception frames pushed with a single translation (see
+          [Microcode.dispatch_fault]); not a metric, the simulated
+          machine cannot tell the two push paths apart *)
+  exceptions_by_vector : int array;
+      (** exceptions taken, indexed by SCB vector / 4; read through
+          {!exception_count} and {!exception_counts} *)
+  exceptions_elsewhere : (Scb.vector, int) Hashtbl.t;
+      (** counts for vectors outside the SCB page (a fault plan may post
+          any spurious vector) *)
   mutable trace : Vax_obs.Trace.t;
       (** machine-wide event trace; {!Vax_obs.Trace.null} (disabled)
           unless the owning machine wires a live one in.  The CPU emits
@@ -219,3 +249,9 @@ val double_fault_halt : t -> string -> unit
     the injection engine for containment accounting. *)
 
 val count_exception : t -> Scb.vector -> unit
+
+val exception_count : t -> Scb.vector -> int
+(** Exceptions and interrupts initiated through [vector] so far. *)
+
+val exception_counts : t -> (Scb.vector * int) list
+(** Every vector taken at least once, with its count. *)

@@ -77,15 +77,13 @@ let create ?(variant = Variant.Standard) ?(memory_pages = 2048)
   Vax_obs.Metrics.register metrics "cpu.interrupts_taken" (fun () ->
       cpu.State.interrupts_taken);
   Vax_obs.Metrics.register_group metrics "cpu.exceptions" (fun () ->
-      Hashtbl.fold
-        (fun vector n acc ->
-          let key =
-            String.map
+      List.map
+        (fun (vector, n) ->
+          ( String.map
               (fun c -> if c = ' ' then '-' else Char.lowercase_ascii c)
-              (Scb.name vector)
-          in
-          (key, n) :: acc)
-        cpu.State.exceptions_by_vector []);
+              (Scb.name vector),
+            n ))
+        (State.exception_counts cpu));
   Vax_obs.Metrics.register metrics "timer.ticks" (fun () -> Timer.ticks timer);
   Vax_obs.Metrics.register metrics "disk.ios" (fun () -> Disk.io_count disk);
   Vax_obs.Metrics.register metrics "console.chars_written" (fun () ->

@@ -130,6 +130,17 @@ val v_write_byte_fast : t -> mode:Mode.t -> Word.t -> int -> bool
 val v_write_word_fast : t -> mode:Mode.t -> Word.t -> int -> bool
 val v_write_long_fast : t -> mode:Mode.t -> Word.t -> Word.t -> bool
 
+val v_write_longs_fast :
+  t -> mode:Mode.t -> Word.t -> Word.t array -> int -> bool
+(** [v_write_longs_fast t ~mode va words n] stores [words.(i)] at
+    [va + 4i] for [i < n] with one translation, when the [4n] bytes lie
+    on one page whose translation {!try_translate} would resolve for a
+    write (mapping off, or a TLB hit with write access and PTE<M> set)
+    and whose frame is RAM.  It charges, counts and stores exactly what
+    [n] {!v_write_long_fast} calls from the highest address down would:
+    [n] TLB hits when mapping is on, [n] memory accesses, and the stores
+    in that order.  Returns [false], having done nothing, otherwise. *)
+
 (** {1 Translation buffer control} *)
 
 val tbia : t -> unit

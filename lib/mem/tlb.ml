@@ -94,6 +94,7 @@ let find t va =
   if e == null_entry then raise Not_found else e
 
 let count_hit t = t.hits <- t.hits + 1
+let count_hits t n = t.hits <- t.hits + n
 let count_miss t = t.misses <- t.misses + 1
 
 let lookup t va =

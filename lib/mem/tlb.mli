@@ -48,6 +48,9 @@ val find : t -> Word.t -> entry
 val count_hit : t -> unit
 val count_miss : t -> unit
 
+val count_hits : t -> int -> unit
+(** [count_hits t n] counts [n] hits at once. *)
+
 val lookup : t -> Word.t -> entry option
 (** Counted lookup: [find] plus a hit or miss count (the cold-path
     convenience used by PROBE). *)

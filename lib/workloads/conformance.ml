@@ -87,7 +87,7 @@ let scenario_prots () =
       | 22 -> (false, Protection.UW, false)
       | _ -> (true, Protection.KW, true))
 
-let faults_taken cpu = Hashtbl.length cpu.Cpu.state.State.exceptions_by_vector
+let faults_taken cpu = List.length (State.exception_counts cpu.Cpu.state)
 
 (* ------------------------------------------------------------------ *)
 (* Table 1                                                             *)
@@ -174,8 +174,7 @@ let table2 ppf =
       ~steps:1
   in
   let probevm_priv =
-    Hashtbl.mem cpu.Cpu.state.State.exceptions_by_vector
-      Scb.privileged_instruction
+    State.exception_count cpu.Cpu.state Scb.privileged_instruction > 0
   in
   check "PROBEVM is privileged" probevm_priv;
   (* bytes tested: structure spanning an inaccessible second page *)
@@ -279,8 +278,7 @@ let vm_probe ?config ?(memory_pages = 128) ?(steps = 50_000) code =
   ignore (Vmm.run vmm ~max_cycles:(steps * 40) ());
   (vmm, vm)
 
-let opcount (vm : Vm.t) op =
-  Option.value ~default:0 (Hashtbl.find_opt vm.Vm.stats.Vm.by_opcode op)
+let opcount (vm : Vm.t) op = Vm.opcode_count vm.Vm.stats op
 
 (* ------------------------------------------------------------------ *)
 (* Table 3                                                             *)
@@ -354,8 +352,7 @@ let table4 ppf =
   State.set_sp cpu.Cpu.state 0x1000;
   ignore (Cpu.step cpu);
   check "WAIT traps on bare modified VAX"
-    (Hashtbl.mem cpu.Cpu.state.State.exceptions_by_vector
-       Scb.privileged_instruction);
+    (State.exception_count cpu.Cpu.state Scb.privileged_instruction > 0);
   (* WAIT on the standard VAX: reserved instruction *)
   let cpu = Cpu.create ~variant:Variant.Standard () in
   ignore (install_oracle ~mode:Vax_analysis.Classify.Bare cpu.Cpu.state img);
@@ -364,8 +361,7 @@ let table4 ppf =
   State.set_sp cpu.Cpu.state 0x1000;
   ignore (Cpu.step cpu);
   check "WAIT reserved on standard VAX"
-    (Hashtbl.mem cpu.Cpu.state.State.exceptions_by_vector
-       Scb.privileged_instruction);
+    (State.exception_count cpu.Cpu.state Scb.privileged_instruction > 0);
   (* MEMSIZE: exists on the virtual VAX, reserved on real ones *)
   let _, vm3 =
     vm_probe ~memory_pages:96 (fun a ->

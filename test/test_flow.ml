@@ -334,7 +334,7 @@ let test_cross_image_resolution () =
       Alcotest.(check bool)
         (Printf.sprintf "refined prediction survives at %#x" pc)
         true
-        (Hashtbl.find_opt o.Oracle.predicted pc <> None))
+        (Oracle.Pc_table.mem o.Oracle.predicted pc))
     [ 0x1000; 0x2000 ]
 
 (* The vaxlint report derives its flow sections from the same

@@ -371,6 +371,204 @@ let test_probe_invalid_pte_emulated () =
   check_bool "UW page reported accessible despite invalid PTE" true
     (not (Psl.z vm.Vm.saved_regs.(6)))
 
+(* ------------------------------------------------------------------ *)
+(* One-translation exception-frame push                                *)
+
+(* S pages 20 and 21 hold the kernel stack; every S page below the page
+   table (frame 64) is identity-mapped, kernel-writable, PTE<M> set. *)
+let s_va vpn = 0x8000_0000 + (vpn * Addr.page_size)
+
+let mapped_machine ?inject variant =
+  let m = Machine.create ~variant ~memory_pages:128 ?inject () in
+  let phys = m.Machine.phys and mmu = m.Machine.mmu in
+  let sbr = 64 * Addr.page_size in
+  for vpn = 0 to 63 do
+    Vax_mem.Phys_mem.write_long phys (sbr + (4 * vpn))
+      (Pte.make ~valid:true ~modify:true ~prot:Protection.KW ~pfn:vpn ())
+  done;
+  Vax_mem.Mmu.set_sbr mmu sbr;
+  Vax_mem.Mmu.set_slr mmu 64;
+  Vax_mem.Mmu.set_mapen mmu true;
+  (* both stack pages TLB-resident before the trap *)
+  List.iter
+    (fun vpn ->
+      match
+        Vax_mem.Mmu.translate mmu ~mode:Mode.Kernel ~write:true (s_va vpn)
+      with
+      | Ok _ -> ()
+      | Error _ -> Alcotest.fail "stack page not mapped")
+    [ 20; 21 ];
+  m
+
+type pushed = {
+  words : int list;  (** the frame, top of stack first *)
+  sp_drop : int;
+  cycles : int;
+  tlb_hits : int;
+  fast : int;  (** one-translation pushes taken *)
+}
+
+(* Take [trap] from user mode (a VM's, on the modified VAX) with the
+   kernel stack pointer at [ksp] and report what the push did. *)
+let take_trap ?inject ~variant ~ksp trap =
+  let m = mapped_machine ?inject variant in
+  let st = m.Machine.cpu and mmu = m.Machine.mmu in
+  let user =
+    Psl.with_ipl (Psl.with_prv (Psl.with_cur 0 Mode.User) Mode.User) 0
+  in
+  if variant = Variant.Virtualizing then begin
+    st.State.psl <- Psl.with_vm user true;
+    st.State.vmpsl <- Psl.with_cur 0 Mode.Kernel;
+    st.State.agent <- Some (fun _ -> ())
+  end
+  else st.State.psl <- user;
+  State.set_sp st (s_va 30);
+  st.State.sp_bank.(0) <- ksp;
+  let c0 = Cycles.now m.Machine.clock in
+  let h0 = Vax_mem.Tlb.hits (Vax_mem.Mmu.tlb mmu) in
+  let f0 = st.State.frame_pushes_fast in
+  trap st;
+  let sp = State.sp st in
+  let n = (ksp - sp) / 4 in
+  {
+    words =
+      List.init n (fun i ->
+          Vax_mem.Phys_mem.read_long m.Machine.phys (sp - s_va 0 + (4 * i)));
+    sp_drop = ksp - sp;
+    cycles = Cycles.now m.Machine.clock - c0;
+    tlb_hits = Vax_mem.Tlb.hits (Vax_mem.Mmu.tlb mmu) - h0;
+    fast = st.State.frame_pushes_fast - f0;
+  }
+
+let operand ?side_effect access width loc value =
+  { Decode.loc; value; width; access; side_effect; branch_target = None }
+
+let emulation_trap opcode operands st =
+  let length = 1 + (2 * List.length operands) in
+  let d =
+    {
+      Decode.opcode;
+      operands;
+      length;
+      next_pc = 0x1000 + length;
+      tmpl =
+        { Decode_cache.t_opcode = opcode; t_specs = []; t_len = length };
+    }
+  in
+  try Microcode.vm_emulation_trap st d ~start_pc:0x1000
+  with State.Fault f ->
+    Microcode.dispatch_fault st ~start_pc:0x1000 ~next_pc:d.Decode.next_pc f
+
+let fault f st = Microcode.dispatch_fault st ~start_pc:0x1000 ~next_pc:0x1004 f
+
+let frame_push_cases =
+  [
+    ("REI", Variant.Virtualizing, emulation_trap Opcode.Rei []);
+    ( "CHMK",
+      Variant.Virtualizing,
+      emulation_trap Opcode.Chmk
+        [ operand Opcode.Read Opcode.Word (Decode.Imm 7) 7 ] );
+    ( "MTPR",
+      Variant.Virtualizing,
+      emulation_trap Opcode.Mtpr
+        [
+          operand Opcode.Read Opcode.Long (Decode.Imm 0x1F) 0x1F;
+          operand Opcode.Read Opcode.Long (Decode.Imm 18) 18;
+        ] );
+    ( "PROBER",
+      Variant.Virtualizing,
+      emulation_trap Opcode.Prober
+        [
+          operand Opcode.Read Opcode.Byte (Decode.Imm 3) 3;
+          operand Opcode.Read Opcode.Word (Decode.Imm 4) 4;
+          operand ~side_effect:(2, -1) Opcode.Address Opcode.Byte
+            (Decode.Mem 0x200) Decode.no_value;
+        ] );
+    ( "TNV",
+      Variant.Virtualizing,
+      fault
+        (State.Mm_fault
+           (Vax_mem.Mmu.Translation_not_valid
+              { va = 0x1234; ptbl_ref = false; write = true })) );
+    ("arithmetic (bare)", Variant.Standard, fault (State.Arithmetic_trap 1));
+  ]
+
+let test_frame_push_equivalence () =
+  List.iter
+    (fun (name, variant, trap) ->
+      (* mid-page: the one-translation push *)
+      let fast = take_trap ~variant ~ksp:(s_va 20 + 0x100) trap in
+      (* the frame straddles pages 20/21, both TLB-resident: per word *)
+      let split = take_trap ~variant ~ksp:(s_va 21 + 8) trap in
+      check_int (name ^ ": one-translation push taken") 1 fast.fast;
+      check_int (name ^ ": straddling frame pushed per word") 0 split.fast;
+      Alcotest.(check (list int))
+        (name ^ ": frame words") fast.words split.words;
+      check_int (name ^ ": SP") fast.sp_drop split.sp_drop;
+      check_int (name ^ ": cycles") fast.cycles split.cycles;
+      check_int (name ^ ": TLB hits") fast.tlb_hits split.tlb_hits;
+      (* an armed fault plan (one that never fires) keeps the per-word
+         path even mid-page *)
+      let plan =
+        {
+          Vax_fault.Fault_plan.name = "idle";
+          entries =
+            [
+              {
+                Vax_fault.Fault_plan.label = "never";
+                trigger = Vax_fault.Fault_plan.At_cycle max_int;
+                action = Vax_fault.Fault_plan.Stuck_timer;
+              };
+            ];
+        }
+      in
+      let armed =
+        take_trap ~inject:(Vax_fault.Engine.create plan) ~variant
+          ~ksp:(s_va 20 + 0x100) trap
+      in
+      check_int (name ^ ": armed plan pushes per word") 0 armed.fast;
+      Alcotest.(check (list int)) (name ^ ": armed frame words") fast.words
+        armed.words;
+      check_int (name ^ ": armed cycles") fast.cycles armed.cycles;
+      check_int (name ^ ": armed TLB hits") fast.tlb_hits armed.tlb_hits)
+    frame_push_cases
+
+(* ------------------------------------------------------------------ *)
+(* The live register file across VM switches                           *)
+
+(* With a 2000-cycle slice the two guests switch mid-loop many times;
+   each must still end exactly as it does alone.  A write-back of the
+   live R0–R13 missed on the switch or idle path shows up here as a
+   wrong register or console; one missed when [Vmm.run] returns, as
+   registers that differ from the CPU's at a cycle-budget cut. *)
+let test_registers_survive_switches () =
+  let open Vax_workloads in
+  let config = { Vmm.default_config with time_slice_cycles = 2_000 } in
+  let compute = Catalog.build "compute" and calls = Catalog.build "calls" in
+  let a, b = Runner.run_two_vms ~config compute calls in
+  let solo_a = Runner.run_vm ~config compute in
+  let solo_b = Runner.run_vm ~config calls in
+  let regs (m : Runner.measurement) =
+    match m.Runner.vm with
+    | Some vm -> Array.to_list vm.Vm.saved_regs
+    | None -> Alcotest.fail "no VM in measurement"
+  in
+  let switches (m : Runner.measurement) =
+    match m.Runner.vm with
+    | Some vm -> vm.Vm.stats.Vm.context_switches
+    | None -> 0
+  in
+  check_bool "the pair really switched" true (switches a + switches b > 10);
+  check_str "compute console" solo_a.Runner.console a.Runner.console;
+  check_str "calls console" solo_b.Runner.console b.Runner.console;
+  Alcotest.(check (list int)) "compute registers" (regs solo_a) (regs a);
+  Alcotest.(check (list int)) "calls registers" (regs solo_b) (regs b);
+  let cut = Runner.run_vm ~config ~max_cycles:50_000 compute in
+  let cpu = cut.Runner.machine.Machine.cpu in
+  Alcotest.(check (list int)) "registers at a budget cut"
+    (List.init 14 (State.reg cpu))
+    (List.filteri (fun r _ -> r < 14) (regs cut))
+
 let () =
   Alcotest.run "vax_vmm"
     [
@@ -407,5 +605,12 @@ let () =
           Alcotest.test_case "TBIS discipline" `Quick test_tbis_discipline;
           Alcotest.test_case "PROBE with invalid VM PTE emulated" `Quick
             test_probe_invalid_pte_emulated;
+        ] );
+      ( "exit path",
+        [
+          Alcotest.test_case "one-translation frame push equivalence" `Quick
+            test_frame_push_equivalence;
+          Alcotest.test_case "registers survive VM switches" `Quick
+            test_registers_survive_switches;
         ] );
     ]

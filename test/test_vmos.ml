@@ -146,10 +146,7 @@ let test_sleep_and_wait () =
   match m.Runner.vm with
   | Some g ->
       check_bool "WAIT used while idle" true
-        (Option.value ~default:0
-           (Hashtbl.find_opt g.Vax_vmm.Vm.stats.Vax_vmm.Vm.by_opcode
-              Vax_arch.Opcode.Wait)
-        > 0)
+        (Vax_vmm.Vm.opcode_count g.Vax_vmm.Vm.stats Vax_arch.Opcode.Wait > 0)
   | None -> Alcotest.fail "no vm"
 
 let test_bad_buffer_rejected () =
@@ -241,10 +238,7 @@ let test_uptime_source_differs () =
   match vm.Runner.vm with
   | Some g ->
       check_bool "MFPR emulated" true
-        (Option.value ~default:0
-           (Hashtbl.find_opt g.Vax_vmm.Vm.stats.Vax_vmm.Vm.by_opcode
-              Vax_arch.Opcode.Mfpr)
-        > 0)
+        (Vax_vmm.Vm.opcode_count g.Vax_vmm.Vm.stats Vax_arch.Opcode.Mfpr > 0)
   | None -> Alcotest.fail "no vm"
 
 let () =

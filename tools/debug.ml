@@ -144,7 +144,7 @@ let run_edit () =
   Machine.start m ~pc:b.Minivms.entry ~sp:0xC00;
   let st = m.Machine.cpu in
   let resop () =
-    Hashtbl.mem st.State.exceptions_by_vector Scb.reserved_operand
+    State.exception_count st Scb.reserved_operand > 0
   in
   let last_pcs = Array.make 16 0 in
   let i = ref 0 in
@@ -172,9 +172,9 @@ let run_edit2 () =
   Format.printf "cycles=%d has1=%b outcome=%a@." m.Runner.total_cycles
     (String.contains m.Runner.console '1')
     Machine.pp_outcome m.Runner.outcome;
-  Hashtbl.iter
-    (fun v n -> Format.printf "vector %s: %d@." (Scb.name v) n)
-    m.Runner.machine.Machine.cpu.State.exceptions_by_vector
+  List.iter
+    (fun (v, n) -> Format.printf "vector %s: %d@." (Scb.name v) n)
+    (State.exception_counts m.Runner.machine.Machine.cpu)
 
 (* per-MTPR-to-IPL cost, bare versus VM versus VM+assist *)
 let run_ipl () =
