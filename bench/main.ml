@@ -68,26 +68,14 @@ module Json = Vax_obs.Json
 let schema_version = "vax-bench/1"
 
 let required_benches =
-  [ "bare-run"; "vm-run"; "bare-run-eager"; "vm-run-eager"; "compute-run";
-    "compute-run-eager"; "calls-run"; "translate"; "decode"; "shadow-fill";
-    "fleet-throughput" ]
+  [ "bare-run"; "vm-run"; "compute-run"; "calls-run"; "translate"; "decode";
+    "shadow-fill"; "fleet-throughput" ]
 
 (* Benchmarks excluded from the --max-regress gate (still reported and
-   written to the JSON like everything else):
-   - fleet-*: wall-clock depends on the runner's core count, so a delta
-     says nothing about hot-path latency;
-   - *-eager: the liveness contrast twins exist to document the
-     facts-on/facts-off delta, not to catch regressions — a real
-     hot-path regression shows in their non-eager counterparts, and
-     gating both doubles the exposure to shared-runner noise. *)
-let has_prefix p name =
-  String.length name >= String.length p && String.sub name 0 (String.length p) = p
-
-let has_suffix s name =
-  let ln = String.length name and ls = String.length s in
-  ln >= ls && String.sub name (ln - ls) ls = s
-
-let gated_bench name = not (has_prefix "fleet" name || has_suffix "-eager" name)
+   written to the JSON like everything else): fleet-*, whose wall-clock
+   depends on the runner's core count, so a delta says nothing about
+   hot-path latency. *)
+let gated_bench name = not (String.starts_with ~prefix:"fleet" name)
 
 (* A system-space identity mapping (UW protection) over [pages] pages,
    with the page table itself placed beyond them. *)
@@ -203,17 +191,7 @@ let make_benches () =
   [
     ("bare-run", fun () -> ignore (Runner.run_bare built));
     ("vm-run", fun () -> ignore (Runner.run_vm built));
-    (* eager contrast pairs: the same runs with the liveness facts
-       withheld, so the JSON records the deferred-CC/const-fold win
-       directly instead of relying on a cross-baseline comparison.  The
-       syscall-storm pair is setup-dominated (~2.3k instructions/run);
-       the compute pair (~34k instructions/run) is where the per-slot
-       hot-path saving shows. *)
-    ("bare-run-eager", fun () -> ignore (Runner.run_bare ~liveness:false built));
-    ("vm-run-eager", fun () -> ignore (Runner.run_vm ~liveness:false built));
     ("compute-run", fun () -> ignore (Runner.run_bare built_compute));
-    ( "compute-run-eager",
-      fun () -> ignore (Runner.run_bare ~liveness:false built_compute) );
     ("calls-run", fun () -> ignore (Runner.run_bare built_calls));
     ("translate", bench_translate);
     ("decode", make_decode_bench ());

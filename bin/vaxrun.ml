@@ -78,7 +78,7 @@ let load_plan path =
       exit 2
 
 let run workload fleet jobs fleet_json campaign campaign_json inject_plan vm
-    mmio assist slots no_cache no_block_cache no_liveness prefill separate
+    mmio assist slots no_cache no_block_cache prefill separate
     quiet trace_out metrics =
   if campaign then run_campaign_mode ~jobs ~quiet ~campaign_json
   else if fleet > 0 then
@@ -119,10 +119,8 @@ let run workload fleet jobs fleet_json campaign campaign_json inject_plan vm
             separate_vmm_space = separate;
             default_io_mode = (if mmio then Vm.Mmio_io else Vm.Kcall_io);
           }
-        ~engine ?inject ~instrument ~liveness:(not no_liveness) built
-    else
-      Runner.run_bare ~engine ?inject ~instrument ~liveness:(not no_liveness)
-        built
+        ~engine ?inject ~instrument built
+    else Runner.run_bare ~engine ?inject ~instrument built
   in
   (match !trace_oc with
   | Some oc ->
@@ -240,15 +238,6 @@ let cmd =
              superblock engine (identical simulated behaviour, slower host \
              wall-clock).")
   in
-  let no_liveness =
-    Arg.(
-      value & flag
-      & info [ "no-liveness" ]
-          ~doc:
-            "Compile superblocks without the static liveness facts: no \
-             deferred condition codes, no constant folding (identical \
-             simulated behaviour, slower host wall-clock).")
-  in
   let prefill =
     Arg.(value & opt int 0 & info [ "prefill" ] ~doc:"Shadow prefill group.")
   in
@@ -278,7 +267,7 @@ let cmd =
     Term.(
       const run $ workload $ fleet $ jobs $ fleet_json $ campaign
       $ campaign_json $ inject_plan $ vm $ mmio $ assist $ slots $ no_cache
-      $ no_block_cache $ no_liveness $ prefill $ separate $ quiet $ trace_out
+      $ no_block_cache $ prefill $ separate $ quiet $ trace_out
       $ metrics)
 
 let () = exit (Cmd.eval cmd)

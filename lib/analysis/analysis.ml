@@ -1,7 +1,8 @@
 (* The workload-wide static analysis, computed once and shared by every
    product derived from it: the trap-prediction oracle for either mode
    assumption ([Oracle.of_analysis]), the liveness/constant facts
-   ([Liveness.facts_of_analysis]) and the vaxlint report.
+   ([Liveness.facts_of_analysis], a static product only) and the
+   vaxlint report.
 
    One pass recovers each image's CFG, builds the callee summaries from
    those CFGs, and runs the settled vaxflow fixpoint ([Absdom]) with

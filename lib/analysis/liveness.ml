@@ -1,12 +1,12 @@
 (* Backward liveness over the recovered CFG: which NZVC condition-code
    bits, and which of R0..R14, can still be read after each instruction
-   executes.  The results feed the tier-3 slot compiler through
-   [Vax_cpu.Block_facts]: a site whose N, Z and V are provably dead gets
-   its condition-code recomputation deferred (see [State.cc_lazy]), and
-   a pure register source operand whose value vaxflow proves constant on
-   every path is pre-folded to an immediate.  Dead register writes are
-   detected too, but only counted — register state must stay
-   bit-identical, so nothing is elided there.
+   executes.  The results are a [Vax_cpu.Block_facts] table: per site,
+   the condition-code bits proven dead, the register source operands
+   vaxflow proves constant on every path, and a count of dead register
+   writes.  Nothing at run time consumes the table — the block engine
+   defers condition codes unconditionally and materializes them at
+   every reader (see [State.cc_lazy]) — so the pass is a static
+   analysis, timed by the end-to-end benchmark's set-up.
 
    Soundness shape.  Liveness is a backward property: a bit is dead at a
    point iff NO path from that point reads it before writing it.  The
@@ -255,7 +255,6 @@ let facts_of_analysis (a : Analysis.t) =
         facts.Block_facts.solver_visits + st.Dataflow.visits;
       facts.Block_facts.solver_updates <-
         facts.Block_facts.solver_updates + st.Dataflow.updates;
-      let code = cfg.Cfg.image.Cfg.code and base = cfg.Cfg.image.Cfg.base in
       List.iter
         (fun (b : Cfg.block) ->
           incr nblocks;
@@ -319,19 +318,12 @@ let facts_of_analysis (a : Analysis.t) =
                                  | _ -> [])
                                i.Disasm.specs)
                   in
-                  let off = i.Disasm.address - base in
-                  let f_bytes =
-                    if off >= 0 && off + i.Disasm.length <= Bytes.length code
-                    then Bytes.sub_string code off i.Disasm.length
-                    else ""
-                  in
                   Block_facts.add facts ~va:i.Disasm.address
                     {
                       Block_facts.f_op = op;
                       f_len = i.Disasm.length;
                       f_cc_dead = all_cc land lnot (cc_of live_after);
                       f_consts = consts;
-                      f_bytes;
                     }))
         cfg.Cfg.blocks)
     (List.combine a.Analysis.cfgs summaries)

@@ -7,6 +7,7 @@
 
 open Vax_cpu
 module Disasm = Vax_asm.Disasm
+module Json = Vax_obs.Json
 
 let schema_version = "vaxlint/2"
 

@@ -85,29 +85,11 @@ type t = {
   mutable bld_n : int;
   mutable bld_pa : int;
   mutable bld_next_pa : int;
-  mutable facts : Block_facts.t option;
-      (** per-VA liveness/constant facts, installed by the runner before
-          execution; [None] (the default) compiles every slot eagerly *)
-  mutable facts_vm : bool;
-      (** PSL<VM> context the facts describe: guest-image facts only
-          apply while PSL<VM> is set, so the monitor's own code cannot
-          pick up a guest fact at a colliding virtual address *)
-  fact_stamps : (int, int * int) Hashtbl.t;
-      (** fact freshness for runtime-modified code: va -> (page,
-          store-generation) recorded when the fact's [f_bytes] last
-          matched the live page.  On a stamp miss the compiler re-reads
-          the bytes; a same-opcode byte patch therefore rejects the
-          fact rather than specializing on stale analysis.  Per-machine
-          (page generations are per-{!Vax_mem.Phys_mem}) while the fact
-          table itself is shared across a fleet. *)
   mutable hits : int;  (** slots executed through the cursor or a block entry *)
   mutable misses : int;  (** cold-path instructions *)
   mutable chains : int;  (** block entries through a chain link *)
   mutable built : int;  (** blocks finalized *)
   mutable invalidations : int;  (** blocks dropped on a generation mismatch *)
-  mutable fact_slots : int;  (** fast-tier slots compiled with a matching fact *)
-  mutable cc_elided : int;  (** fast-tier slots compiled with a deferred CC update *)
-  mutable const_folded : int;  (** operands pre-folded to immediates *)
 }
 
 val create : ?size:int -> ?max_block:int -> unit -> t
@@ -148,11 +130,6 @@ val chains : t -> int
 val built : t -> int
 val invalidations : t -> int
 val reset_stats : t -> unit
-
-val liveness_metrics : t -> (string * int) list
-(** Gauges for the ["blocks.liveness"] metrics group: compile-time
-    specialization counters plus the static shape of the installed fact
-    table (all zero when no facts are installed). *)
 
 val clear : t -> unit
 (** Drop every block, the cursor, and the builder (diagnostics/tests). *)

@@ -1,24 +1,18 @@
 (** Per-instruction facts proven by a static analysis, keyed by virtual
-    address — the narrow interface through which the superblock slot
-    compiler consumes liveness and constant-propagation results without
-    [lib/cpu] depending on the analysis internals (the analysis side,
-    [Vax_analysis.Liveness], constructs the table).
+    address.  The analysis side, [Vax_analysis.Liveness], constructs the
+    table.  Nothing at run time reads it: the block engine defers
+    condition codes unconditionally (see [State.cc_lazy]), so a fact
+    can no longer change what a run observes.  The table remains the
+    liveness pass's output, timed by the end-to-end benchmark and
+    checked by its unit tests.
 
-    A fact licenses two compile-time specializations:
+    A fact records:
     - [f_cc_dead]: NZVC bits proven dead immediately {e after} the
-      instruction (N=8, Z=4, V=2, C=1).  When N, Z and V are all dead
-      the fast slot tier defers the condition-code update (see
-      [State.cc_lazy]); the update stays architecturally invisible
-      because every PSL observer materializes first.
+      instruction (N=8, Z=4, V=2, C=1);
     - [f_consts]: operand-index/value pairs proven constant on every
-      path, used to pre-fold pure register source operands into
-      immediates.
-
-    The [f_op]/[f_len] guard makes a stale fact harmless when the
-    modified bytes change the decode; [f_bytes] carries the exact
-    analyzed instruction bytes so the compiler can additionally reject
-    a same-opcode byte patch (checked lazily against the page store
-    generation — see [Block_cache.fact_stamps]). *)
+      path;
+    - the analyzed opcode and length ([f_op], [f_len]), which {!find}
+      uses as a guard. *)
 
 open Vax_arch
 
@@ -28,9 +22,6 @@ type fact = {
   f_cc_dead : int;  (** NZVC bits dead after the instruction *)
   f_consts : (int * Word.t) list;
       (** operand index -> value proven constant on every path *)
-  f_bytes : string;
-      (** the instruction bytes the analysis decoded ([""] when images
-          collide: byte verification unavailable, op/len guard only) *)
 }
 
 val n_bit : int
@@ -64,9 +55,3 @@ val add : t -> va:int -> fact -> unit
 val find : t -> va:int -> op:Opcode.t -> len:int -> fact option
 (** The fact at [va], or [None] when absent or the opcode/length guard
     rejects it. *)
-
-(** {1 Gauges} *)
-
-val sites : t -> int
-val cc_dead_sites : t -> int
-val const_ops : t -> int

@@ -28,10 +28,15 @@ let create ?(variant = Variant.Standard) ?(memory_pages = 1024) ?modify_policy
 
 let load t pa image = Phys_mem.blit_in t.phys pa image
 
+(* single-step callers read the PSL between steps: materialize any
+   condition codes a block slot deferred *)
 let step t =
   match t.engine with
   | Exec.Stepper -> Exec.step t.state
-  | Exec.Blocks -> Exec.step_blocks t.state t.bcache
+  | Exec.Blocks ->
+      let s = Exec.step_blocks t.state t.bcache in
+      State.sync_cc t.state;
+      s
 
 let run t ?max_instructions () =
   match t.engine with

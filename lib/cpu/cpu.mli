@@ -33,4 +33,7 @@ val load : t -> Word.t -> bytes -> unit
 (** Copy a program image into physical memory. *)
 
 val step : t -> Exec.status
+(** One instruction.  The PSL is exact on return: condition codes a
+    block slot deferred (see {!State.cc_lazy}) are materialized. *)
+
 val run : t -> ?max_instructions:int -> unit -> Exec.status

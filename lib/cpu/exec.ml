@@ -9,7 +9,7 @@ type status = Stepped | Machine_halted | Stopped
 (* The single funnel for eager NZVC writes.  Overwriting all four codes
    makes any deferred CC (see [State.cc_lazy]) irrelevant, so the
    pending class is dropped here — this is what keeps an eager write
-   after an elided one correct without a materialization. *)
+   after a deferred one correct without a materialization. *)
 let set_nzvc st ~n ~z ~v ~c =
   st.State.cc_lazy <- 0;
   st.State.psl <- Psl.with_nzvc st.State.psl ~n ~z ~v ~c
@@ -266,10 +266,33 @@ let branch_to st op =
   | Some t -> State.set_pc st t
   | None -> assert false
 
-let cond_branch st d cond =
+(* Whether a branch is taken, on a materialized PSL: the one definition
+   the generic handler and the fast tier both read. *)
+let branch_taken op p =
+  match op with
+  | Opcode.Brb | Opcode.Brw -> true
+  | Opcode.Bneq -> not (Psl.z p)
+  | Opcode.Beql -> Psl.z p
+  | Opcode.Bgtr -> not (Psl.n p || Psl.z p)
+  | Opcode.Bleq -> Psl.n p || Psl.z p
+  | Opcode.Bgeq -> not (Psl.n p)
+  | Opcode.Blss -> Psl.n p
+  | Opcode.Bgtru -> not (Psl.c p || Psl.z p)
+  | Opcode.Blequ -> Psl.c p || Psl.z p
+  | Opcode.Bvc -> not (Psl.v p)
+  | Opcode.Bvs -> Psl.v p
+  | Opcode.Bcc -> not (Psl.c p)
+  | Opcode.Bcs -> Psl.c p
+  | _ -> invalid_arg "Exec.branch_taken"
+
+(* A conditional branch reads N, Z, V or C, so it materializes any
+   deferred codes (see [State.cc_lazy]) first. *)
+let cond_branch st d =
   match d.Decode.operands with
   | [ op ] ->
-      if cond then branch_to st op else State.set_pc st d.Decode.next_pc
+      State.sync_cc st;
+      if branch_taken d.Decode.opcode st.State.psl then branch_to st op
+      else State.set_pc st d.Decode.next_pc
   | _ -> assert false
 
 (* PROBE itself executes in VM mode without trapping when the PTE is
@@ -659,57 +682,11 @@ let handler_of : Opcode.t -> handler = function
             Decode.write_value st dst r;
             false
         | _ -> bad_operands ())
-  | Opcode.Brb | Opcode.Brw ->
+  | Opcode.Brb | Opcode.Brw | Opcode.Bneq | Opcode.Beql | Opcode.Bgtr
+  | Opcode.Bleq | Opcode.Bgeq | Opcode.Blss | Opcode.Bgtru | Opcode.Blequ
+  | Opcode.Bvc | Opcode.Bvs | Opcode.Bcc | Opcode.Bcs ->
       (fun st d ~start_pc:_ ->
-        cond_branch st d true;
-        true)
-  | Opcode.Bneq ->
-      (fun st d ~start_pc:_ ->
-        cond_branch st d (not (Psl.z st.State.psl));
-        true)
-  | Opcode.Beql ->
-      (fun st d ~start_pc:_ ->
-        cond_branch st d (Psl.z st.State.psl);
-        true)
-  | Opcode.Bgtr ->
-      (fun st d ~start_pc:_ ->
-        cond_branch st d (not (Psl.n st.State.psl || Psl.z st.State.psl));
-        true)
-  | Opcode.Bleq ->
-      (fun st d ~start_pc:_ ->
-        cond_branch st d (Psl.n st.State.psl || Psl.z st.State.psl);
-        true)
-  | Opcode.Bgeq ->
-      (fun st d ~start_pc:_ ->
-        cond_branch st d (not (Psl.n st.State.psl));
-        true)
-  | Opcode.Blss ->
-      (fun st d ~start_pc:_ ->
-        cond_branch st d (Psl.n st.State.psl);
-        true)
-  | Opcode.Bgtru ->
-      (fun st d ~start_pc:_ ->
-        cond_branch st d (not (Psl.c st.State.psl || Psl.z st.State.psl));
-        true)
-  | Opcode.Blequ ->
-      (fun st d ~start_pc:_ ->
-        cond_branch st d (Psl.c st.State.psl || Psl.z st.State.psl);
-        true)
-  | Opcode.Bvc ->
-      (fun st d ~start_pc:_ ->
-        cond_branch st d (not (Psl.v st.State.psl));
-        true)
-  | Opcode.Bvs ->
-      (fun st d ~start_pc:_ ->
-        cond_branch st d (Psl.v st.State.psl);
-        true)
-  | Opcode.Bcc ->
-      (fun st d ~start_pc:_ ->
-        cond_branch st d (not (Psl.c st.State.psl));
-        true)
-  | Opcode.Bcs ->
-      (fun st d ~start_pc:_ ->
-        cond_branch st d (Psl.c st.State.psl);
+        cond_branch st d;
         true)
   | Opcode.Blbs ->
       (fun st d ~start_pc:_ ->
@@ -955,54 +932,6 @@ let farg_of_spec (ts : Decode_cache.tspec) =
       FB (Word.add disp ts.Decode_cache.t_after)
   | _ -> ( match fop_of_shape ts with Some f -> FA f | None -> FX)
 
-(* Constants a liveness fact lets the compiler pre-fold, as
-   [(operand index, width-masked value)] pairs.  Folding is restricted
-   to pure register operands with [Read] access: immediates cannot be
-   written, and register autoincrement never applies to [Sh_register].
-   The value is pre-masked to the operand width because immediates are
-   read raw where registers are masked at read time.  16-bit operands
-   are left alone (no fast path reads them). *)
-let applicable_consts (fact : Block_facts.fact) (tmpl : Decode_cache.template) =
-  match fact.Block_facts.f_consts with
-  | [] -> []
-  | consts ->
-      let accs = Opcode.operands tmpl.Decode_cache.t_opcode in
-      let specs = Array.of_list tmpl.Decode_cache.t_specs in
-      List.filter_map
-        (fun (i, v) ->
-          match
-            (List.nth_opt accs i, if i < Array.length specs then Some specs.(i) else None)
-          with
-          | Some (Opcode.Read, w), Some ts -> (
-              match ts.Decode_cache.t_shape with
-              | Decode_cache.Sh_register _ -> (
-                  match w with
-                  | Opcode.Byte -> Some (i, v land 0xFF)
-                  | Opcode.Long -> Some (i, Word.mask v)
-                  | Opcode.Word -> None)
-              | _ -> None)
-          | _ -> None)
-        consts
-
-(* Operand list for the fast tier, with fact-proven constants
-   folded to immediates.  Cycle-identical: [F_imm] and [F_reg] sit in
-   the same pattern class at every fast-path use site, with the same
-   charges and no fault points in either. *)
-let fargs_of_tmpl ?fact (tmpl : Decode_cache.template) =
-  let raw = List.map farg_of_spec tmpl.Decode_cache.t_specs in
-  match fact with
-  | None -> raw
-  | Some f -> (
-      match applicable_consts f tmpl with
-      | [] -> raw
-      | app ->
-          List.mapi
-            (fun i fa ->
-              match List.assoc_opt i app with
-              | Some v -> FA (F_imm v)
-              | None -> fa)
-            raw)
-
 (* ------------------------------------------------------------------ *)
 (* Fast tier.
 
@@ -1034,54 +963,37 @@ let fargs_of_tmpl ?fact (tmpl : Decode_cache.template) =
    the stepper's own semantics; a body earns its place here only with
    compiled slots in that census. *)
 
-let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
+let compile_fast_hot (tmpl : Decode_cache.template) =
   let op = tmpl.Decode_cache.t_opcode in
   let len = tmpl.Decode_cache.t_len in
   let base = Opcode.base_cycles op in
   let enc = Opcode.code op in
   let spec = Cost.operand_specifier in
-  (* Liveness-guided specialization: when the fact proves N, Z and V
-     dead after this instruction, the CC helpers below are shadowed by
-     deferring versions — they record the would-be CC source in
-     [State.cc_lazy]/[cc_value] instead of computing the bits.  The
-     pending write is dropped wholesale by the next eager [set_nzvc]
-     (the common case: the next CC writer kills it) or materialized by
-     the first PSL observer via [State.sync_cc].  The C bit is never
-     deferred: classes 1/2 keep it and the TSTL helper clears it eagerly,
-     so [psl]'s C is exact at all times and an interleaved eager keep-C
-     write (cold path, unfacted slot) reads the right value. *)
-  let nzv_dead =
-    match fact with
-    | Some f -> f.Block_facts.f_cc_dead land Block_facts.nzv = Block_facts.nzv
-    | None -> false
+  (* Lazy condition codes: every move, clear, TSTL and logical body
+     records its CC source in [State.cc_lazy]/[cc_value] instead of
+     computing N, Z and V.  The pending write is dropped wholesale by
+     the next eager [set_nzvc] (the common case: the next CC writer
+     kills it) or materialized by the first reader of N, Z or V via
+     [State.sync_cc].  C is never deferred: the classes keep it and the
+     TSTL helper clears it eagerly, so [psl]'s C is exact at all times
+     and an interleaved eager keep-C write (cold path, generic slot)
+     reads the right value. *)
+  let set_nz_keep_c st v =
+    st.State.cc_lazy <- 1;
+    st.State.cc_value <- v
   in
-  let set_nz_keep_c =
-    if nzv_dead then fun st v ->
-      st.State.cc_lazy <- 1;
-      st.State.cc_value <- v
-    else set_nz_keep_c
+  let set_nz_byte_keep_c st v =
+    st.State.cc_lazy <- 2;
+    st.State.cc_value <- v
   in
-  let set_nz_byte_keep_c =
-    if nzv_dead then fun st v ->
-      st.State.cc_lazy <- 2;
-      st.State.cc_value <- v
-    else set_nz_byte_keep_c
+  let do_logic st f a b =
+    let r = f a b in
+    set_nz_keep_c st r;
+    r
   in
-  let do_logic =
-    if nzv_dead then fun st f a b ->
-      let r = f a b in
-      st.State.cc_lazy <- 1;
-      st.State.cc_value <- r;
-      r
-    else do_logic
-  in
-  let set_cc_tstl =
-    if nzv_dead then fun st v ->
-      st.State.psl <- Psl.with_c st.State.psl false;
-      st.State.cc_lazy <- 3;
-      st.State.cc_value <- v
-    else fun st v ->
-      set_nzvc st ~n:(Word.to_signed v < 0) ~z:(v = 0) ~v:false ~c:false
+  let set_cc_tstl st v =
+    st.State.psl <- Psl.with_c st.State.psl false;
+    set_nz_keep_c st v
   in
   let commit st =
     st.State.instructions <- st.State.instructions + 1;
@@ -1189,8 +1101,9 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
         fun st _ v ->
           State.write_byte st (State.cur_mode st) va (v land 0xFF)
   in
-  (* conditional branch: one specifier, nothing can fault *)
-  let cbr tofs cond =
+  (* conditional branch: one specifier, nothing can fault; reads the
+     codes, so it materializes any deferred ones first *)
+  let cbr tofs =
     let call = spec + base in
     Some
       (fun st pc ->
@@ -1198,7 +1111,8 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
         st.State.instructions <- st.State.instructions + 1;
         let was_vm = Psl.vm st.State.psl in
         if was_vm then st.State.vm_instructions <- st.State.vm_instructions + 1;
-        if cond st.State.psl then State.set_pc st (Word.add pc tofs)
+        State.sync_cc st;
+        if branch_taken op st.State.psl then State.set_pc st (Word.add pc tofs)
         else State.set_pc st (Word.add pc len);
         let tr = st.State.trace in
         if Vax_obs.Trace.enabled tr then
@@ -1324,7 +1238,7 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
                 end)
     | _ -> None
   in
-  match (op, fargs_of_tmpl ?fact tmpl) with
+  match (op, List.map farg_of_spec tmpl.Decode_cache.t_specs) with
   | Opcode.Nop, [] ->
       Some
         (fun st pc ->
@@ -1628,19 +1542,11 @@ let compile_fast_hot ?fact (tmpl : Decode_cache.template) =
         ~ovf:false
   | Opcode.Xorl3, [ FA a; FA b; FA d ] ->
       arith3 a b d (fun st x y -> do_logic st Word.logxor x y) ~ovf:false
-  | (Opcode.Brb | Opcode.Brw), [ FB tofs ] -> cbr tofs (fun _ -> true)
-  | Opcode.Bneq, [ FB t ] -> cbr t (fun p -> not (Psl.z p))
-  | Opcode.Beql, [ FB t ] -> cbr t Psl.z
-  | Opcode.Bgtr, [ FB t ] -> cbr t (fun p -> not (Psl.n p || Psl.z p))
-  | Opcode.Bleq, [ FB t ] -> cbr t (fun p -> Psl.n p || Psl.z p)
-  | Opcode.Bgeq, [ FB t ] -> cbr t (fun p -> not (Psl.n p))
-  | Opcode.Blss, [ FB t ] -> cbr t Psl.n
-  | Opcode.Bgtru, [ FB t ] -> cbr t (fun p -> not (Psl.c p || Psl.z p))
-  | Opcode.Blequ, [ FB t ] -> cbr t (fun p -> Psl.c p || Psl.z p)
-  | Opcode.Bvc, [ FB t ] -> cbr t (fun p -> not (Psl.v p))
-  | Opcode.Bvs, [ FB t ] -> cbr t Psl.v
-  | Opcode.Bcc, [ FB t ] -> cbr t (fun p -> not (Psl.c p))
-  | Opcode.Bcs, [ FB t ] -> cbr t Psl.c
+  | ( ( Opcode.Brb | Opcode.Brw | Opcode.Bneq | Opcode.Beql | Opcode.Bgtr
+      | Opcode.Bleq | Opcode.Bgeq | Opcode.Blss | Opcode.Bgtru | Opcode.Blequ
+      | Opcode.Bvc | Opcode.Bvs | Opcode.Bcc | Opcode.Bcs ),
+      [ FB tofs ] ) ->
+      cbr tofs
   | Opcode.Sobgtr, [ FA (F_reg rn); FB tofs ] ->
       let call = (2 * spec) + base in
       Some
@@ -1757,35 +1663,10 @@ let finish_builder st (bc : Block_cache.t) =
   if n > 0 && Vax_obs.Trace.enabled st.State.trace then
     Vax_obs.Trace.emit st.State.trace Vax_obs.Trace.Block_build ~b:n pa
 
-(* Opcodes whose fast-tier bodies all defer the CC write when a fact
-   proves N, Z and V dead (the shadowed helpers in [compile_fast_hot]);
-   used only for the [cc_elided] compile-time gauge. *)
-let cc_deferrable = function
-  | Opcode.Movl | Opcode.Movb | Opcode.Movzbl | Opcode.Clrl | Opcode.Pushl
-  | Opcode.Moval | Opcode.Tstl | Opcode.Bisl2 | Opcode.Bisl3 | Opcode.Bicl2
-  | Opcode.Bicl3 | Opcode.Xorl2 | Opcode.Xorl3 ->
-      true
-  | _ -> false
-
 (* The fast tier when it has a body for the shape, the generic slot
-   otherwise.  Only a fast-tier body reads the fact, so only it is
-   credited to the engagement gauges. *)
-let compile_slot (bc : Block_cache.t) ?fact (tmpl : Decode_cache.template) =
-  match compile_fast_hot ?fact tmpl with
-  | None -> generic_slot tmpl
-  | Some exec ->
-      (match fact with
-      | None -> ()
-      | Some f ->
-          let open Block_cache in
-          bc.fact_slots <- bc.fact_slots + 1;
-          if
-            f.Block_facts.f_cc_dead land Block_facts.nzv = Block_facts.nzv
-            && cc_deferrable tmpl.Decode_cache.t_opcode
-          then bc.cc_elided <- bc.cc_elided + 1;
-          bc.const_folded <-
-            bc.const_folded + List.length (applicable_consts f tmpl));
-      exec
+   otherwise. *)
+let compile_slot tmpl =
+  match compile_fast_hot tmpl with None -> generic_slot tmpl | Some exec -> exec
 
 (* Feed one cold-path instruction to the block builder.  Called before
    the instruction executes: the slot is a compilation of the bytes at
@@ -1798,7 +1679,7 @@ let compile_slot (bc : Block_cache.t) ?fact (tmpl : Decode_cache.template) =
    on the page of [b_pa], guarded by that page's store generation alone,
    and the block survives translation changes (every instruction that
    can change translations is itself block-excluded). *)
-let feed_builder st (bc : Block_cache.t) pa ~va (tmpl : Decode_cache.template) =
+let feed_builder st (bc : Block_cache.t) pa (tmpl : Decode_cache.template) =
   let open Block_cache in
   let phys = Mmu.phys st.State.mmu in
   (* a control-flow discontinuity ends the pending prefix (it is still a
@@ -1814,61 +1695,12 @@ let feed_builder st (bc : Block_cache.t) pa ~va (tmpl : Decode_cache.template) =
   then finish_builder st bc
   else begin
     if not (bld_active bc) then bld_begin bc ~pa;
-    (* liveness facts are keyed by the virtual PC the analysis saw; the
-       opcode/length guard in [Block_facts.find] rejects stale ones, and
-       the PSL<VM> gate keeps guest-image facts off monitor code that
-       happens to reuse a guest virtual address *)
-    let fact =
-      match bc.facts with
-      | Some fx when Psl.vm st.State.psl = bc.facts_vm ->
-          Block_facts.find fx ~va ~op ~len
-      | _ -> None
-    in
-    (* runtime-modified code: beyond the opcode/length guard, verify the
-       fact's analyzed bytes against the live page once per store
-       generation (the stamp memoizes a pass; stores to the page bump
-       its generation and force a re-check).  A same-opcode byte patch
-       — a changed immediate or displacement — therefore rejects the
-       fact instead of specializing on stale analysis. *)
-    let fact =
-      match fact with
-      | Some f when f.Block_facts.f_bytes <> "" -> (
-          let page = pa lsr Addr.page_shift in
-          let gen = Phys_mem.page_gen phys page in
-          match Hashtbl.find_opt bc.fact_stamps va with
-          | Some (p, g) when p = page && g = gen -> fact
-          | _ ->
-              let b = f.Block_facts.f_bytes in
-              let fresh = ref true in
-              String.iteri
-                (fun k c ->
-                  if Phys_mem.read_byte phys (pa + k) <> Char.code c then
-                    fresh := false)
-                b;
-              if !fresh then begin
-                Hashtbl.replace bc.fact_stamps va (page, gen);
-                fact
-              end
-              else None)
-      | f -> f
-    in
-    (* a fact that proves nothing useful compiles exactly like no fact;
-       drop it here so the compiler skips the specialization plumbing
-       for the ~40% of sites liveness cannot improve *)
-    let fact =
-      match fact with
-      | Some f
-        when f.Block_facts.f_cc_dead land Block_facts.nzv <> Block_facts.nzv
-             && f.Block_facts.f_consts = [] ->
-          None
-      | f -> f
-    in
     bld_append bc
       {
         s_pa = pa;
         s_len = len;
         s_gen1 = Phys_mem.page_gen phys (pa lsr Addr.page_shift);
-        s_exec = compile_slot bc ?fact tmpl;
+        s_exec = compile_slot tmpl;
       };
     if is_pc_setter op || Addr.offset pa + len >= Addr.page_size || bld_full bc
     then finish_builder st bc
@@ -1876,8 +1708,8 @@ let feed_builder st (bc : Block_cache.t) pa ~va (tmpl : Decode_cache.template) =
 
 (* Cold path: the per-step decode pipeline, plus feeding the builder. *)
 let step_cold st (bc : Block_cache.t) pa start_pc =
-  (* the generic handlers assume a live PSL (branches read it, CHMx and
-     REI push or replace it): materialize any deferred codes first *)
+  (* cold-only instructions push or replace the PSL (CHMx, REI,
+     LDPCTX): materialize any deferred codes first *)
   State.sync_cc st;
   bc.Block_cache.misses <- bc.Block_cache.misses + 1;
   bc.Block_cache.cur_pa <- -1;
@@ -1887,14 +1719,14 @@ let step_cold st (bc : Block_cache.t) pa start_pc =
     let d =
       match Decode_cache.find st.State.dcache ~mmu:st.State.mmu pa with
       | tmpl ->
-          feed_builder st bc pa ~va:start_pc tmpl;
+          feed_builder st bc pa tmpl;
           Decode.operandize st tmpl ~start_pc
       | exception Not_found ->
           let d = Decode.decode st in
           Decode_cache.store st.State.dcache ~mmu:st.State.mmu
             ?pa2:(straddle_pa2 st start_pc d.Decode.tmpl pa)
             pa d.Decode.tmpl;
-          feed_builder st bc pa ~va:start_pc d.Decode.tmpl;
+          feed_builder st bc pa d.Decode.tmpl;
           d
     in
     decoded := d;

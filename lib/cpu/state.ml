@@ -181,31 +181,20 @@ let create ?(variant = Variant.Standard) ?sid ~mmu ~clock () =
   }
 
 (* Materialize deferred condition codes.  Computes exactly what the
-   elided eager helper would have written (classes mirror Exec's
-   [set_nz_keep_c] / [set_nz_byte_keep_c] / TSTL), so calling
-   this at any PSL observer makes the deferral bit-invisible. *)
-let sync_cc t =
-  if t.cc_lazy <> 0 then begin
-    let value = t.cc_value in
-    (match t.cc_lazy with
-    | 1 ->
-        t.psl <-
-          Psl.with_nzvc t.psl
-            ~n:(Word.to_signed value < 0)
-            ~z:(value = 0) ~v:false ~c:(Psl.c t.psl)
-    | 2 ->
-        let b = value land 0xFF in
-        t.psl <-
-          Psl.with_nzvc t.psl ~n:(b land 0x80 <> 0) ~z:(b = 0) ~v:false
-            ~c:(Psl.c t.psl)
-    | 3 ->
-        t.psl <-
-          Psl.with_nzvc t.psl
-            ~n:(Word.to_signed value < 0)
-            ~z:(value = 0) ~v:false ~c:false
-    | _ -> ());
-    t.cc_lazy <- 0
-  end
+   eager helper would have written (classes mirror Exec's
+   [set_nz_keep_c] / [set_nz_byte_keep_c]; C is exact in [psl], so
+   TSTL's clear-C needs no class of its own), so calling this at every
+   reader of N, Z or V makes the deferral bit-invisible.  [sync_cc] is
+   the small test that inlines at every call site. *)
+let materialize_cc t =
+  let value = t.cc_value in
+  let byte = t.cc_lazy = 2 in
+  let n = if byte then value land 0x80 <> 0 else Word.to_signed value < 0 in
+  let z = (if byte then value land 0xFF else value) = 0 in
+  t.psl <- Psl.with_nzvc t.psl ~n ~z ~v:false ~c:(Psl.c t.psl);
+  t.cc_lazy <- 0
+
+let sync_cc t = if t.cc_lazy <> 0 then materialize_cc t
 
 let pc t = t.regs.(15)
 let set_pc t v = t.regs.(15) <- Word.mask v

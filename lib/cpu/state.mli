@@ -103,13 +103,14 @@ type t = {
   regs : Word.t array;  (** R0–R15; R14 = SP of current mode, R15 = PC *)
   mutable psl : Psl.t;
   mutable cc_lazy : int;
-      (** deferred condition codes (liveness-guided superblocks): 0 =
-          [psl] holds the live NZVC; otherwise the slot compiler proved
-          N, Z and V dead and recorded the would-be CC source in
-          [cc_value] instead of updating [psl] — class 1 long/keep-C,
-          2 byte/keep-C, 3 long/clear-C.  Every PSL
-          observer calls {!sync_cc} first, so the deferral is
-          architecturally invisible. *)
+      (** lazy condition codes: 0 = [psl] holds the live NZVC;
+          otherwise a block engine fast-tier slot (a move, clear, TSTL
+          or logical op) recorded its CC source in [cc_value] instead of
+          computing N, Z and V — class 1 long, 2 byte.  C is always
+          exact in [psl] (TSTL clears it eagerly).  Every reader of
+          N, Z or V calls {!sync_cc} first, and every eager write of all
+          four codes drops the pending class, so the deferral is
+          architecturally invisible whatever code follows. *)
   mutable cc_value : Word.t;  (** the deferred CC source value *)
   sp_bank : Word.t array;  (** kernel, executive, supervisor, user, interrupt *)
   mutable vmpsl : Word.t;  (** modified VAX only; zero otherwise *)
@@ -180,9 +181,11 @@ val sid_virtual_vax : Word.t
 
 val sync_cc : t -> unit
 (** Materialize deferred condition codes into [psl] (no-op when none
-    are pending).  Called by every PSL observer — exception delivery,
-    the cold decode path, PSW-reading instructions, and run-loop exits
-    — before the PSL is read, pushed, or partially written. *)
+    are pending).  Called before the PSL is read, pushed, replaced or
+    partially written: by conditional branches (fast tier and generic),
+    exception and interrupt delivery, MOVPSL, BISPSW/BICPSW, the
+    division-by-zero V write, the block engine's cold path, the run
+    loops' exits and [Cpu.step]. *)
 
 val pc : t -> Word.t
 val set_pc : t -> Word.t -> unit

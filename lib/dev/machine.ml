@@ -99,8 +99,6 @@ let create ?(variant = Variant.Standard) ?(memory_pages = 2048)
       Block_cache.built bcache);
   Vax_obs.Metrics.register metrics "blocks.invalidations" (fun () ->
       Block_cache.invalidations bcache);
-  Vax_obs.Metrics.register_group metrics "blocks.liveness" (fun () ->
-      Block_cache.liveness_metrics bcache);
   (* Arm the fault-injection engine (everything below is skipped — and
      the [fault.*] gauge group never registered — when no plan is
      armed, so a disarmed machine's metrics and behaviour stay

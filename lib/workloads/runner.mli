@@ -35,7 +35,6 @@ val run_bare :
   ?inject:Vax_fault.Engine.t ->
   ?instrument:(Machine.t -> unit) ->
   ?flow:bool ->
-  ?liveness:bool ->
   ?max_cycles:int ->
   Minivms.built ->
   measurement
@@ -49,15 +48,9 @@ val run_bare :
     — the hook for enabling [Machine.trace] or attaching a sink.
     [flow] (default [true]) builds the oracle's static pass
     flow-sensitively (vaxflow); its gauges register as
-    ["analysis.flow.*"] in the machine's metrics.
-    [liveness] (default [true]) runs the backward NZVC/register
-    liveness pass over the workload's images and installs the resulting
-    fact table in the machine's block cache, letting the superblock
-    compiler defer provably dead condition-code recomputation and fold
-    proven-constant register operands; gauges register as
-    ["blocks.liveness.*"].
-    Simulated cycles, trace events and TLB statistics are bit-identical
-    with the switch on or off — only wall-clock changes. *)
+    ["analysis.flow.*"] in the machine's metrics.  The oracle's static
+    pass is memoized per built image list, mode assumption and [flow];
+    nothing else from static analysis reaches the run. *)
 
 val run_vm :
   ?config:Vmm.config ->
@@ -66,7 +59,6 @@ val run_vm :
   ?inject:Vax_fault.Engine.t ->
   ?instrument:(Machine.t -> unit) ->
   ?flow:bool ->
-  ?liveness:bool ->
   ?max_cycles:int ->
   Minivms.built ->
   measurement
@@ -80,7 +72,6 @@ val run_two_vms :
   ?inject:Vax_fault.Engine.t ->
   ?instrument:(Machine.t -> unit) ->
   ?flow:bool ->
-  ?liveness:bool ->
   ?max_cycles:int ->
   Minivms.built ->
   Minivms.built ->

@@ -6,9 +6,16 @@
    ([Exec.Stepper]).  These tests run the same programs under both
    engines and compare everything observable: cycles (total and
    guest/monitor split), instruction counts, registers, PSL, console
-   output and run outcome.  Directed programs run every operand shape
-   the fast slot tier has no body for, and two post-commit arithmetic
-   traps, from a block and against the stepper.
+   output, run outcome and TLB misses and evictions.  The catalog
+   workloads run bare and under the VMM untraced, the engines'
+   production path, and again traced ("differential"), with two VMs
+   sharing one monitor added, comparing the full event trace too (less
+   the block engine's own build events).  Fast-tier slots always defer
+   their condition codes, so this is also the check that the deferral
+   stays invisible.
+   Directed programs run every operand shape the fast slot tier has no
+   body for, and two post-commit arithmetic traps, from a block and
+   against the stepper.
 
    They also pin down the invalidation rules: self-modifying code must
    take effect at the same instruction boundary under both engines, even
@@ -20,6 +27,7 @@ open Vax_arch
 open Vax_cpu
 open Vax_workloads
 module Asm = Vax_asm.Asm
+module Trace = Vax_obs.Trace
 
 let check_int = Alcotest.(check int)
 
@@ -35,10 +43,26 @@ type summary = {
   console : string;
   regs : int list;
   psl : int;
+  tlb : int * int;
+  trace : string;
 }
 
-let summarize (m : Runner.measurement) =
-  let st = m.Runner.machine.Vax_dev.Machine.cpu in
+(* The run's whole event stream, one line per event, except
+   [Block_build], which only the block engine emits.  Installed as the
+   [instrument] hook. *)
+let record_trace buf (m : Vax_dev.Machine.t) =
+  let tr = m.Vax_dev.Machine.trace in
+  Trace.set_enabled tr true;
+  Trace.set_sink tr
+    (Some
+       (fun ~seq:_ k ~a ~b ~c ->
+         if k <> Trace.Block_build then
+           Printf.bprintf buf "%s:%d:%d:%d\n" (Trace.kind_name k) a b c))
+
+let summarize buf (m : Runner.measurement) =
+  let mach = m.Runner.machine in
+  let st = mach.Vax_dev.Machine.cpu in
+  let tlb = Vax_mem.Mmu.tlb mach.Vax_dev.Machine.mmu in
   {
     outcome = Format.asprintf "%a" Vax_dev.Machine.pp_outcome m.Runner.outcome;
     total = m.Runner.total_cycles;
@@ -48,7 +72,21 @@ let summarize (m : Runner.measurement) =
     console = m.Runner.console;
     regs = List.init 16 (State.reg st);
     psl = st.State.psl;
+    tlb = (Vax_mem.Tlb.misses tlb, Vax_mem.Tlb.evictions tlb);
+    trace = Buffer.contents buf;
   }
+
+(* On a trace mismatch, report the first diverging event. *)
+let check_trace name a b =
+  if a <> b then begin
+    let la = String.split_on_char '\n' a and lb = String.split_on_char '\n' b in
+    let rec first i = function
+      | x :: xs, y :: ys when x = y -> first (i + 1) (xs, ys)
+      | x :: _, y :: _ -> Alcotest.failf "%s: event %d: %s <> %s" name i x y
+      | _ -> Alcotest.failf "%s: one trace ends at event %d" name i
+    in
+    first 0 (la, lb)
+  end
 
 let check_summary name a b =
   Alcotest.(check string) (name ^ ": outcome") a.outcome b.outcome;
@@ -58,25 +96,50 @@ let check_summary name a b =
   check_int (name ^ ": instructions") a.instrs b.instrs;
   Alcotest.(check string) (name ^ ": console") a.console b.console;
   Alcotest.(check (list int)) (name ^ ": registers") a.regs b.regs;
-  check_int (name ^ ": psl") a.psl b.psl
+  check_int (name ^ ": psl") a.psl b.psl;
+  (* TB hits are not compared: the stepper's decode cache is keyed on
+     the TB generation, so after a TB change it re-decodes, and each
+     re-fetched instruction byte counts a hit.  Blocks are physical and
+     survive TB changes.  test_pinned.ml pins the block engine's hits. *)
+  let am, ae = a.tlb and bm, be = b.tlb in
+  check_int (name ^ ": tlb misses") am bm;
+  check_int (name ^ ": tlb evictions") ae be;
+  check_trace (name ^ ": trace") a.trace b.trace
 
-let test_bare_workloads () =
+(* Every catalog workload under both engines.  Untraced runs take the
+   engines' production path; traced runs also compare the event stream. *)
+let workloads ~traced kind run_one () =
   List.iter
     (fun w ->
       let built = Catalog.build w in
-      let s = summarize (Runner.run_bare ~engine:Exec.Stepper built) in
-      let b = summarize (Runner.run_bare ~engine:Exec.Blocks built) in
-      check_summary ("bare " ^ w) s b)
+      let run engine =
+        let buf = Buffer.create 4096 in
+        let instrument = if traced then record_trace buf else ignore in
+        summarize buf (run_one ~engine ~instrument built)
+      in
+      check_summary (kind ^ " " ^ w) (run Exec.Stepper) (run Exec.Blocks))
     Catalog.names
 
-let test_vm_workloads () =
-  List.iter
-    (fun w ->
-      let built = Catalog.build w in
-      let s = summarize (Runner.run_vm ~engine:Exec.Stepper built) in
-      let b = summarize (Runner.run_vm ~engine:Exec.Blocks built) in
-      check_summary ("vm " ^ w) s b)
-    Catalog.names
+let bare_workloads ~traced =
+  workloads ~traced "bare" (fun ~engine ~instrument b ->
+      Runner.run_bare ~engine ~instrument b)
+
+let vm_workloads ~traced =
+  workloads ~traced "vm" (fun ~engine ~instrument b ->
+      Runner.run_vm ~engine ~instrument b)
+
+let test_two_vms () =
+  let b1 = Catalog.build "editing" and b2 = Catalog.build "transaction" in
+  let run engine =
+    let buf = Buffer.create 4096 in
+    let m1, m2 =
+      Runner.run_two_vms ~engine ~instrument:(record_trace buf) b1 b2
+    in
+    (summarize buf m1, summarize buf m2)
+  in
+  let s1, s2 = run Exec.Stepper and b1, b2 = run Exec.Blocks in
+  check_summary "two-vms vm1" s1 b1;
+  check_summary "two-vms vm2" s2 b2
 
 (* ------------------------------------------------------------------ *)
 (* Directed programs on the bare CPU facade *)
@@ -170,6 +233,35 @@ let test_interrupt_mid_block () =
       check_int (Printf.sprintf "k=%d delivery cycle" k) dc_s dc_b;
       check_int (Printf.sprintf "k=%d delivery instruction" k) di_s di_b)
     [ 5; 9; 13; 17; 23; 42 ]
+
+
+(* Single-step callers read the PSL between instructions: after every
+   [Cpu.step], the block engine's PSL, with any deferred condition codes
+   materialized, must equal the stepper's.  The loop's moves set N, then
+   Z, then neither, and run from a block from the second pass on. *)
+let test_step_psl_exact () =
+  let prog a =
+    Asm.ins a Opcode.Movl [ Asm.Imm 3; Asm.R 2 ];
+    Asm.label a "loop";
+    Asm.ins a Opcode.Movl [ Asm.Imm 0x8000_0000; Asm.R 3 ];
+    Asm.ins a Opcode.Clrl [ Asm.R 1 ];
+    Asm.ins a Opcode.Movl [ Asm.R 2; Asm.R 4 ];
+    Asm.ins a Opcode.Sobgtr [ Asm.R 2; Asm.Branch "loop" ];
+    Asm.ins a Opcode.Halt []
+  in
+  let s, _ = boot ~engine:Exec.Stepper prog in
+  let b, _ = boot ~engine:Exec.Blocks prog in
+  let rec go n =
+    let rs = Cpu.step s and rb = Cpu.step b in
+    check_int (Printf.sprintf "psl after step %d" n) s.Cpu.state.State.psl
+      b.Cpu.state.State.psl;
+    match (rs, rb) with
+    | Exec.Machine_halted, Exec.Machine_halted -> ()
+    | Exec.Stepped, Exec.Stepped when n < 100 -> go (n + 1)
+    | _ -> Alcotest.fail "engines disagree on the run's end"
+  in
+  go 1;
+  Alcotest.(check bool) "ran from blocks" true (Block_cache.hits b.Cpu.bcache > 0)
 
 (* Self-modifying code where the store targets a *later* instruction of
    the same straight-line block: the second iteration enters the block,
@@ -402,11 +494,21 @@ let () =
       ( "equivalence",
         [
           Alcotest.test_case "bare workloads: blocks = stepper" `Quick
-            test_bare_workloads;
+            (bare_workloads ~traced:false);
           Alcotest.test_case "vm workloads: blocks = stepper" `Quick
-            test_vm_workloads;
+            (vm_workloads ~traced:false);
           Alcotest.test_case "interrupt mid-block: same boundary" `Quick
             test_interrupt_mid_block;
+          Alcotest.test_case "single step: exact PSL" `Quick
+            test_step_psl_exact;
+        ] );
+      ( "differential",
+        [
+          Alcotest.test_case "bare workloads: blocks = stepper" `Quick
+            (bare_workloads ~traced:true);
+          Alcotest.test_case "vm workloads: blocks = stepper" `Quick
+            (vm_workloads ~traced:true);
+          Alcotest.test_case "two vms: blocks = stepper" `Quick test_two_vms;
         ] );
       ( "directed shapes",
         List.map

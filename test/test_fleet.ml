@@ -1,13 +1,12 @@
 (* Fleet engine tests: parallel-vs-serial bit-identity, input-order
    stability, crash isolation, Metrics.merge, and Runner's memoized
-   static analysis: its products match the standalone passes, and two
+   static analysis: its oracles match the standalone pass, and two
    domains share them safely. *)
 
 open Vax_workloads
 open Vax_analysis
 module Fleet = Vax_fleet.Fleet
 module Metrics = Vax_obs.Metrics
-module Block_facts = Vax_cpu.Block_facts
 
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
@@ -148,47 +147,17 @@ let test_metrics_merge () =
     [ ("x", 6) ]
     (Metrics.merge [ [ ("x", 1) ]; [ ("x", 2) ]; [ ("x", 3) ] ])
 
-let bindings tbl = List.sort compare (List.of_seq (Hashtbl.to_seq tbl))
-
 let pc_bindings tbl =
   List.sort compare (List.of_seq (Oracle.Pc_table.to_seq tbl))
 
-let installed_facts (m : Runner.measurement) =
-  match m.Runner.machine.Vax_dev.Machine.bcache.Vax_cpu.Block_cache.facts with
-  | Some f -> f
-  | None -> Alcotest.fail "no liveness facts installed"
-
-let check_same_facts ctx (a : Block_facts.t) (b : Block_facts.t) =
-  Alcotest.(check bool) (ctx ^ ": fact table") true
-    (bindings a.Block_facts.tbl = bindings b.Block_facts.tbl);
-  Alcotest.(check (list int))
-    (ctx ^ ": fact counters")
-    Block_facts.
-      [
-        a.dead_reg_writes;
-        a.summary_calls;
-        a.summary_fallbacks;
-        a.solver_visits;
-        a.solver_updates;
-      ]
-    Block_facts.
-      [
-        b.dead_reg_writes;
-        b.summary_calls;
-        b.summary_fallbacks;
-        b.solver_visits;
-        b.solver_updates;
-      ]
-
-(* Runner derives a run's oracle and facts from one shared analysis of
-   the workload; for every catalog workload, bare and VM, they must
-   equal what the standalone passes compute from scratch. *)
+(* Runner derives a run's oracle from a memoized analysis of the
+   workload; for every catalog workload, bare and VM, it must equal what
+   the standalone pass computes from scratch. *)
 let test_runner_matches_standalone () =
   List.iter
     (fun w ->
       let built = Catalog.build w in
       let images = Runner.images_of_built built in
-      let facts, _ = Liveness.facts_of_images images in
       List.iter
         (fun (mode, run) ->
           let ctx = w ^ "/" ^ Classify.mode_name mode in
@@ -198,8 +167,7 @@ let test_runner_matches_standalone () =
             (pc_bindings o.Oracle.predicted
             = pc_bindings m.Runner.oracle.Oracle.predicted);
           Alcotest.(check bool) (ctx ^ ": flow stats") true
-            (o.Oracle.flow = m.Runner.oracle.Oracle.flow);
-          check_same_facts ctx facts (installed_facts m))
+            (o.Oracle.flow = m.Runner.oracle.Oracle.flow))
         [
           (Classify.Bare, fun b -> Runner.run_bare b);
           (Classify.Vm, fun b -> Runner.run_vm b);
@@ -209,10 +177,10 @@ let test_runner_matches_standalone () =
 (* Regression for the mutex around Runner's memoized static analysis:
    two domains running the *same* built images concurrently, bare and
    VM in turn, hit the cache (same physical identity) from both sides
-   for both oracles and the facts.  Unsynchronized, this races on the
-   cache list; with the lock, every run completes with identical
-   cycles, and every run of either domain gets the one cached predicted
-   table for its mode and the one fact table both modes share. *)
+   for both oracles.  Unsynchronized, this races on the cache list;
+   with the lock, every run completes with identical cycles, and every
+   run of either domain gets the one cached predicted table for its
+   mode. *)
 let test_oracle_cache_two_domains () =
   let built = Catalog.build "hello" in
   let runs = 8 in
@@ -221,24 +189,18 @@ let test_oracle_cache_two_domains () =
         let m =
           if k mod 2 = 0 then Runner.run_bare built else Runner.run_vm built
         in
-        ( m.Runner.total_cycles,
-          m.Runner.instructions,
-          m.Runner.oracle.Oracle.predicted,
-          installed_facts m ))
+        (m.Runner.total_cycles, m.Runner.instructions, m.Runner.oracle.Oracle.predicted))
   in
   let other = Domain.spawn work in
   let here = work () in
   let there = Domain.join other in
-  let _, _, _, facts0 = here.(0) in
   Array.iteri
-    (fun k (c, i, predicted, facts) ->
-      let c0, i0, predicted0, _ = here.(k mod 2) in
+    (fun k (c, i, predicted) ->
+      let c0, i0, predicted0 = here.(k mod 2) in
       check_int "cycles stable across domains" c0 c;
       check_int "instructions stable across domains" i0 i;
       Alcotest.(check bool) "one predicted table per mode" true
-        (predicted == predicted0);
-      Alcotest.(check bool) "one fact table for both modes" true
-        (facts == facts0))
+        (predicted == predicted0))
     (Array.append here there)
 
 let () =

@@ -13,6 +13,7 @@ open Vax_analysis
 open Vax_workloads
 module Asm = Vax_asm.Asm
 module Disasm = Vax_asm.Disasm
+module Json = Vax_obs.Json
 
 let insn_of op operands =
   let a = Asm.create ~origin:0 in

@@ -1,14 +1,10 @@
-(* Liveness-guided superblock compilation tests.
+(* Liveness analysis tests.
 
-   The liveness facts are a pure host-speed optimisation: compiling
-   superblock slots with deferred condition codes and pre-folded
-   constant operands must leave every simulated observable
-   bit-identical to the unguided compiler.  The differential suite runs
-   every catalog workload, bare and under the VMM, with facts installed
-   and without, and compares cycles (total and guest/monitor split),
-   instruction counts, registers, PSL, console output, run outcome, TLB
-   statistics and the full event trace.  The engagement gauges count
-   only slots the fast tier compiled, never a generic slot.
+   The backward NZVC/register liveness pass ([Liveness], with the
+   interprocedural [Summaries]) is a static analysis only: nothing at
+   run time reads its facts.  The block engine defers condition codes
+   unconditionally and every reader of N, Z or V materializes them, so
+   a stale or wrong fact cannot change what a run observes.
 
    The solver unit tests pin down the backward analysis itself on
    directed programs: a full kill proves all four codes dead, a
@@ -21,156 +17,19 @@
    resolved JSB/BSBB site, a computed call falls back to all-live, and
    a callee that moves the stack pointer escapes to top.
 
-   The runtime tests cover the two ways a deferred or folded fact can
-   leak: a same-opcode byte patch (self-modifying code that rewrites an
-   operand specifier without changing the opcode) must reject the stale
-   fact through the page-generation stamp plus byte verification, and
-   an interrupt delivered mid-block must see exactly the state the
-   per-step interpreter shows it. *)
+   The runtime tests run programs where a CC-dead fact is wrong or
+   irrelevant under the block engine and compare against the per-step
+   interpreter: code patched downstream of a site the analysis proved
+   CC-dead, and an interrupt delivered mid-block, which must see
+   exactly the state the stepper shows it. *)
 
 open Vax_arch
 open Vax_cpu
-open Vax_workloads
 open Vax_analysis
 module Asm = Vax_asm.Asm
 module Disasm = Vax_asm.Disasm
-module Trace = Vax_obs.Trace
 
 let check_int = Alcotest.(check int)
-
-(* ------------------------------------------------------------------ *)
-(* Differential suite: facts on vs. facts off, everything observable *)
-
-type summary = {
-  outcome : string;
-  total : int;
-  guest : int;
-  monitor : int;
-  instrs : int;
-  console : string;
-  regs : int list;
-  psl : int;
-  tlb : int * int * int;
-  trace_total : int;
-  trace_events : string list;
-}
-
-let enable_trace (m : Vax_dev.Machine.t) =
-  Trace.set_enabled m.Vax_dev.Machine.trace true
-
-let summarize (m : Runner.measurement) =
-  let mach = m.Runner.machine in
-  let st = mach.Vax_dev.Machine.cpu in
-  let tlb = Vax_mem.Mmu.tlb mach.Vax_dev.Machine.mmu in
-  let tr = mach.Vax_dev.Machine.trace in
-  let evs = ref [] in
-  Trace.iter_retained tr (fun ~seq k ~a ~b ~c ->
-      evs :=
-        Printf.sprintf "%d:%s:%d:%d:%d" seq (Trace.kind_name k) a b c :: !evs);
-  {
-    outcome = Format.asprintf "%a" Vax_dev.Machine.pp_outcome m.Runner.outcome;
-    total = m.Runner.total_cycles;
-    guest = m.Runner.guest_cycles;
-    monitor = m.Runner.monitor_cycles;
-    instrs = m.Runner.instructions;
-    console = m.Runner.console;
-    regs = List.init 16 (State.reg st);
-    psl = st.State.psl;
-    tlb = (Vax_mem.Tlb.hits tlb, Vax_mem.Tlb.misses tlb, Vax_mem.Tlb.evictions tlb);
-    trace_total = Trace.total tr;
-    trace_events = List.rev !evs;
-  }
-
-let check_summary name a b =
-  Alcotest.(check string) (name ^ ": outcome") a.outcome b.outcome;
-  check_int (name ^ ": total cycles") a.total b.total;
-  check_int (name ^ ": guest cycles") a.guest b.guest;
-  check_int (name ^ ": monitor cycles") a.monitor b.monitor;
-  check_int (name ^ ": instructions") a.instrs b.instrs;
-  Alcotest.(check string) (name ^ ": console") a.console b.console;
-  Alcotest.(check (list int)) (name ^ ": registers") a.regs b.regs;
-  check_int (name ^ ": psl") a.psl b.psl;
-  let ah, am, ae = a.tlb and bh, bm, be = b.tlb in
-  check_int (name ^ ": tlb hits") ah bh;
-  check_int (name ^ ": tlb misses") am bm;
-  check_int (name ^ ": tlb evictions") ae be;
-  check_int (name ^ ": trace total") a.trace_total b.trace_total;
-  Alcotest.(check (list string)) (name ^ ": trace events") a.trace_events
-    b.trace_events
-
-let test_bare_differential () =
-  List.iter
-    (fun w ->
-      let built = Catalog.build w in
-      let on =
-        summarize
-          (Runner.run_bare ~instrument:enable_trace ~liveness:true built)
-      in
-      let off =
-        summarize
-          (Runner.run_bare ~instrument:enable_trace ~liveness:false built)
-      in
-      check_summary ("bare " ^ w) off on)
-    Catalog.names
-
-let test_vm_differential () =
-  List.iter
-    (fun w ->
-      let built = Catalog.build w in
-      let on =
-        summarize (Runner.run_vm ~instrument:enable_trace ~liveness:true built)
-      in
-      let off =
-        summarize
-          (Runner.run_vm ~instrument:enable_trace ~liveness:false built)
-      in
-      check_summary ("vm " ^ w) off on)
-    Catalog.names
-
-let test_two_vm_differential () =
-  let b1 = Catalog.build "editing" and b2 = Catalog.build "transaction" in
-  let run liveness =
-    let m1, m2 =
-      Runner.run_two_vms ~instrument:enable_trace ~liveness b1 b2
-    in
-    (summarize m1, summarize m2)
-  in
-  let on1, on2 = run true and off1, off2 = run false in
-  check_summary "two-vms vm1" off1 on1;
-  check_summary "two-vms vm2" off2 on2
-
-(* The facts must actually engage on the workloads, otherwise the
-   differential above proves nothing. *)
-let test_facts_engage () =
-  let built = Catalog.build "mix" in
-  let m = Runner.run_bare ~liveness:true built in
-  let bc = m.Runner.machine.Vax_dev.Machine.bcache in
-  Alcotest.(check bool) "facts installed" true (bc.Block_cache.facts <> None);
-  Alcotest.(check bool) "fact slots" true (bc.Block_cache.fact_slots > 0);
-  Alcotest.(check bool) "cc elided" true (bc.Block_cache.cc_elided > 0);
-  let off = Runner.run_bare ~liveness:false built in
-  let bco = off.Runner.machine.Vax_dev.Machine.bcache in
-  Alcotest.(check bool) "no facts when off" true (bco.Block_cache.facts = None);
-  check_int "no fact slots when off" 0 bco.Block_cache.fact_slots
-
-(* The call-heavy workload is the stress case for the interprocedural
-   pass: its callee summaries must solve every resolved call site, and
-   its caller-side dead writes must be detected across those sites. *)
-let test_summaries_engage () =
-  let built = Catalog.build "calls" in
-  let m = Runner.run_bare ~liveness:true built in
-  let bc = m.Runner.machine.Vax_dev.Machine.bcache in
-  let facts =
-    match bc.Block_cache.facts with
-    | Some f -> f
-    | None -> Alcotest.fail "facts not installed"
-  in
-  Alcotest.(check bool) "summary calls solved" true
-    (facts.Block_facts.summary_calls > 0);
-  check_int "no summary fallbacks on calls" 0
-    facts.Block_facts.summary_fallbacks;
-  Alcotest.(check bool) "dead register writes found" true
-    (facts.Block_facts.dead_reg_writes >= 2)
 
 (* ------------------------------------------------------------------ *)
 (* Solver unit tests on directed programs *)
@@ -418,17 +277,14 @@ let test_sp_write_escapes () =
         (Summaries.usable s)
 
 (* ------------------------------------------------------------------ *)
-(* Runtime: stale facts and deferred writes under fire *)
+(* Runtime: facts that no longer hold, and deferred writes under fire *)
 
-let boot ~engine ?facts ?(origin = 0x1000) f =
+let boot ~engine ?(origin = 0x1000) f =
   let cpu = Cpu.create ~engine () in
   let a = Asm.create ~origin in
   f a;
   let img = Asm.assemble a in
   Cpu.load cpu img.Vax_asm.Asm.image_origin img.Vax_asm.Asm.code;
-  (match facts with
-  | Some fc -> cpu.Cpu.bcache.Block_cache.facts <- Some fc
-  | None -> ());
   State.set_pc cpu.Cpu.state origin;
   State.set_sp cpu.Cpu.state 0x2000;
   (cpu, img)
@@ -439,55 +295,63 @@ let cpu_summary (cpu : Cpu.t) =
     Cycles.now cpu.Cpu.clock,
     cpu.Cpu.state.State.instructions )
 
-(* Self-modifying code that rewrites an operand specifier of an
-   already-analyzed instruction without changing its opcode or length:
-   the ADDL2's first operand was proven constant 5 (vaxflow folds R0),
-   and the patch retargets it to R3 = 9.  The op/len guard alone
-   cannot catch this — only the page-generation stamp plus byte
-   verification can.  A stale fold would add 5 instead of 9 on the
-   second iteration. *)
-let smc_program addl2_addr a =
-  Asm.ins a Opcode.Movl [ Asm.Imm 2; Asm.R 2 ];
-  Asm.ins a Opcode.Movl [ Asm.Imm 5; Asm.R 0 ];
-  Asm.ins a Opcode.Movl [ Asm.Imm 9; Asm.R 3 ];
-  Asm.label a "loop";
-  Asm.ins a Opcode.Clrl [ Asm.R 1 ];
-  addl2_addr := Asm.here a;
-  Asm.ins a Opcode.Addl2 [ Asm.R 0; Asm.R 1 ];
-  (* 0x53 is the register-mode specifier for R3: same opcode, same
-     length, different operand *)
-  Asm.ins a Opcode.Movb [ Asm.Imm 0x53; Asm.Abs (!addl2_addr + 1) ];
-  Asm.ins a Opcode.Sobgtr [ Asm.R 2; Asm.Branch "loop" ];
+(* Self-modifying code downstream of a CC-dead site.  In [body] the
+   MOVL's N, Z and V are dead, because the TSTL R3 after it overwrites
+   them before the BEQL reads Z.  After three calls the program patches
+   that TSTL into two NOPs, and the BEQL now reads the MOVL's Z.  The
+   MOVL's own bytes never change, so a deferral keyed on its fact would
+   survive the patch and the branch would read a stale Z: the one the
+   CMPL R6, #1 of the previous call left behind.  R3 = 0 skips the INCL
+   before the patch; R5 = 1 takes it on all three calls after. *)
+let downstream_patch_program a =
+  Asm.ins a Opcode.Brb [ Asm.Branch "main" ];
+  Asm.label a "body";
+  Asm.ins a Opcode.Tstl [ Asm.Imm 1 ];
+  Asm.ins a Opcode.Movl [ Asm.R 5; Asm.R 1 ];
+  let patch = Asm.here a in
+  Asm.ins a Opcode.Tstl [ Asm.R 3 ];
+  Asm.ins a Opcode.Beql [ Asm.Branch "skip" ];
+  Asm.ins a Opcode.Incl [ Asm.R 6 ];
+  Asm.label a "skip";
+  Asm.ins a Opcode.Cmpl [ Asm.R 6; Asm.Imm 1 ];
+  Asm.ins a Opcode.Rsb [];
+  Asm.label a "main";
+  Asm.ins a Opcode.Clrl [ Asm.R 6 ];
+  Asm.ins a Opcode.Clrl [ Asm.R 3 ];
+  Asm.ins a Opcode.Movl [ Asm.Imm 1; Asm.R 5 ];
+  for _ = 1 to 3 do
+    Asm.ins a Opcode.Bsbb [ Asm.Branch "body" ]
+  done;
+  (* TSTL R3 is D5 53; 01 is NOP *)
+  Asm.ins a Opcode.Movb [ Asm.Imm 0x01; Asm.Abs patch ];
+  Asm.ins a Opcode.Movb [ Asm.Imm 0x01; Asm.Abs (patch + 1) ];
+  for _ = 1 to 3 do
+    Asm.ins a Opcode.Bsbb [ Asm.Branch "body" ]
+  done;
   Asm.ins a Opcode.Halt []
 
-let test_smc_same_opcode_patch () =
-  let addl2_addr = ref 0 in
-  let prog = smc_program addl2_addr in
+let test_downstream_patch () =
+  let prog = downstream_patch_program in
   let image = image_of ~origin:0x1000 prog in
   let facts, _ = Liveness.facts_of_images [ image ] in
-  (* the stale fact really is dangerous: it folds the patched operand *)
-  (match fact_at facts image Opcode.Addl2 with
-  | None -> Alcotest.fail "no fact at the ADDL2"
-  | Some f ->
-      Alcotest.(check (list (pair int int)))
-        "operand 0 folded to 5 pre-patch"
-        [ (0, 5) ]
-        f.Block_facts.f_consts);
-  let run engine facts' =
-    let cpu, _ = boot ~engine ?facts:facts' prog in
+  (* the analysis of the unpatched image really proves the MOVL's NZV
+     dead: this is the fact the patch falsifies *)
+  check_int "NZV dead after the MOVL" Block_facts.nzv
+    (cc_dead facts image Opcode.Movl land Block_facts.nzv);
+  let run engine =
+    let cpu, _ = boot ~engine prog in
     (match Cpu.run cpu ~max_instructions:1000 () with
     | Exec.Machine_halted -> ()
     | _ -> Alcotest.fail "no halt");
     cpu_summary cpu
   in
-  let rs, ps, cs, is = run Exec.Stepper None in
-  let rb, pb, cb, ib = run Exec.Blocks (Some facts) in
+  let rs, ps, cs, is = run Exec.Stepper in
+  let rb, pb, cb, ib = run Exec.Blocks in
   Alcotest.(check (list int)) "registers" rs rb;
   check_int "psl" ps pb;
   check_int "cycles" cs cb;
   check_int "instructions" is ib;
-  (* iteration 1 adds the folded 5; iteration 2 must add R3 = 9 *)
-  check_int "patched operand re-read, stale fact rejected" 9 (List.nth rb 1)
+  check_int "every call after the patch counts" 3 (List.nth rb 6)
 
 (* An interrupt delivered mid-block must observe exactly what the
    per-step interpreter shows it: the MNEGL's R0 write and the MOVL's
@@ -515,8 +379,8 @@ let interrupt_program a =
   Asm.ins a Opcode.Addl2 [ Asm.R 0; Asm.R 10 ];
   Asm.ins a Opcode.Rei []
 
-let run_with_interrupt engine facts k =
-  let cpu, _ = boot ~engine ?facts interrupt_program in
+let run_with_interrupt engine k =
+  let cpu, _ = boot ~engine interrupt_program in
   let st = cpu.Cpu.state in
   for _ = 1 to k do
     ignore (Cpu.step cpu)
@@ -534,12 +398,10 @@ let run_with_interrupt engine facts k =
   (cpu_summary cpu, !delivery)
 
 let test_interrupt_mid_block () =
-  let image = image_of ~origin:0x1000 interrupt_program in
-  let facts, _ = Liveness.facts_of_images [ image ] in
   List.iter
     (fun k ->
-      let ss, sd = run_with_interrupt Exec.Stepper None k in
-      let bs, bd = run_with_interrupt Exec.Blocks (Some facts) k in
+      let ss, sd = run_with_interrupt Exec.Stepper k in
+      let bs, bd = run_with_interrupt Exec.Blocks k in
       let rs, ps, cs, is = ss and rb, pb, cb, ib = bs in
       Alcotest.(check (list int)) (Printf.sprintf "k=%d registers" k) rs rb;
       check_int (Printf.sprintf "k=%d psl" k) ps pb;
@@ -550,57 +412,9 @@ let test_interrupt_mid_block () =
       check_int (Printf.sprintf "k=%d delivery instruction" k) di_s di_b)
     [ 5; 6; 7; 8; 9; 11; 14; 17; 23; 42 ]
 
-(* The engagement gauges credit only slots the fast tier compiled: a
-   generic slot never reads its fact.  [MOVL (R1)+, R2] has no fast-tier
-   body, so its dead NZV must add nothing to [cc_elided] or
-   [fact_slots]; the same MOVL from [(R1)], a fast shape, adds one to
-   each. *)
-let gauge_program src a =
-  Asm.label a "loop";
-  Asm.ins a Opcode.Movl [ src; Asm.R 2 ];
-  Asm.ins a Opcode.Cmpl [ Asm.R 2; Asm.Imm 0 ];
-  Asm.ins a Opcode.Sobgtr [ Asm.R 5; Asm.Branch "loop" ];
-  Asm.ins a Opcode.Halt []
-
-let gauges_after src =
-  let prog = gauge_program src in
-  let image = image_of ~origin:0x1000 prog in
-  let facts, _ = Liveness.facts_of_images [ image ] in
-  check_int "NZV dead after the MOVL" Block_facts.nzv
-    (cc_dead facts image Opcode.Movl land Block_facts.nzv);
-  let cpu, _ = boot ~engine:Exec.Blocks ~facts prog in
-  State.set_reg cpu.Cpu.state 1 0x3000;
-  State.set_reg cpu.Cpu.state 5 2;
-  (match Cpu.run cpu ~max_instructions:100 () with
-  | Exec.Machine_halted -> ()
-  | _ -> Alcotest.fail "no halt");
-  let bc = cpu.Cpu.bcache in
-  (bc.Block_cache.cc_elided, bc.Block_cache.fact_slots)
-
-let test_gauges_count_fast_tier_only () =
-  let elided_gen, slots_gen = gauges_after (Asm.Postinc 1) in
-  let elided_fast, slots_fast = gauges_after (Asm.Deref 1) in
-  check_int "generic MOVL (R1)+ elides nothing" 0 elided_gen;
-  check_int "fast MOVL (R1) elides its NZV" 1 elided_fast;
-  check_int "only the fast MOVL is a fact slot" 1 (slots_fast - slots_gen)
-
 let () =
   Alcotest.run "liveness"
     [
-      ( "differential",
-        [
-          Alcotest.test_case "bare workloads: facts = no facts" `Quick
-            test_bare_differential;
-          Alcotest.test_case "vm workloads: facts = no facts" `Quick
-            test_vm_differential;
-          Alcotest.test_case "two vms: facts = no facts" `Quick
-            test_two_vm_differential;
-          Alcotest.test_case "facts engage" `Quick test_facts_engage;
-          Alcotest.test_case "summaries engage on calls" `Quick
-            test_summaries_engage;
-          Alcotest.test_case "gauges count fast-tier slots only" `Quick
-            test_gauges_count_fast_tier_only;
-        ] );
       ( "solver",
         [
           Alcotest.test_case "full kill: all codes dead" `Quick test_full_kill;
@@ -627,9 +441,9 @@ let () =
         ] );
       ( "runtime",
         [
-          Alcotest.test_case "same-opcode byte patch rejects stale fact"
-            `Quick test_smc_same_opcode_patch;
-          Alcotest.test_case "interrupt mid-block: blocks+facts = stepper"
-            `Quick test_interrupt_mid_block;
+          Alcotest.test_case "patch downstream of a CC-dead site" `Quick
+            test_downstream_patch;
+          Alcotest.test_case "interrupt mid-block: blocks = stepper" `Quick
+            test_interrupt_mid_block;
         ] );
     ]
