@@ -3,26 +3,6 @@ open Vax_mem
 
 type status = Stepped | Machine_halted | Stopped
 
-(* ------------------------------------------------------------------ *)
-(* Condition-code helpers                                              *)
-
-(* The single funnel for eager NZVC writes.  Overwriting all four codes
-   makes any deferred CC (see [State.cc_lazy]) irrelevant, so the
-   pending class is dropped here — this is what keeps an eager write
-   after a deferred one correct without a materialization. *)
-let set_nzvc st ~n ~z ~v ~c =
-  st.State.cc_lazy <- 0;
-  st.State.psl <- Psl.with_nzvc st.State.psl ~n ~z ~v ~c
-
-let set_nz_keep_c st value =
-  let n = Word.to_signed value < 0 and z = value = 0 in
-  set_nzvc st ~n ~z ~v:false ~c:(Psl.c st.State.psl)
-
-let set_nz_byte_keep_c st value =
-  let v = value land 0xFF in
-  let n = v land 0x80 <> 0 and z = v = 0 in
-  set_nzvc st ~n ~z ~v:false ~c:(Psl.c st.State.psl)
-
 let check_overflow_trap st =
   if Psl.v st.State.psl && Psl.iv st.State.psl then
     raise (State.Fault (State.Arithmetic_trap 1))
@@ -47,65 +27,6 @@ let check_privileged st d ~start_pc =
    invalid PTE): trap whenever PSL<VM> is set, regardless of mode. *)
 let vm_sensitive_trap st d ~start_pc =
   if in_vm st then Microcode.vm_emulation_trap st d ~start_pc
-
-(* ------------------------------------------------------------------ *)
-(* Arithmetic                                                          *)
-
-let do_add st a b =
-  let r = Word.add a b in
-  let sa = Word.to_signed a < 0 and sb = Word.to_signed b < 0 in
-  let sr = Word.to_signed r < 0 in
-  let v = sa = sb && sr <> sa in
-  let c = a + b > 0xFFFF_FFFF in
-  set_nzvc st ~n:sr ~z:(r = 0) ~v ~c;
-  r
-
-let do_sub st a b =
-  (* a - b *)
-  let r = Word.sub a b in
-  let sa = Word.to_signed a < 0 and sb = Word.to_signed b < 0 in
-  let sr = Word.to_signed r < 0 in
-  let v = sa <> sb && sr <> sa in
-  let c = a < b in
-  set_nzvc st ~n:sr ~z:(r = 0) ~v ~c;
-  r
-
-let do_mul st a b =
-  let wide = Word.to_signed a * Word.to_signed b in
-  let r = Word.of_signed wide in
-  let v = wide < -0x8000_0000 || wide > 0x7FFF_FFFF in
-  set_nzvc st ~n:(Word.to_signed r < 0) ~z:(r = 0) ~v ~c:false;
-  r
-
-let do_div st a b =
-  (* a / b, VAX operand order handled by caller *)
-  match Word.div a b with
-  | None ->
-      (* partial CC write: materialize any deferred codes first, or the
-         delivery below would overwrite the V just set *)
-      State.sync_cc st;
-      st.State.psl <- Psl.with_v st.State.psl true;
-      raise (State.Fault (State.Arithmetic_trap 2))
-  | Some r ->
-      set_nzvc st ~n:(Word.to_signed r < 0) ~z:(r = 0) ~v:false ~c:false;
-      r
-
-let do_logic st f a b =
-  let r = f a b in
-  set_nzvc st ~n:(Word.to_signed r < 0) ~z:(r = 0) ~v:false
-    ~c:(Psl.c st.State.psl);
-  r
-
-let compare_long st a b =
-  set_nzvc st
-    ~n:(Word.to_signed a < Word.to_signed b)
-    ~z:(a = b) ~v:false ~c:(a < b)
-
-let compare_byte st a b =
-  let sa = Word.to_signed (Word.sext ~width:8 a) in
-  let sb = Word.to_signed (Word.sext ~width:8 b) in
-  set_nzvc st ~n:(sa < sb) ~z:(sa = sb) ~v:false
-    ~c:(a land 0xFF < b land 0xFF)
 
 (* ------------------------------------------------------------------ *)
 (* PROBE                                                               *)
@@ -160,7 +81,7 @@ let exec_probe st d ~start_pc ~write ops =
           (Word.add base (len - 1))
       in
       let accessible = first && last in
-      set_nzvc st ~n:false ~z:(not accessible) ~v:false ~c:false
+      State.set_nzvc st ~n:false ~z:(not accessible) ~v:false ~c:false
   | _ -> assert false
 
 let exec_probevm st ~write ops =
@@ -176,7 +97,7 @@ let exec_probevm st ~write ops =
             raise (State.Fault State.Reserved_addressing)
       in
       if not (Mmu.mapen st.State.mmu) then
-        set_nzvc st ~n:false ~z:false ~v:false ~c:false
+        State.set_nzvc st ~n:false ~z:false ~v:false ~c:false
       else begin
         match
           (try Mmu.read_pte st.State.mmu base
@@ -193,7 +114,7 @@ let exec_probevm st ~write ops =
                        { mc_code = State.mc_parity; mc_pa = pa })))
         with
         | Error (Mmu.Access_violation { length_violation = true; _ }) ->
-            set_nzvc st ~n:false ~z:true ~v:false ~c:false
+            State.set_nzvc st ~n:false ~z:true ~v:false ~c:false
         | Error f -> raise (State.Fault (State.Mm_fault f))
         | Ok (pte, _) ->
             let prot = Pte.prot pte in
@@ -202,7 +123,7 @@ let exec_probevm st ~write ops =
                 prot probe_mode
             in
             (* protection, validity, modify — in that order *)
-            set_nzvc st ~n:false ~z:(not ok)
+            State.set_nzvc st ~n:false ~z:(not ok)
               ~v:(not (Pte.valid pte))
               ~c:(write && not (Pte.modify pte))
       end
@@ -311,7 +232,47 @@ type handler = State.t -> Decode.decoded -> start_pc:Word.t -> bool
 (* operand-count mismatch: impossible for decoded instructions *)
 let bad_operands () = assert false
 
-let handler_of : Opcode.t -> handler = function
+(* A data instruction's sources (see {!Semantics}); a Write operand is
+   not one *)
+let source st (o : Decode.operand) =
+  match (o.Decode.access, o.Decode.loc) with
+  | Opcode.Write, _ -> 0
+  | Opcode.Address, Decode.Mem va -> va
+  | Opcode.Address, (Decode.Reg _ | Decode.Imm _) ->
+      raise (State.Fault State.Reserved_addressing)
+  | _ -> Decode.read_value st o
+
+(* ... and its destination, then a move's deferred codes *)
+let store st (e : Semantics.t) (o : Decode.operand) r =
+  (if e.Semantics.push then State.push_long st r
+   else
+     match o.Decode.access with
+     | Opcode.Write | Opcode.Modify -> Decode.write_value st o r
+     | _ -> ());
+  if e.Semantics.after <> 0 then State.defer_cc st e.Semantics.after r
+
+(* The one handler of every data opcode: read the sources, compute,
+   write the destination, take the overflow trap. *)
+let exec_data st (d : Decode.decoded) ~start_pc:_ =
+  let e =
+    match Semantics.find d.Decode.opcode with
+    | Some e -> e
+    | None -> assert false (* [handler_of] routes only data opcodes here *)
+  in
+  (match d.Decode.operands with
+  | [ x ] -> store st e x (e.Semantics.compute st (source st x) 0)
+  | [ x; y ] ->
+      let a = source st x in
+      store st e y (e.Semantics.compute st a (source st y))
+  | [ x; y; z ] ->
+      let a = source st x in
+      store st e z (e.Semantics.compute st a (source st y))
+  | _ -> bad_operands ());
+  if e.Semantics.overflow then check_overflow_trap st;
+  false
+
+(* every other opcode *)
+let other_handler : Opcode.t -> handler = function
   | Opcode.Nop -> (fun _st _d ~start_pc:_ -> false)
   | Opcode.Halt ->
       (fun st d ~start_pc ->
@@ -406,282 +367,6 @@ let handler_of : Opcode.t -> handler = function
             st.State.psl <- Word.logand st.State.psl (Word.lognot (v land 0xFF));
             false
         | _ -> bad_operands ())
-  | Opcode.Movl ->
-      (fun st d ~start_pc:_ ->
-        match d.Decode.operands with
-        | [ src; dst ] ->
-            let v = Decode.read_value st src in
-            Decode.write_value st dst v;
-            set_nz_keep_c st v;
-            false
-        | _ -> bad_operands ())
-  | Opcode.Pushl ->
-      (fun st d ~start_pc:_ ->
-        match d.Decode.operands with
-        | [ src ] ->
-            let v = Decode.read_value st src in
-            State.push_long st v;
-            set_nz_keep_c st v;
-            false
-        | _ -> bad_operands ())
-  | Opcode.Moval ->
-      (fun st d ~start_pc:_ ->
-        match d.Decode.operands with
-        | [ src; dst ] ->
-            let va =
-              match src.Decode.loc with
-              | Decode.Mem va -> va
-              | Decode.Reg _ | Decode.Imm _ ->
-                  raise (State.Fault State.Reserved_addressing)
-            in
-            Decode.write_value st dst va;
-            set_nz_keep_c st va;
-            false
-        | _ -> bad_operands ())
-  | Opcode.Clrl ->
-      (fun st d ~start_pc:_ ->
-        match d.Decode.operands with
-        | [ dst ] ->
-            Decode.write_value st dst 0;
-            set_nz_keep_c st 0;
-            false
-        | _ -> bad_operands ())
-  | Opcode.Clrb ->
-      (fun st d ~start_pc:_ ->
-        match d.Decode.operands with
-        | [ dst ] ->
-            Decode.write_value st dst 0;
-            set_nz_byte_keep_c st 0;
-            false
-        | _ -> bad_operands ())
-  | Opcode.Tstl ->
-      (fun st d ~start_pc:_ ->
-        match d.Decode.operands with
-        | [ src ] ->
-            let v = Decode.read_value st src in
-            set_nzvc st ~n:(Word.to_signed v < 0) ~z:(v = 0) ~v:false ~c:false;
-            false
-        | _ -> bad_operands ())
-  | Opcode.Tstb ->
-      (fun st d ~start_pc:_ ->
-        match d.Decode.operands with
-        | [ src ] ->
-            let v = Decode.read_value st src land 0xFF in
-            set_nzvc st ~n:(v land 0x80 <> 0) ~z:(v = 0) ~v:false ~c:false;
-            false
-        | _ -> bad_operands ())
-  | Opcode.Movb ->
-      (fun st d ~start_pc:_ ->
-        match d.Decode.operands with
-        | [ src; dst ] ->
-            let v = Decode.read_value st src land 0xFF in
-            Decode.write_value st dst v;
-            set_nz_byte_keep_c st v;
-            false
-        | _ -> bad_operands ())
-  | Opcode.Movzbl ->
-      (fun st d ~start_pc:_ ->
-        match d.Decode.operands with
-        | [ src; dst ] ->
-            let v = Decode.read_value st src land 0xFF in
-            Decode.write_value st dst v;
-            set_nzvc st ~n:false ~z:(v = 0) ~v:false ~c:(Psl.c st.State.psl);
-            false
-        | _ -> bad_operands ())
-  | Opcode.Cmpl ->
-      (fun st d ~start_pc:_ ->
-        match d.Decode.operands with
-        | [ a; b ] ->
-            compare_long st (Decode.read_value st a) (Decode.read_value st b);
-            false
-        | _ -> bad_operands ())
-  | Opcode.Cmpb ->
-      (fun st d ~start_pc:_ ->
-        match d.Decode.operands with
-        | [ a; b ] ->
-            compare_byte st (Decode.read_value st a) (Decode.read_value st b);
-            false
-        | _ -> bad_operands ())
-  | Opcode.Incl ->
-      (fun st d ~start_pc:_ ->
-        match d.Decode.operands with
-        | [ dst ] ->
-            let r = do_add st (Decode.read_value st dst) 1 in
-            Decode.write_value st dst r;
-            check_overflow_trap st;
-            false
-        | _ -> bad_operands ())
-  | Opcode.Decl ->
-      (fun st d ~start_pc:_ ->
-        match d.Decode.operands with
-        | [ dst ] ->
-            let r = do_sub st (Decode.read_value st dst) 1 in
-            Decode.write_value st dst r;
-            check_overflow_trap st;
-            false
-        | _ -> bad_operands ())
-  | Opcode.Mnegl ->
-      (fun st d ~start_pc:_ ->
-        match d.Decode.operands with
-        | [ src; dst ] ->
-            let r = do_sub st 0 (Decode.read_value st src) in
-            Decode.write_value st dst r;
-            check_overflow_trap st;
-            false
-        | _ -> bad_operands ())
-  | Opcode.Ashl ->
-      (fun st d ~start_pc:_ ->
-        match d.Decode.operands with
-        | [ cnt_op; src; dst ] ->
-            let cnt = Decode.read_value st cnt_op in
-            let s = Decode.read_value st src in
-            let r = Word.ashl ~cnt s in
-            Decode.write_value st dst r;
-            set_nzvc st ~n:(Word.to_signed r < 0) ~z:(r = 0)
-              ~v:(Word.ashl_overflows ~cnt s) ~c:false;
-            false
-        | _ -> bad_operands ())
-  | Opcode.Addl2 ->
-      (fun st d ~start_pc:_ ->
-        match d.Decode.operands with
-        | [ src; dst ] ->
-            let r = do_add st (Decode.read_value st dst) (Decode.read_value st src) in
-            Decode.write_value st dst r;
-            check_overflow_trap st;
-            false
-        | _ -> bad_operands ())
-  | Opcode.Addl3 ->
-      (fun st d ~start_pc:_ ->
-        match d.Decode.operands with
-        | [ a; b; dst ] ->
-            let r = do_add st (Decode.read_value st a) (Decode.read_value st b) in
-            Decode.write_value st dst r;
-            check_overflow_trap st;
-            false
-        | _ -> bad_operands ())
-  | Opcode.Subl2 ->
-      (fun st d ~start_pc:_ ->
-        match d.Decode.operands with
-        | [ src; dst ] ->
-            let r = do_sub st (Decode.read_value st dst) (Decode.read_value st src) in
-            Decode.write_value st dst r;
-            check_overflow_trap st;
-            false
-        | _ -> bad_operands ())
-  | Opcode.Subl3 ->
-      (fun st d ~start_pc:_ ->
-        match d.Decode.operands with
-        | [ a; b; dst ] ->
-            (* dst <- b - a *)
-            let r = do_sub st (Decode.read_value st b) (Decode.read_value st a) in
-            Decode.write_value st dst r;
-            check_overflow_trap st;
-            false
-        | _ -> bad_operands ())
-  | Opcode.Mull2 ->
-      (fun st d ~start_pc:_ ->
-        match d.Decode.operands with
-        | [ src; dst ] ->
-            let r = do_mul st (Decode.read_value st dst) (Decode.read_value st src) in
-            Decode.write_value st dst r;
-            check_overflow_trap st;
-            false
-        | _ -> bad_operands ())
-  | Opcode.Mull3 ->
-      (fun st d ~start_pc:_ ->
-        match d.Decode.operands with
-        | [ a; b; dst ] ->
-            let r = do_mul st (Decode.read_value st a) (Decode.read_value st b) in
-            Decode.write_value st dst r;
-            check_overflow_trap st;
-            false
-        | _ -> bad_operands ())
-  | Opcode.Divl2 ->
-      (fun st d ~start_pc:_ ->
-        match d.Decode.operands with
-        | [ src; dst ] ->
-            let r = do_div st (Decode.read_value st dst) (Decode.read_value st src) in
-            Decode.write_value st dst r;
-            false
-        | _ -> bad_operands ())
-  | Opcode.Divl3 ->
-      (fun st d ~start_pc:_ ->
-        match d.Decode.operands with
-        | [ a; b; dst ] ->
-            (* dst <- b / a *)
-            let r = do_div st (Decode.read_value st b) (Decode.read_value st a) in
-            Decode.write_value st dst r;
-            false
-        | _ -> bad_operands ())
-  | Opcode.Bisl2 ->
-      (fun st d ~start_pc:_ ->
-        match d.Decode.operands with
-        | [ src; dst ] ->
-            let r =
-              do_logic st Word.logor (Decode.read_value st dst)
-                (Decode.read_value st src)
-            in
-            Decode.write_value st dst r;
-            false
-        | _ -> bad_operands ())
-  | Opcode.Bisl3 ->
-      (fun st d ~start_pc:_ ->
-        match d.Decode.operands with
-        | [ a; b; dst ] ->
-            let r =
-              do_logic st Word.logor (Decode.read_value st a)
-                (Decode.read_value st b)
-            in
-            Decode.write_value st dst r;
-            false
-        | _ -> bad_operands ())
-  | Opcode.Bicl2 ->
-      (fun st d ~start_pc:_ ->
-        match d.Decode.operands with
-        | [ src; dst ] ->
-            let r =
-              do_logic st
-                (fun d s -> Word.logand d (Word.lognot s))
-                (Decode.read_value st dst) (Decode.read_value st src)
-            in
-            Decode.write_value st dst r;
-            false
-        | _ -> bad_operands ())
-  | Opcode.Bicl3 ->
-      (fun st d ~start_pc:_ ->
-        match d.Decode.operands with
-        | [ a; b; dst ] ->
-            (* dst <- b AND NOT a *)
-            let r =
-              do_logic st
-                (fun a b -> Word.logand b (Word.lognot a))
-                (Decode.read_value st a) (Decode.read_value st b)
-            in
-            Decode.write_value st dst r;
-            false
-        | _ -> bad_operands ())
-  | Opcode.Xorl2 ->
-      (fun st d ~start_pc:_ ->
-        match d.Decode.operands with
-        | [ src; dst ] ->
-            let r =
-              do_logic st Word.logxor (Decode.read_value st dst)
-                (Decode.read_value st src)
-            in
-            Decode.write_value st dst r;
-            false
-        | _ -> bad_operands ())
-  | Opcode.Xorl3 ->
-      (fun st d ~start_pc:_ ->
-        match d.Decode.operands with
-        | [ a; b; dst ] ->
-            let r =
-              do_logic st Word.logxor (Decode.read_value st a)
-                (Decode.read_value st b)
-            in
-            Decode.write_value st dst r;
-            false
-        | _ -> bad_operands ())
   | Opcode.Brb | Opcode.Brw | Opcode.Bneq | Opcode.Beql | Opcode.Bgtr
   | Opcode.Bleq | Opcode.Bgeq | Opcode.Blss | Opcode.Bgtru | Opcode.Blequ
   | Opcode.Bvc | Opcode.Bvs | Opcode.Bcc | Opcode.Bcs ->
@@ -708,7 +393,7 @@ let handler_of : Opcode.t -> handler = function
       (fun st d ~start_pc:_ ->
         match d.Decode.operands with
         | [ limit; index; disp ] ->
-            let r = do_add st (Decode.read_value st index) 1 in
+            let r = Semantics.add st (Decode.read_value st index) 1 in
             Decode.write_value st index r;
             if Word.signed_lt r (Decode.read_value st limit) then
               branch_to st disp
@@ -719,7 +404,7 @@ let handler_of : Opcode.t -> handler = function
       (fun st d ~start_pc:_ ->
         match d.Decode.operands with
         | [ index; disp ] ->
-            let r = do_sub st (Decode.read_value st index) 1 in
+            let r = Semantics.sub st (Decode.read_value st index) 1 in
             Decode.write_value st index r;
             if Word.to_signed r > 0 then branch_to st disp
             else State.set_pc st d.Decode.next_pc;
@@ -789,6 +474,10 @@ let handler_of : Opcode.t -> handler = function
         State.set_sp st (Word.add (State.sp st) (4 * (n land 0xFF)));
         State.set_pc st ret_pc;
         true)
+  | _ -> invalid_arg "Exec.other_handler"
+
+let handler_of op =
+  match Semantics.find op with Some _ -> exec_data | None -> other_handler op
 
 let execute st (d : Decode.decoded) ~start_pc =
   (handler_of d.Decode.opcode) st d ~start_pc
@@ -811,7 +500,10 @@ let run_decoded st (d : Decode.decoded) ~start_pc =
   if Vax_obs.Trace.enabled tr then
     Vax_obs.Trace.emit tr Vax_obs.Trace.Retire ~b:(Opcode.code d.Decode.opcode)
       ~c:(if was_vm then 1 else 0)
-      start_pc
+      start_pc;
+  (* the stepper is the eager reference: an exact PSL at every
+     instruction boundary *)
+  State.sync_cc st
 
 (* [d] is [Decode.undecoded] when the fault came before decode
    finished. *)
@@ -888,10 +580,11 @@ let run st ?(max_instructions = max_int) () =
 (* A block slot's closure replays one instruction exactly as [step]     *)
 (* would after the decode-cache probe: same operand-specifier charges   *)
 (* in the same order, same eval-time memory reads, same counter bumps,  *)
-(* same base-cycle charge, same fault next-PC protocol.  Two tiers: the *)
-(* shapes the workloads compile get a fused closure with no decoded-    *)
-(* record allocation at all; everything else gets a generic slot that  *)
-(* calls [Decode.operandize] with the handler pre-resolved.             *)
+(* same base-cycle charge, same fault next-PC protocol.  Two tiers:    *)
+(* data instructions without operand side effects and the hot control  *)
+(* transfers get a fused closure with no decoded-record allocation at  *)
+(* all; everything else gets a generic slot that calls                 *)
+(* [Decode.operandize] with the handler pre-resolved.                  *)
 (* ================================================================== *)
 
 (* Fast operand IR: the side-effect-free addressing shapes.  Evaluating
@@ -939,9 +632,11 @@ let farg_of_spec (ts : Decode_cache.tspec) =
    than the useful work of a register-to-register instruction: a
    decoded-record allocation in [Decode.operandize], a [ref] plus a try
    frame for the fault next-PC protocol, the handler's operand-list
-   match, and one [Cycles.charge] call per specifier.  These bodies
-   re-express the opcode/operand shapes the workloads compile (PERF.md
-   lists the census) without them:
+   match, and one [Cycles.charge] call per specifier.  The fast tier
+   runs the same semantics without them, for every data instruction
+   whose operands have no side effects (one closure per operand class,
+   executing the opcode's {!Semantics} entry) and for the hot control
+   transfers:
 
    - adjacent cycle charges with no possible fault point between them
      are merged into a single [Cycles.charge].  Merging is
@@ -953,303 +648,252 @@ let farg_of_spec (ts : Decode_cache.tspec) =
      next-PC of that phase baked in: operand evaluation reports
      [next_pc = start_pc], everything after evaluation committed (the
      destination write, a division trap, the overflow trap) reports the
-     instruction's end.  Bodies whose operands are all
-     register/immediate carry no handler at all;
+     instruction's end;
    - operand access is pre-resolved at compile time to a direct
      register index or a single address closure.
 
    A fault raised by [dispatch_fault] itself propagates, as in
    [step].  Every other shape returns [None] and takes [generic_slot],
-   the stepper's own semantics; a body earns its place here only with
-   compiled slots in that census. *)
+   the stepper's own semantics. *)
+
+let commit st =
+  st.State.instructions <- st.State.instructions + 1;
+  let was_vm = Psl.vm st.State.psl in
+  if was_vm then st.State.vm_instructions <- st.State.vm_instructions + 1;
+  was_vm
+
+let retire st enc pc was_vm =
+  let tr = st.State.trace in
+  if Vax_obs.Trace.enabled tr then
+    Vax_obs.Trace.emit tr Vax_obs.Trace.Retire ~b:enc
+      ~c:(if was_vm then 1 else 0)
+      pc
+
+(* an operand-evaluation fault, and a post-commit one *)
+let fault0 st pc f = Microcode.dispatch_fault st ~start_pc:pc ~next_pc:pc f
+
+let fault1 st pc len f =
+  Microcode.dispatch_fault st ~start_pc:pc ~next_pc:(Word.add pc len) f
+
+(* pre-resolved address and memory-access closures *)
+let va_of = function
+  | A_reg rn -> fun st _ -> Array.unsafe_get st.State.regs rn
+  | A_disp (rn, disp) ->
+      fun st _ -> Word.add (Array.unsafe_get st.State.regs rn) disp
+  | A_pc ofs -> fun _ pc -> Word.add pc ofs
+  | A_abs va -> fun _ _ -> va
+
+let rd_mem width a =
+  match (width, a) with
+  | Opcode.Long, A_reg rn ->
+      fun st _ ->
+        State.read_long st (State.cur_mode st) (Array.unsafe_get st.State.regs rn)
+  | Opcode.Long, A_disp (rn, disp) ->
+      fun st _ ->
+        State.read_long st (State.cur_mode st)
+          (Word.add (Array.unsafe_get st.State.regs rn) disp)
+  | Opcode.Long, A_pc ofs ->
+      fun st pc -> State.read_long st (State.cur_mode st) (Word.add pc ofs)
+  | Opcode.Long, A_abs va ->
+      fun st _ -> State.read_long st (State.cur_mode st) va
+  | Opcode.Word, _ ->
+      let va = va_of a in
+      fun st pc -> State.read_word16 st (State.cur_mode st) (va st pc)
+  | Opcode.Byte, _ ->
+      let va = va_of a in
+      fun st pc -> State.read_byte st (State.cur_mode st) (va st pc)
+
+let wr_mem width a =
+  let va = va_of a in
+  match width with
+  | Opcode.Long ->
+      fun st pc v -> State.write_long st (State.cur_mode st) (va st pc) v
+  | Opcode.Word ->
+      fun st pc v ->
+        State.write_word16 st (State.cur_mode st) (va st pc) (v land 0xFFFF)
+  | Opcode.Byte ->
+      fun st pc v ->
+        State.write_byte st (State.cur_mode st) (va st pc) (v land 0xFF)
+
+let no_source _ _ = 0
+
+(* A data instruction, by operand class.  The specifiers are walked in
+   order: each source gets a reader and the specifier charge still
+   pending when it is read — nonzero only for a memory read, the one
+   kind of source that can fault, so pure specifiers merge into the
+   next charge.  A longword register destination (or none) is stored
+   inline by the register-class closures, which keep the commit and
+   retire bookkeeping inline too: at this size a helper-call chain
+   costs more than the useful work.  Any other destination — memory, a
+   byte or word register merge, PUSHL's push — gets a writer closure. *)
+let compile_data (e : Semantics.t) (tmpl : Decode_cache.template) =
+  let len = tmpl.Decode_cache.t_len in
+  let enc = Opcode.code tmpl.Decode_cache.t_opcode in
+  let spec = Cost.operand_specifier in
+  let base = Opcode.base_cycles tmpl.Decode_cache.t_opcode in
+  let rec walk pending srcs dst = function
+    | [] -> Some (List.rev srcs, dst, pending + base)
+    | (ts : Decode_cache.tspec) :: rest -> (
+        let pending = pending + spec in
+        let access = ts.Decode_cache.t_access in
+        let w = ts.Decode_cache.t_width in
+        match (access, fop_of_shape ts) with
+        | Opcode.Write, Some f -> walk pending srcs (Some (f, w)) rest
+        | Opcode.Address, Some (F_mem a) ->
+            walk pending ((0, va_of a) :: srcs) dst rest
+        | (Opcode.Read | Opcode.Modify), Some f -> (
+            let dst = if access = Opcode.Modify then Some (f, w) else dst in
+            match f with
+            | F_imm v -> walk pending ((0, fun _ _ -> v) :: srcs) dst rest
+            | F_reg rn ->
+                walk pending
+                  ((0, fun st _ -> Array.unsafe_get st.State.regs rn) :: srcs)
+                  dst rest
+            | F_mem a -> walk 0 ((pending, rd_mem w a) :: srcs) dst rest)
+        | _ -> None)
+  in
+  let classes =
+    match walk 0 [] None tmpl.Decode_cache.t_specs with
+    | Some ([], dst, tail) ->
+        Some ((0, no_source), (0, no_source), false, dst, tail)
+    | Some ([ a ], dst, tail) -> Some (a, (0, no_source), false, dst, tail)
+    | Some ([ a; b ], dst, tail) -> Some (a, b, true, dst, tail)
+    | _ -> None
+  in
+  match classes with
+  | None -> None
+  | Some ((ka, ra), (kb, rb), two, dst, tail) -> (
+      let { Semantics.compute; after; overflow; push } = e in
+      let writer =
+        match dst with
+        | _ when push -> Some (fun st _ r -> State.push_long st r)
+        | None | Some (F_reg _, Opcode.Long) -> None
+        | Some (F_reg rn, w) ->
+            let low = if w = Opcode.Byte then 0xFF else 0xFFFF in
+            Some
+              (fun st _ r ->
+                let regs = st.State.regs in
+                Array.unsafe_set regs rn
+                  (Array.unsafe_get regs rn land lnot low lor (r land low)))
+        | Some (F_mem a, w) -> Some (wr_mem w a)
+        | Some (F_imm _, _) -> assert false (* the decoder rejects it *)
+      in
+      let dr = match dst with Some (F_reg rn, Opcode.Long) -> rn | _ -> -1 in
+      match writer with
+      | None when ka = 0 && kb = 0 ->
+          (* register/immediate/address sources, register or no
+             destination: no evaluation fault point at all *)
+          Some
+            (fun st pc ->
+              Cycles.charge st.State.clock tail;
+              st.State.instructions <- st.State.instructions + 1;
+              let was_vm = Psl.vm st.State.psl in
+              if was_vm then
+                st.State.vm_instructions <- st.State.vm_instructions + 1;
+              let a = ra st pc in
+              let b = if two then rb st pc else 0 in
+              match compute st a b with
+              | exception State.Fault f -> fault1 st pc len f
+              | r ->
+                  if dr >= 0 then Array.unsafe_set st.State.regs dr (Word.mask r);
+                  if after <> 0 then State.defer_cc st after r;
+                  if overflow && Psl.v st.State.psl && Psl.iv st.State.psl then
+                    fault1 st pc len (State.Arithmetic_trap 1)
+                  else begin
+                    State.set_pc st (Word.add pc len);
+                    let tr = st.State.trace in
+                    if Vax_obs.Trace.enabled tr then
+                      Vax_obs.Trace.emit tr Vax_obs.Trace.Retire ~b:enc
+                        ~c:(if was_vm then 1 else 0)
+                        pc
+                  end)
+      | None ->
+          (* memory sources, register or no destination *)
+          Some
+            (fun st pc ->
+              Cycles.charge st.State.clock ka;
+              match ra st pc with
+              | exception State.Fault f -> fault0 st pc f
+              | a -> (
+                  Cycles.charge st.State.clock kb;
+                  match if two then rb st pc else 0 with
+                  | exception State.Fault f -> fault0 st pc f
+                  | b -> (
+                      Cycles.charge st.State.clock tail;
+                      st.State.instructions <- st.State.instructions + 1;
+                      let was_vm = Psl.vm st.State.psl in
+                      if was_vm then
+                        st.State.vm_instructions <- st.State.vm_instructions + 1;
+                      match compute st a b with
+                      | exception State.Fault f -> fault1 st pc len f
+                      | r ->
+                          if dr >= 0 then
+                            Array.unsafe_set st.State.regs dr (Word.mask r);
+                          if after <> 0 then State.defer_cc st after r;
+                          if overflow && Psl.v st.State.psl && Psl.iv st.State.psl
+                          then fault1 st pc len (State.Arithmetic_trap 1)
+                          else begin
+                            State.set_pc st (Word.add pc len);
+                            let tr = st.State.trace in
+                            if Vax_obs.Trace.enabled tr then
+                              Vax_obs.Trace.emit tr Vax_obs.Trace.Retire ~b:enc
+                                ~c:(if was_vm then 1 else 0)
+                                pc
+                          end)))
+      | Some wr ->
+          (* any sources, a written destination; with pure sources
+             [ka] and [kb] are 0 and the evaluation cannot fault *)
+          Some
+            (fun st pc ->
+              Cycles.charge st.State.clock ka;
+              match ra st pc with
+              | exception State.Fault f -> fault0 st pc f
+              | a -> (
+                  Cycles.charge st.State.clock kb;
+                  match if two then rb st pc else 0 with
+                  | exception State.Fault f -> fault0 st pc f
+                  | b -> (
+                      Cycles.charge st.State.clock tail;
+                      let was_vm = commit st in
+                      match
+                        let r = compute st a b in
+                        wr st pc r;
+                        r
+                      with
+                      | exception State.Fault f -> fault1 st pc len f
+                      | r ->
+                          if after <> 0 then State.defer_cc st after r;
+                          if overflow && Psl.v st.State.psl && Psl.iv st.State.psl
+                          then fault1 st pc len (State.Arithmetic_trap 1)
+                          else begin
+                            State.set_pc st (Word.add pc len);
+                            retire st enc pc was_vm
+                          end))))
 
 let compile_fast_hot (tmpl : Decode_cache.template) =
   let op = tmpl.Decode_cache.t_opcode in
-  let len = tmpl.Decode_cache.t_len in
-  let base = Opcode.base_cycles op in
-  let enc = Opcode.code op in
-  let spec = Cost.operand_specifier in
-  (* Lazy condition codes: every move, clear, TSTL and logical body
-     records its CC source in [State.cc_lazy]/[cc_value] instead of
-     computing N, Z and V.  The pending write is dropped wholesale by
-     the next eager [set_nzvc] (the common case: the next CC writer
-     kills it) or materialized by the first reader of N, Z or V via
-     [State.sync_cc].  C is never deferred: the classes keep it and the
-     TSTL helper clears it eagerly, so [psl]'s C is exact at all times
-     and an interleaved eager keep-C write (cold path, generic slot)
-     reads the right value. *)
-  let set_nz_keep_c st v =
-    st.State.cc_lazy <- 1;
-    st.State.cc_value <- v
-  in
-  let set_nz_byte_keep_c st v =
-    st.State.cc_lazy <- 2;
-    st.State.cc_value <- v
-  in
-  let do_logic st f a b =
-    let r = f a b in
-    set_nz_keep_c st r;
-    r
-  in
-  let set_cc_tstl st v =
-    st.State.psl <- Psl.with_c st.State.psl false;
-    set_nz_keep_c st v
-  in
-  let commit st =
-    st.State.instructions <- st.State.instructions + 1;
-    let was_vm = Psl.vm st.State.psl in
-    if was_vm then st.State.vm_instructions <- st.State.vm_instructions + 1;
-    was_vm
-  in
-  let retire st start_pc was_vm =
-    let tr = st.State.trace in
-    if Vax_obs.Trace.enabled tr then
-      Vax_obs.Trace.emit tr Vax_obs.Trace.Retire ~b:enc
-        ~c:(if was_vm then 1 else 0)
-        start_pc
-  in
-  let finish st start_pc was_vm =
-    State.set_pc st (Word.add start_pc len);
-    retire st start_pc was_vm
-  in
-  let fault0 st pc f = Microcode.dispatch_fault st ~start_pc:pc ~next_pc:pc f in
-  let fault1 st pc f =
-    Microcode.dispatch_fault st ~start_pc:pc ~next_pc:(Word.add pc len) f
-  in
-  (* [check_overflow_trap] + the handler's dispatch, fused *)
-  let ovf_finish st pc was_vm =
-    if Psl.v st.State.psl && Psl.iv st.State.psl then
-      fault1 st pc (State.Arithmetic_trap 1)
-    else finish st pc was_vm
-  in
-  (* pre-resolved operand accessors; [rd_pure] never faults *)
-  let rd_pure = function
-    | F_imm v -> fun _ -> v
-    | F_reg rn -> fun st -> Array.unsafe_get st.State.regs rn
-    | F_mem _ -> assert false
-  in
-  let rd_pure_b = function
-    | F_imm v -> fun _ -> v
-    | F_reg rn -> fun st -> Array.unsafe_get st.State.regs rn land 0xFF
-    | F_mem _ -> assert false
-  in
-  let va_of = function
-    | A_reg rn -> fun st _ -> Array.unsafe_get st.State.regs rn
-    | A_disp (rn, disp) ->
-        fun st _ -> Word.add (Array.unsafe_get st.State.regs rn) disp
-    | A_pc ofs -> fun _ pc -> Word.add pc ofs
-    | A_abs va -> fun _ _ -> va
-  in
-  let rd_mem = function
-    | A_reg rn ->
-        fun st _ ->
-          State.read_long st (State.cur_mode st)
-            (Array.unsafe_get st.State.regs rn)
-    | A_disp (rn, disp) ->
-        fun st _ ->
-          State.read_long st (State.cur_mode st)
-            (Word.add (Array.unsafe_get st.State.regs rn) disp)
-    | A_pc ofs ->
-        fun st pc -> State.read_long st (State.cur_mode st) (Word.add pc ofs)
-    | A_abs va -> fun st _ -> State.read_long st (State.cur_mode st) va
-  in
-  let rd_mem_b = function
-    | A_reg rn ->
-        fun st _ ->
-          State.read_byte st (State.cur_mode st)
-            (Array.unsafe_get st.State.regs rn)
-    | A_disp (rn, disp) ->
-        fun st _ ->
-          State.read_byte st (State.cur_mode st)
-            (Word.add (Array.unsafe_get st.State.regs rn) disp)
-    | A_pc ofs ->
-        fun st pc -> State.read_byte st (State.cur_mode st) (Word.add pc ofs)
-    | A_abs va -> fun st _ -> State.read_byte st (State.cur_mode st) va
-  in
-  let wr_mem = function
-    | A_reg rn ->
-        fun st _ v ->
-          State.write_long st (State.cur_mode st)
-            (Array.unsafe_get st.State.regs rn)
-            v
-    | A_disp (rn, disp) ->
-        fun st _ v ->
-          State.write_long st (State.cur_mode st)
-            (Word.add (Array.unsafe_get st.State.regs rn) disp)
-            v
-    | A_pc ofs ->
-        fun st pc v ->
-          State.write_long st (State.cur_mode st) (Word.add pc ofs) v
-    | A_abs va -> fun st _ v -> State.write_long st (State.cur_mode st) va v
-  in
-  let wr_mem_b = function
-    | A_reg rn ->
-        fun st _ v ->
-          State.write_byte st (State.cur_mode st)
-            (Array.unsafe_get st.State.regs rn)
-            (v land 0xFF)
-    | A_disp (rn, disp) ->
-        fun st _ v ->
-          State.write_byte st (State.cur_mode st)
-            (Word.add (Array.unsafe_get st.State.regs rn) disp)
-            (v land 0xFF)
-    | A_pc ofs ->
-        fun st pc v ->
-          State.write_byte st (State.cur_mode st) (Word.add pc ofs)
-            (v land 0xFF)
-    | A_abs va ->
-        fun st _ v ->
-          State.write_byte st (State.cur_mode st) va (v land 0xFF)
-  in
-  (* conditional branch: one specifier, nothing can fault; reads the
-     codes, so it materializes any deferred ones first *)
-  let cbr tofs =
-    let call = spec + base in
-    Some
-      (fun st pc ->
-        Cycles.charge st.State.clock call;
-        st.State.instructions <- st.State.instructions + 1;
-        let was_vm = Psl.vm st.State.psl in
-        if was_vm then st.State.vm_instructions <- st.State.vm_instructions + 1;
-        State.sync_cc st;
-        if branch_taken op st.State.psl then State.set_pc st (Word.add pc tofs)
-        else State.set_pc st (Word.add pc len);
-        let tr = st.State.trace in
-        if Vax_obs.Trace.enabled tr then
-          Vax_obs.Trace.emit tr Vax_obs.Trace.Retire ~b:enc
-            ~c:(if was_vm then 1 else 0)
-            pc)
-  in
-  (* two-operand read-modify-write arithmetic.  [f] may raise (division
-     by zero), always after evaluation committed, so its phase reports
-     the instruction's end.  The register-destination combos inline the
-     commit/retire bookkeeping textually: a helper-call chain costs more
-     than the useful work at this size. *)
-  let arith2 s d f ~ovf =
-    match (s, d) with
-    | (F_imm _ | F_reg _), F_reg dr ->
-        let rd = rd_pure s in
-        let call = (2 * spec) + base in
-        Some
-          (fun st pc ->
-            Cycles.charge st.State.clock call;
-            st.State.instructions <- st.State.instructions + 1;
-            let was_vm = Psl.vm st.State.psl in
-            if was_vm then
-              st.State.vm_instructions <- st.State.vm_instructions + 1;
-            let sv = rd st in
-            let dv = Array.unsafe_get st.State.regs dr in
-            match f st dv sv with
-            | exception State.Fault fe -> fault1 st pc fe
-            | r ->
-                Array.unsafe_set st.State.regs dr (Word.mask r);
-                if ovf && Psl.v st.State.psl && Psl.iv st.State.psl then
-                  fault1 st pc (State.Arithmetic_trap 1)
-                else begin
-                  State.set_pc st (Word.add pc len);
-                  let tr = st.State.trace in
-                  if Vax_obs.Trace.enabled tr then
-                    Vax_obs.Trace.emit tr Vax_obs.Trace.Retire ~b:enc
-                      ~c:(if was_vm then 1 else 0)
-                      pc
-                end)
-    | F_mem a, F_reg dr ->
-        let rd = rd_mem a in
-        let tail = spec + base in
-        Some
-          (fun st pc ->
-            Cycles.charge st.State.clock spec;
-            match rd st pc with
-            | exception State.Fault fe -> fault0 st pc fe
-            | sv -> (
-                Cycles.charge st.State.clock tail;
-                st.State.instructions <- st.State.instructions + 1;
-                let was_vm = Psl.vm st.State.psl in
-                if was_vm then
-                  st.State.vm_instructions <- st.State.vm_instructions + 1;
-                let dv = Array.unsafe_get st.State.regs dr in
-                match f st dv sv with
-                | exception State.Fault fe -> fault1 st pc fe
-                | r ->
-                    Array.unsafe_set st.State.regs dr (Word.mask r);
-                    if ovf && Psl.v st.State.psl && Psl.iv st.State.psl then
-                      fault1 st pc (State.Arithmetic_trap 1)
-                    else begin
-                      State.set_pc st (Word.add pc len);
-                      let tr = st.State.trace in
-                      if Vax_obs.Trace.enabled tr then
-                        Vax_obs.Trace.emit tr Vax_obs.Trace.Retire ~b:enc
-                          ~c:(if was_vm then 1 else 0)
-                          pc
-                    end))
-    | (F_imm _ | F_reg _), F_mem a ->
-        let rd = rd_pure s in
-        let rdm = rd_mem a in
-        let wrm = wr_mem a in
-        Some
-          (fun st pc ->
-            Cycles.charge st.State.clock (2 * spec);
-            match rdm st pc with
-            | exception State.Fault fe -> fault0 st pc fe
-            | dv -> (
-                Cycles.charge st.State.clock base;
-                let was_vm = commit st in
-                let sv = rd st in
-                match
-                  let r = f st dv sv in
-                  wrm st pc r
-                with
-                | exception State.Fault fe -> fault1 st pc fe
-                | () ->
-                    if ovf then ovf_finish st pc was_vm
-                    else finish st pc was_vm))
-    | _ -> None
-  in
-  (* three-operand arithmetic from register/immediate sources into a
-     register; every other shape takes the generic slot *)
-  let arith3 a b d f ~ovf =
-    match (a, b, d) with
-    | (F_imm _ | F_reg _), (F_imm _ | F_reg _), F_reg dr ->
-        let rda = rd_pure a in
-        let rdb = rd_pure b in
-        let call = (3 * spec) + base in
-        Some
-          (fun st pc ->
-            Cycles.charge st.State.clock call;
-            st.State.instructions <- st.State.instructions + 1;
-            let was_vm = Psl.vm st.State.psl in
-            if was_vm then
-              st.State.vm_instructions <- st.State.vm_instructions + 1;
-            let av = rda st in
-            let bv = rdb st in
-            match f st av bv with
-            | exception State.Fault fe -> fault1 st pc fe
-            | r ->
-                Array.unsafe_set st.State.regs dr (Word.mask r);
-                if ovf && Psl.v st.State.psl && Psl.iv st.State.psl then
-                  fault1 st pc (State.Arithmetic_trap 1)
-                else begin
-                  State.set_pc st (Word.add pc len);
-                  let tr = st.State.trace in
-                  if Vax_obs.Trace.enabled tr then
-                    Vax_obs.Trace.emit tr Vax_obs.Trace.Retire ~b:enc
-                      ~c:(if was_vm then 1 else 0)
-                      pc
-                end)
-    | _ -> None
-  in
-  match (op, List.map farg_of_spec tmpl.Decode_cache.t_specs) with
-  | Opcode.Nop, [] ->
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock base;
-          let was_vm = commit st in
-          finish st pc was_vm)
-  | Opcode.Movl, [ FA s; FA d ] -> (
-      match (s, d) with
-      | (F_imm _ | F_reg _), F_reg dr ->
-          let rd = rd_pure s in
-          let call = (2 * spec) + base in
+  match Semantics.find op with
+  | Some e -> compile_data e tmpl
+  | None -> (
+      let len = tmpl.Decode_cache.t_len in
+      let base = Opcode.base_cycles op in
+      let enc = Opcode.code op in
+      let spec = Cost.operand_specifier in
+      match (op, List.map farg_of_spec tmpl.Decode_cache.t_specs) with
+      | Opcode.Nop, [] ->
+          Some
+            (fun st pc ->
+              Cycles.charge st.State.clock base;
+              let was_vm = commit st in
+              State.set_pc st (Word.add pc len);
+              retire st enc pc was_vm)
+      | ( ( Opcode.Brb | Opcode.Brw | Opcode.Bneq | Opcode.Beql | Opcode.Bgtr
+          | Opcode.Bleq | Opcode.Bgeq | Opcode.Blss | Opcode.Bgtru
+          | Opcode.Blequ | Opcode.Bvc | Opcode.Bvs | Opcode.Bcc | Opcode.Bcs ),
+          [ FB tofs ] ) ->
+          (* conditional branch: one specifier, nothing can fault; reads
+             the codes, so it materializes any deferred ones first *)
+          let call = spec + base in
           Some
             (fun st pc ->
               Cycles.charge st.State.clock call;
@@ -1257,40 +901,16 @@ let compile_fast_hot (tmpl : Decode_cache.template) =
               let was_vm = Psl.vm st.State.psl in
               if was_vm then
                 st.State.vm_instructions <- st.State.vm_instructions + 1;
-              let v = rd st in
-              Array.unsafe_set st.State.regs dr (Word.mask v);
-              set_nz_keep_c st v;
-              State.set_pc st (Word.add pc len);
+              State.sync_cc st;
+              if branch_taken op st.State.psl then
+                State.set_pc st (Word.add pc tofs)
+              else State.set_pc st (Word.add pc len);
               let tr = st.State.trace in
               if Vax_obs.Trace.enabled tr then
                 Vax_obs.Trace.emit tr Vax_obs.Trace.Retire ~b:enc
                   ~c:(if was_vm then 1 else 0)
                   pc)
-      | F_mem a, F_reg dr ->
-          let rd = rd_mem a in
-          let tail = spec + base in
-          Some
-            (fun st pc ->
-              Cycles.charge st.State.clock spec;
-              match rd st pc with
-              | exception State.Fault f -> fault0 st pc f
-              | v ->
-                  Cycles.charge st.State.clock tail;
-                  st.State.instructions <- st.State.instructions + 1;
-                  let was_vm = Psl.vm st.State.psl in
-                  if was_vm then
-                    st.State.vm_instructions <- st.State.vm_instructions + 1;
-                  Array.unsafe_set st.State.regs dr (Word.mask v);
-                  set_nz_keep_c st v;
-                  State.set_pc st (Word.add pc len);
-                  let tr = st.State.trace in
-                  if Vax_obs.Trace.enabled tr then
-                    Vax_obs.Trace.emit tr Vax_obs.Trace.Retire ~b:enc
-                      ~c:(if was_vm then 1 else 0)
-                      pc)
-      | (F_imm _ | F_reg _), F_mem a ->
-          let rd = rd_pure s in
-          let wrm = wr_mem a in
+      | Opcode.Sobgtr, [ FA (F_reg rn); FB tofs ] ->
           let call = (2 * spec) + base in
           Some
             (fun st pc ->
@@ -1299,316 +919,59 @@ let compile_fast_hot (tmpl : Decode_cache.template) =
               let was_vm = Psl.vm st.State.psl in
               if was_vm then
                 st.State.vm_instructions <- st.State.vm_instructions + 1;
-              let v = rd st in
-              match wrm st pc v with
-              | exception State.Fault f -> fault1 st pc f
-              | () ->
-                  set_nz_keep_c st v;
-                  State.set_pc st (Word.add pc len);
-                  let tr = st.State.trace in
-                  if Vax_obs.Trace.enabled tr then
-                    Vax_obs.Trace.emit tr Vax_obs.Trace.Retire ~b:enc
-                      ~c:(if was_vm then 1 else 0)
-                      pc)
-      | _ -> None)
-  | Opcode.Movb, [ FA ((F_imm _ | F_reg _) as s); FA (F_mem a) ] ->
-      let rd = rd_pure_b s in
-      let wrm = wr_mem_b a in
-      let call = (2 * spec) + base in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock call;
-          let was_vm = commit st in
-          let v = rd st land 0xFF in
-          match wrm st pc v with
-          | exception State.Fault f -> fault1 st pc f
-          | () ->
-              set_nz_byte_keep_c st v;
-              finish st pc was_vm)
-  | Opcode.Movzbl, [ FA (F_mem a); FA (F_reg dr) ] ->
-      let rd = rd_mem_b a in
-      let tail = spec + base in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock spec;
-          match rd st pc with
-          | exception State.Fault f -> fault0 st pc f
-          | v0 ->
-              Cycles.charge st.State.clock tail;
-              let was_vm = commit st in
-              let v = v0 land 0xFF in
-              Array.unsafe_set st.State.regs dr v;
-              (* zero-extended, so N is false either way: the long
-                 keep-C helper computes the same bits and defers *)
-              set_nz_keep_c st v;
-              finish st pc was_vm)
-  | Opcode.Clrl, [ FA (F_reg dr) ] ->
-      let call = spec + base in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock call;
-          let was_vm = commit st in
-          Array.unsafe_set st.State.regs dr 0;
-          set_nz_keep_c st 0;
-          finish st pc was_vm)
-  | Opcode.Clrl, [ FA (F_mem a) ] ->
-      let wrm = wr_mem a in
-      let call = spec + base in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock call;
-          let was_vm = commit st in
-          match wrm st pc 0 with
-          | exception State.Fault f -> fault1 st pc f
-          | () ->
-              set_nz_keep_c st 0;
-              finish st pc was_vm)
-  | Opcode.Tstl, [ FA ((F_imm _ | F_reg _) as s) ] ->
-      let rd = rd_pure s in
-      let call = spec + base in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock call;
-          let was_vm = commit st in
-          let v = rd st in
-          set_cc_tstl st v;
-          finish st pc was_vm)
-  | Opcode.Tstl, [ FA (F_mem a) ] ->
-      let rd = rd_mem a in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock spec;
-          match rd st pc with
-          | exception State.Fault f -> fault0 st pc f
-          | v ->
-              Cycles.charge st.State.clock base;
-              let was_vm = commit st in
-              set_cc_tstl st v;
-              finish st pc was_vm)
-  | Opcode.Cmpl, [ FA a; FA b ] -> (
-      match (a, b) with
-      | (F_imm _ | F_reg _), (F_imm _ | F_reg _) ->
-          let rda = rd_pure a in
-          let rdb = rd_pure b in
-          let call = (2 * spec) + base in
+              let r = Semantics.sub st (Array.unsafe_get st.State.regs rn) 1 in
+              Array.unsafe_set st.State.regs rn r;
+              if Word.to_signed r > 0 then State.set_pc st (Word.add pc tofs)
+              else State.set_pc st (Word.add pc len);
+              let tr = st.State.trace in
+              if Vax_obs.Trace.enabled tr then
+                Vax_obs.Trace.emit tr Vax_obs.Trace.Retire ~b:enc
+                  ~c:(if was_vm then 1 else 0)
+                  pc)
+      | Opcode.Bsbb, [ FB tofs ] ->
+          let call = spec + base in
           Some
             (fun st pc ->
               Cycles.charge st.State.clock call;
               let was_vm = commit st in
-              compare_long st (rda st) (rdb st);
-              finish st pc was_vm)
-      | F_mem aa, (F_imm _ | F_reg _) ->
-          let rda = rd_mem aa in
-          let rdb = rd_pure b in
-          let tail = spec + base in
+              match State.push_long st (Word.add pc len) with
+              | exception State.Fault f -> fault1 st pc len f
+              | () ->
+                  State.set_pc st (Word.add pc tofs);
+                  retire st enc pc was_vm)
+      | Opcode.Jsb, [ FA (F_mem a) ] ->
+          let va = va_of a in
+          let call = spec + base in
           Some
             (fun st pc ->
-              Cycles.charge st.State.clock spec;
-              match rda st pc with
-              | exception State.Fault f -> fault0 st pc f
-              | av ->
-                  Cycles.charge st.State.clock tail;
-                  let was_vm = commit st in
-                  compare_long st av (rdb st);
-                  finish st pc was_vm)
-      | (F_imm _ | F_reg _), F_mem ba ->
-          let rda = rd_pure a in
-          let rdb = rd_mem ba in
+              Cycles.charge st.State.clock call;
+              let was_vm = commit st in
+              let target = va st pc in
+              match State.push_long st (Word.add pc len) with
+              | exception State.Fault f -> fault1 st pc len f
+              | () ->
+                  State.set_pc st target;
+                  retire st enc pc was_vm)
+      | Opcode.Jmp, [ FA (F_mem a) ] ->
+          let va = va_of a in
+          let call = spec + base in
           Some
             (fun st pc ->
-              Cycles.charge st.State.clock (2 * spec);
-              match rdb st pc with
-              | exception State.Fault f -> fault0 st pc f
-              | bv ->
-                  Cycles.charge st.State.clock base;
-                  let was_vm = commit st in
-                  compare_long st (rda st) bv;
-                  finish st pc was_vm)
-      | F_mem aa, F_mem ba ->
-          let rda = rd_mem aa in
-          let rdb = rd_mem ba in
+              Cycles.charge st.State.clock call;
+              let was_vm = commit st in
+              State.set_pc st (va st pc);
+              retire st enc pc was_vm)
+      | Opcode.Rsb, [] ->
           Some
             (fun st pc ->
-              Cycles.charge st.State.clock spec;
-              match rda st pc with
-              | exception State.Fault f -> fault0 st pc f
-              | av -> (
-                  Cycles.charge st.State.clock spec;
-                  match rdb st pc with
-                  | exception State.Fault f -> fault0 st pc f
-                  | bv ->
-                      Cycles.charge st.State.clock base;
-                      let was_vm = commit st in
-                      compare_long st av bv;
-                      finish st pc was_vm)))
-  | Opcode.Pushl, [ FA ((F_imm _ | F_reg _) as s) ] ->
-      let rd = rd_pure s in
-      let call = spec + base in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock call;
-          let was_vm = commit st in
-          let v = rd st in
-          match State.push_long st v with
-          | exception State.Fault f -> fault1 st pc f
-          | () ->
-              set_nz_keep_c st v;
-              finish st pc was_vm)
-  | Opcode.Moval, [ FA (F_mem a); FA (F_reg dr) ] ->
-      let va = va_of a in
-      let call = (2 * spec) + base in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock call;
-          let was_vm = commit st in
-          let v = va st pc in
-          Array.unsafe_set st.State.regs dr (Word.mask v);
-          set_nz_keep_c st v;
-          finish st pc was_vm)
-  | Opcode.Incl, [ FA (F_reg dr) ] ->
-      let call = spec + base in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock call;
-          st.State.instructions <- st.State.instructions + 1;
-          let was_vm = Psl.vm st.State.psl in
-          if was_vm then
-            st.State.vm_instructions <- st.State.vm_instructions + 1;
-          let r = do_add st (Array.unsafe_get st.State.regs dr) 1 in
-          Array.unsafe_set st.State.regs dr r;
-          if Psl.v st.State.psl && Psl.iv st.State.psl then
-            fault1 st pc (State.Arithmetic_trap 1)
-          else begin
-            State.set_pc st (Word.add pc len);
-            let tr = st.State.trace in
-            if Vax_obs.Trace.enabled tr then
-              Vax_obs.Trace.emit tr Vax_obs.Trace.Retire ~b:enc
-                ~c:(if was_vm then 1 else 0)
-                pc
-          end)
-  | Opcode.Incl, [ FA (F_mem a) ] ->
-      let rdm = rd_mem a in
-      let wrm = wr_mem a in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock spec;
-          match rdm st pc with
-          | exception State.Fault f -> fault0 st pc f
-          | dv -> (
               Cycles.charge st.State.clock base;
               let was_vm = commit st in
-              let r = do_add st dv 1 in
-              match wrm st pc r with
-              | exception State.Fault f -> fault1 st pc f
-              | () -> ovf_finish st pc was_vm))
-  | Opcode.Decl, [ FA (F_mem a) ] ->
-      let rdm = rd_mem a in
-      let wrm = wr_mem a in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock spec;
-          match rdm st pc with
-          | exception State.Fault f -> fault0 st pc f
-          | dv -> (
-              Cycles.charge st.State.clock base;
-              let was_vm = commit st in
-              let r = do_sub st dv 1 in
-              match wrm st pc r with
-              | exception State.Fault f -> fault1 st pc f
-              | () -> ovf_finish st pc was_vm))
-  | Opcode.Addl2, [ FA s; FA d ] -> arith2 s d do_add ~ovf:true
-  | Opcode.Subl2, [ FA s; FA d ] -> arith2 s d do_sub ~ovf:true
-  | Opcode.Mull2, [ FA s; FA d ] -> arith2 s d do_mul ~ovf:true
-  | Opcode.Divl2, [ FA s; FA d ] -> arith2 s d do_div ~ovf:false
-  | Opcode.Bisl2, [ FA s; FA d ] ->
-      arith2 s d (fun st x y -> do_logic st Word.logor x y) ~ovf:false
-  | Opcode.Bicl2, [ FA s; FA d ] ->
-      arith2 s d
-        (fun st x y -> do_logic st (fun a b -> Word.logand a (Word.lognot b)) x y)
-        ~ovf:false
-  | Opcode.Xorl2, [ FA s; FA d ] ->
-      arith2 s d (fun st x y -> do_logic st Word.logxor x y) ~ovf:false
-  | Opcode.Addl3, [ FA a; FA b; FA d ] -> arith3 a b d do_add ~ovf:true
-  | Opcode.Subl3, [ FA a; FA b; FA d ] ->
-      arith3 a b d (fun st x y -> do_sub st y x) ~ovf:true
-  | Opcode.Mull3, [ FA a; FA b; FA d ] -> arith3 a b d do_mul ~ovf:true
-  | Opcode.Divl3, [ FA a; FA b; FA d ] ->
-      arith3 a b d (fun st x y -> do_div st y x) ~ovf:false
-  | Opcode.Bisl3, [ FA a; FA b; FA d ] ->
-      arith3 a b d (fun st x y -> do_logic st Word.logor x y) ~ovf:false
-  | Opcode.Bicl3, [ FA a; FA b; FA d ] ->
-      arith3 a b d
-        (fun st x y -> do_logic st (fun a b -> Word.logand b (Word.lognot a)) x y)
-        ~ovf:false
-  | Opcode.Xorl3, [ FA a; FA b; FA d ] ->
-      arith3 a b d (fun st x y -> do_logic st Word.logxor x y) ~ovf:false
-  | ( ( Opcode.Brb | Opcode.Brw | Opcode.Bneq | Opcode.Beql | Opcode.Bgtr
-      | Opcode.Bleq | Opcode.Bgeq | Opcode.Blss | Opcode.Bgtru | Opcode.Blequ
-      | Opcode.Bvc | Opcode.Bvs | Opcode.Bcc | Opcode.Bcs ),
-      [ FB tofs ] ) ->
-      cbr tofs
-  | Opcode.Sobgtr, [ FA (F_reg rn); FB tofs ] ->
-      let call = (2 * spec) + base in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock call;
-          st.State.instructions <- st.State.instructions + 1;
-          let was_vm = Psl.vm st.State.psl in
-          if was_vm then
-            st.State.vm_instructions <- st.State.vm_instructions + 1;
-          let r = do_sub st (Array.unsafe_get st.State.regs rn) 1 in
-          Array.unsafe_set st.State.regs rn r;
-          if Word.to_signed r > 0 then State.set_pc st (Word.add pc tofs)
-          else State.set_pc st (Word.add pc len);
-          let tr = st.State.trace in
-          if Vax_obs.Trace.enabled tr then
-            Vax_obs.Trace.emit tr Vax_obs.Trace.Retire ~b:enc
-              ~c:(if was_vm then 1 else 0)
-              pc)
-  | Opcode.Bsbb, [ FB tofs ] ->
-      let call = spec + base in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock call;
-          let was_vm = commit st in
-          match State.push_long st (Word.add pc len) with
-          | exception State.Fault f -> fault1 st pc f
-          | () ->
-              State.set_pc st (Word.add pc tofs);
-              retire st pc was_vm)
-  | Opcode.Jsb, [ FA (F_mem a) ] ->
-      let va = va_of a in
-      let call = spec + base in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock call;
-          let was_vm = commit st in
-          let target = va st pc in
-          match State.push_long st (Word.add pc len) with
-          | exception State.Fault f -> fault1 st pc f
-          | () ->
-              State.set_pc st target;
-              retire st pc was_vm)
-  | Opcode.Jmp, [ FA (F_mem a) ] ->
-      let va = va_of a in
-      let call = spec + base in
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock call;
-          let was_vm = commit st in
-          State.set_pc st (va st pc);
-          retire st pc was_vm)
-  | Opcode.Rsb, [] ->
-      Some
-        (fun st pc ->
-          Cycles.charge st.State.clock base;
-          let was_vm = commit st in
-          match State.pop_long st with
-          | exception State.Fault f -> fault1 st pc f
-          | v ->
-              State.set_pc st v;
-              retire st pc was_vm)
-  | _ -> None
+              match State.pop_long st with
+              | exception State.Fault f -> fault1 st pc len f
+              | v ->
+                  State.set_pc st v;
+                  retire st enc pc was_vm)
+      | _ -> None)
 
 (* Generic slot: [Decode.operandize] against the cached template with the
    handler and constants pre-resolved — the body of [step] after its

@@ -180,12 +180,20 @@ let create ?(variant = Variant.Standard) ?sid ~mmu ~clock () =
     trace = Vax_obs.Trace.null;
   }
 
-(* Materialize deferred condition codes.  Computes exactly what the
-   eager helper would have written (classes mirror Exec's
-   [set_nz_keep_c] / [set_nz_byte_keep_c]; C is exact in [psl], so
-   TSTL's clear-C needs no class of its own), so calling this at every
-   reader of N, Z or V makes the deferral bit-invisible.  [sync_cc] is
-   the small test that inlines at every call site. *)
+(* The condition-code funnel.  [defer_cc] records a long (1) or byte
+   (2) CC source; [materialize_cc] computes from it exactly the N and Z
+   an eager write would have set, with V clear and C from [psl] (C is
+   never deferred), so calling [sync_cc] at every reader of N, Z or V
+   makes the deferral bit-invisible.  [set_nzvc] overwrites all four
+   codes, which makes any pending class irrelevant: it drops it. *)
+let defer_cc t cls v =
+  t.cc_lazy <- cls;
+  t.cc_value <- v
+
+let set_nzvc t ~n ~z ~v ~c =
+  t.cc_lazy <- 0;
+  t.psl <- Psl.with_nzvc t.psl ~n ~z ~v ~c
+
 let materialize_cc t =
   let value = t.cc_value in
   let byte = t.cc_lazy = 2 in

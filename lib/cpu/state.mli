@@ -104,12 +104,12 @@ type t = {
   mutable psl : Psl.t;
   mutable cc_lazy : int;
       (** lazy condition codes: 0 = [psl] holds the live NZVC;
-          otherwise a block engine fast-tier slot (a move, clear, TSTL
-          or logical op) recorded its CC source in [cc_value] instead of
-          computing N, Z and V — class 1 long, 2 byte.  C is always
-          exact in [psl] (TSTL clears it eagerly).  Every reader of
-          N, Z or V calls {!sync_cc} first, and every eager write of all
-          four codes drops the pending class, so the deferral is
+          otherwise a move, clear, TSTx or logical op, in either engine,
+          recorded its CC source in [cc_value] through {!defer_cc}
+          instead of computing N, Z and V — class 1 long, 2 byte.  C is
+          always exact in [psl] (TSTx clears it eagerly).  Every reader
+          of N, Z or V calls {!sync_cc} first, and every eager
+          {!set_nzvc} drops the pending class, so the deferral is
           architecturally invisible whatever code follows. *)
   mutable cc_value : Word.t;  (** the deferred CC source value *)
   sp_bank : Word.t array;  (** kernel, executive, supervisor, user, interrupt *)
@@ -179,13 +179,21 @@ val sid_virtual_vax : Word.t
 
 (** {1 Register and PSL helpers} *)
 
+val defer_cc : t -> int -> Word.t -> unit
+(** [defer_cc t cls v]: the codes are N and Z of [v] as a long
+    ([cls] = 1) or a byte (2), V clear, C unchanged; recorded, not
+    computed (see [cc_lazy]). *)
+
+val set_nzvc : t -> n:bool -> z:bool -> v:bool -> c:bool -> unit
+(** Write all four codes eagerly, dropping any deferred class. *)
+
 val sync_cc : t -> unit
 (** Materialize deferred condition codes into [psl] (no-op when none
     are pending).  Called before the PSL is read, pushed, replaced or
-    partially written: by conditional branches (fast tier and generic),
-    exception and interrupt delivery, MOVPSL, BISPSW/BICPSW, the
-    division-by-zero V write, the block engine's cold path, the run
-    loops' exits and [Cpu.step]. *)
+    partially written: by conditional branches, exception and interrupt
+    delivery, MOVPSL, BISPSW/BICPSW, the division-by-zero V write, the
+    block engine's cold path, the end of every stepper instruction
+    ([Exec.step]), the run loops' exits and [Cpu.step]. *)
 
 val pc : t -> Word.t
 val set_pc : t -> Word.t -> unit

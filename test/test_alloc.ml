@@ -49,17 +49,17 @@ let () =
     [
       ( "budget",
         [
-          (* 15.55 measured *)
+          (* 15.30 measured *)
           Alcotest.test_case "syscall --vm exit path" `Quick
-            (check_budget ~vm:true ~budget:15.6 ~min_insns:20_000 "syscall");
-          (* 7.25 measured *)
+            (check_budget ~vm:true ~budget:15.4 ~min_insns:20_000 "syscall");
+          (* 1.62 measured *)
           Alcotest.test_case "compute bare" `Quick
-            (check_budget ~vm:false ~budget:7.3 ~min_insns:60_000 "compute");
-          (* 5.21 measured *)
+            (check_budget ~vm:false ~budget:1.7 ~min_insns:60_000 "compute");
+          (* 5.17 measured *)
           Alcotest.test_case "calls bare" `Quick
-            (check_budget ~vm:false ~budget:5.3 ~min_insns:90_000 "calls");
-          (* 8.61 measured *)
+            (check_budget ~vm:false ~budget:5.2 ~min_insns:90_000 "calls");
+          (* 6.55 measured *)
           Alcotest.test_case "mix --vm" `Quick
-            (check_budget ~vm:true ~budget:8.7 ~min_insns:100_000 "mix");
+            (check_budget ~vm:true ~budget:6.6 ~min_insns:100_000 "mix");
         ] );
     ]

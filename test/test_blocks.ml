@@ -13,9 +13,10 @@
    the block engine's own build events).  Fast-tier slots always defer
    their condition codes, so this is also the check that the deferral
    stays invisible.
-   Directed programs run every operand shape the fast slot tier has no
-   body for, and two post-commit arithmetic traps, from a block and
-   against the stepper.
+   Directed programs run operand shapes the catalog never compiles and
+   post-commit arithmetic traps from a block, against the stepper, and
+   generated programs of up to six data instructions, over every
+   operand mode the assembler emits, do the same.
 
    They also pin down the invalidation rules: self-modifying code must
    take effect at the same instruction boundary under both engines, even
@@ -358,21 +359,38 @@ let test_straddler_invalidation () =
 (* ------------------------------------------------------------------ *)
 (* Directed shapes run from a block *)
 
-(* Operand shapes the fast tier has no body for, so their block slots
-   take the generic slot.  Each body runs in a three-pass loop: the first
-   pass builds the blocks, the later ones dispatch the shape from them.
-   R6 points at an eight-longword data area that is compared too, and
-   after the shape MOVPSL folds its condition codes into R11 (the loop's
-   SOBGTR would otherwise overwrite them unseen). *)
+(* Operand shapes the catalog workloads never compile, and the control
+   transfers the fast tier leaves to the generic slot.  Each body runs
+   in a three-pass loop: the first pass builds the blocks, the later
+   ones dispatch the shape from them.  R6 points at a 64-longword data
+   area that is compared too, and after the shape MOVPSL folds its
+   condition codes into R11 (the loop's SOBGTR would otherwise
+   overwrite them unseen).  Arithmetic traps and machine checks are
+   counted in R10; the machine-check handler also points R4, which the
+   generated programs below use as a pointer to nonexistent memory, at
+   the data area, so the faulting instruction restarts and succeeds. *)
 let data_base = 0x3000
 
 let data_init =
   [ 0x12345685; 0x7FFFFFFE; 0x00000101; 0x80000000; 0x000000F0; 5; 0; 2 ]
+  @ List.init 56 (fun i ->
+        match i mod 4 with
+        | 0 -> (i * 0x9E37_79B9) land 0xFFFF_FFFF
+        | 1 -> 0x7FFF_FFF0 + i
+        | 2 -> 0x8000_0000 + i
+        | _ -> i land 3)
+
+(* 32 pointers into the data area, just past it, for the deferred modes *)
+let table_base = data_base + 0x100
+
+let pointer_table = List.init 32 (fun i -> data_base + (4 * (7 * i mod 64)))
 
 let shape_program body a =
   Asm.ins a Opcode.Mtpr [ Asm.Imm 0x8000; Asm.Imm (Ipr.to_int Ipr.SCBB) ];
   Asm.ins a Opcode.Moval
     [ Asm.Abs_label "arith"; Asm.Abs (0x8000 + Scb.arithmetic) ];
+  Asm.ins a Opcode.Moval
+    [ Asm.Abs_label "mcheck"; Asm.Abs (0x8000 + Scb.machine_check) ];
   Asm.ins a Opcode.Movl [ Asm.Imm 3; Asm.R 9 ];
   Asm.label a "loop";
   body a;
@@ -385,14 +403,26 @@ let shape_program body a =
   Asm.label a "arith";
   Asm.ins a Opcode.Addl2 [ Asm.Imm 4; Asm.R 14 ];
   Asm.ins a Opcode.Incl [ Asm.R 10 ];
+  Asm.ins a Opcode.Rei [];
+  Asm.align a 4;
+  (* machine check: drop the two parameters, repair R4, count it *)
+  Asm.label a "mcheck";
+  Asm.ins a Opcode.Addl2 [ Asm.Imm 8; Asm.R 14 ];
+  Asm.ins a Opcode.Movl [ Asm.Imm (data_base + 0x40); Asm.R 4 ];
+  Asm.ins a Opcode.Incl [ Asm.R 10 ];
   Asm.ins a Opcode.Rei []
 
 let run_shape body engine =
   let cpu, _ = boot ~engine (shape_program body) in
   let st = cpu.Cpu.state in
-  List.iteri
-    (fun i v -> Vax_mem.Phys_mem.write_long cpu.Cpu.phys (data_base + (4 * i)) v)
-    data_init;
+  let write_longs base =
+    List.iteri (fun i v ->
+        Vax_mem.Phys_mem.write_long cpu.Cpu.phys (base + (4 * i)) v)
+  in
+  write_longs data_base data_init;
+  write_longs table_base pointer_table;
+  (* the machine check runs on the interrupt stack *)
+  st.State.sp_bank.(4) <- 0x2800;
   List.iteri (fun i v -> State.set_reg st (i + 1) v)
     [ 0x12345685; 5; 0x80; 7; 0xFFFFFFFF; data_base ];
   (match Cpu.run cpu ~max_instructions:1000 () with
@@ -465,6 +495,15 @@ let trap_shapes =
       fun a ->
         Asm.ins a Opcode.Bispsw [ Asm.Imm 0x20 ];
         Asm.ins a Opcode.Mnegl [ Asm.Imm 0x80000000; Asm.R 4 ] );
+    ( "ASHL #1,#^x40000000,R4 with IV",
+      fun a ->
+        Asm.ins a Opcode.Bispsw [ Asm.Imm 0x20 ];
+        Asm.ins a Opcode.Ashl [ Asm.Imm 1; Asm.Imm 0x40000000; Asm.R 4 ] );
+    ( "DIVL3 #-1,#^x80000000,R4 with IV",
+      fun a ->
+        Asm.ins a Opcode.Bispsw [ Asm.Imm 0x20 ];
+        Asm.ins a Opcode.Divl3
+          [ Asm.Imm 0xFFFF_FFFF; Asm.Imm 0x80000000; Asm.R 4 ] );
   ]
 
 let test_directed_shape body () = ignore (both_engines (run_shape body))
@@ -475,6 +514,116 @@ let test_traps_taken () =
       let regs, _, _, _ = run_shape body Exec.Blocks in
       check_int (name ^ ": one trap per pass") 3 (List.nth regs 10))
     trap_shapes
+
+(* ------------------------------------------------------------------ *)
+(* Generated programs over the data instructions *)
+
+(* Top of every pass: reset the pointer registers, so every access
+   stays in the data area and the pointer table — R6 the base of (Rn)
+   and byte displacements, R7 and R0 the autoincrement and
+   autodecrement cursors, R5 the cursor into the pointer table, R12 and
+   R13 the bases that make word and long displacements land in the data
+   area, R4 a pointer to nonexistent memory — and set or clear PSL<IV>.
+   R1-R3 are the data registers. *)
+let pass_prologue ~iv a =
+  List.iter
+    (fun (v, r) -> Asm.ins a Opcode.Movl [ Asm.Imm v; Asm.R r ])
+    [
+      (data_base, 6); (data_base, 7); (table_base, 0); (table_base, 5);
+      (data_base - 0x100, 12); (data_base - 0x10000, 13); (0x00F0_0000, 4);
+    ];
+  Asm.ins a (if iv then Opcode.Bispsw else Opcode.Bicpsw) [ Asm.Imm 0x20 ]
+
+(* Every memory mode the assembler emits.  A body has at most 18
+   specifiers, so the cursors move at most 72 bytes from their start. *)
+let gen_mem =
+  let open QCheck.Gen in
+  let k = map (fun i -> 4 * i) (int_bound 31) in
+  oneof
+    [
+      return (Asm.Deref 6);
+      map (fun k -> Asm.Disp (k, 6)) k;
+      map (fun k -> Asm.Disp (0x100 + k, 12)) k;
+      map (fun k -> Asm.Disp (0x10000 + k, 13)) k;
+      map (fun k -> Asm.Abs (data_base + k)) k;
+      return (Asm.Postinc 7);
+      return (Asm.Predec 0);
+      return (Asm.Postinc_deref 5);
+      map (fun i -> Asm.Disp_deref (4 * i, 5)) (int_bound 13);
+      map (fun k -> Asm.Disp_deref (0x200 + k, 12)) k;
+      map (fun k -> Asm.Disp_deref (0x10100 + k, 13)) k;
+      return (Asm.Deref 4);
+    ]
+
+let gen_operand (access, _) =
+  let open QCheck.Gen in
+  let reg = map (fun r -> Asm.R r) (int_range 1 3) in
+  let imm =
+    oneof
+      [
+        oneofl [ 0; 1; 0x7F; 0x80; 0xFF; 0x4000_0000; 0x7FFF_FFFF; 0x8000_0000;
+                 0xFFFF_FFFF ];
+        map (fun v -> v land 0xFFFF_FFFF) int;
+      ]
+  in
+  match access with
+  | Opcode.Read ->
+      frequency
+        [ (3, reg); (1, map (fun n -> Asm.Lit n) (int_bound 63));
+          (2, map (fun v -> Asm.Imm v) imm); (5, gen_mem) ]
+  | Opcode.Write | Opcode.Modify -> frequency [ (2, reg); (3, gen_mem) ]
+  | _ -> gen_mem
+
+let data_opcodes =
+  List.filter (fun op -> Option.is_some (Semantics.find op)) Opcode.all
+
+let gen_insn =
+  let open QCheck.Gen in
+  oneofl data_opcodes >>= fun op ->
+  map (fun ops -> (op, ops))
+    (flatten_l (List.map gen_operand (Opcode.operands op)))
+
+let show_operand = function
+  | Asm.Lit n -> Printf.sprintf "S^#%d" n
+  | Asm.Imm v -> Printf.sprintf "#%x" v
+  | Asm.R r -> Printf.sprintf "R%d" r
+  | Asm.Deref r -> Printf.sprintf "(R%d)" r
+  | Asm.Predec r -> Printf.sprintf "-(R%d)" r
+  | Asm.Postinc r -> Printf.sprintf "(R%d)+" r
+  | Asm.Postinc_deref r -> Printf.sprintf "@(R%d)+" r
+  | Asm.Abs v -> Printf.sprintf "@#%x" v
+  | Asm.Disp (d, r) -> Printf.sprintf "%x(R%d)" d r
+  | Asm.Disp_deref (d, r) -> Printf.sprintf "@%x(R%d)" d r
+  | Asm.Abs_label l | Asm.Branch l -> l
+
+let show_program (iv, body) =
+  Printf.sprintf "IV=%b: %s" iv
+    (String.concat "; "
+       (List.map
+          (fun (op, ops) ->
+            Opcode.name op ^ " " ^ String.concat "," (List.map show_operand ops))
+          body))
+
+let arb_program =
+  QCheck.make ~print:show_program
+    ~shrink:(fun (iv, body) ->
+      QCheck.Iter.map (fun b -> (iv, b)) (QCheck.Shrink.list body))
+    QCheck.Gen.(pair bool (list_size (int_range 1 6) gen_insn))
+
+(* Each generated body through the directed-shape harness: full state,
+   data area, cycles and instruction count, stepper against blocks. *)
+let generated_programs =
+  QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make [| 25 |])
+    (QCheck.Test.make ~count:1000
+       ~name:"generated data programs: blocks = stepper"
+       arb_program (fun (iv, body) ->
+         let program a =
+           pass_prologue ~iv a;
+           List.iter (fun (op, ops) -> Asm.ins a op ops) body
+         in
+         ignore (both_engines (run_shape program));
+         true))
 
 (* The block cache actually engages on these runs: hits and built blocks
    are non-zero under the block engine. *)
@@ -517,6 +666,7 @@ let () =
               (test_directed_shape body))
           (directed_shapes @ trap_shapes)
         @ [ Alcotest.test_case "traps taken every pass" `Quick test_traps_taken ] );
+      ("generated", [ generated_programs ]);
       ( "invalidation",
         [
           Alcotest.test_case "smc inside a block" `Quick test_smc_inside_block;

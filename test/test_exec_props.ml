@@ -1,8 +1,8 @@
 (* Property-based tests of instruction semantics: each arithmetic/logic
    instruction is checked against an independent OCaml reference over
-   random operands (values and condition codes), and the assembler and
-   disassembler are checked as inverses over random instruction
-   streams. *)
+   random operands (values and condition codes), on the stepper and
+   from a compiled block slot, and the assembler and disassembler are
+   checked as inverses over random instruction streams. *)
 
 open Vax_arch
 open Vax_cpu
@@ -10,7 +10,8 @@ module Asm = Vax_asm.Asm
 module Disasm = Vax_asm.Disasm
 
 let w32 = QCheck.map (fun i -> i land 0xFFFF_FFFF) QCheck.int
-let qt name gen f = QCheck_alcotest.to_alcotest (QCheck.Test.make ~count:300 ~name gen f)
+let qt ?(count = 300) name gen f =
+  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen f)
 
 (* Execute one two-operand instruction with both operands in registers
    and return (result, n, z, v, c). *)
@@ -169,6 +170,154 @@ let exec_props =
         r = Word.neg v && z = (Word.neg v = 0));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Data instructions against plain OCaml references *)
+
+let mask = 0xFFFF_FFFF
+let s32 x = if x land 0x8000_0000 <> 0 then x - 0x1_0000_0000 else x
+let sext8 x = if x land 0x80 <> 0 then (x land 0xFF) - 0x100 else x land 0xFF
+let fits32 x = x >= -0x8000_0000 && x <= 0x7FFF_FFFF
+
+(* Run [op operands] with R1-R3 = [r] and the condition codes = [cc]
+   (NZVC, C in bit 0) set before it, twice in a loop, so under the
+   block engine the second pass runs the compiled slot.  Returns R1-R3
+   and the N, Z, V, C the instruction left. *)
+let run_data ~engine ?(cc = 0) (op, operands) (r1, r2, r3) =
+  let cpu = Cpu.create ~engine () in
+  let st = cpu.Cpu.state in
+  let a = Asm.create ~origin:0x1000 in
+  Asm.ins a Opcode.Movl [ Asm.Imm 2; Asm.R 9 ];
+  Asm.label a "loop";
+  List.iteri (fun i v -> Asm.ins a Opcode.Movl [ Asm.Imm v; Asm.R (i + 1) ])
+    [ r1; r2; r3 ];
+  Asm.ins a Opcode.Bicpsw [ Asm.Imm 0xF ];
+  Asm.ins a Opcode.Bispsw [ Asm.Imm cc ];
+  Asm.ins a op operands;
+  Asm.ins a Opcode.Movpsl [ Asm.R 8 ];
+  Asm.ins a Opcode.Sobgtr [ Asm.R 9; Asm.Branch "loop" ];
+  Asm.ins a Opcode.Halt [];
+  let img = Asm.assemble a in
+  Cpu.load cpu 0x1000 img.Asm.code;
+  State.set_pc st 0x1000;
+  State.set_sp st 0x2000;
+  ignore (Cpu.run cpu ~max_instructions:100 ());
+  let p = State.reg st 8 in
+  ( State.reg st 1,
+    State.reg st 2,
+    State.reg st 3,
+    (Psl.n p, Psl.z p, Psl.v p, Psl.c p) )
+
+let on_both f = f Exec.Stepper && f Exec.Blocks
+let cc_arb = QCheck.int_bound 15
+let c_of cc = cc land 1 = 1
+let r n = Asm.R n
+
+(* operands that straddle the interesting boundaries, and any others *)
+let edge32 =
+  QCheck.oneof
+    [ QCheck.oneofl [ 0; 1; 0x7FFF_FFFE; 0x7FFF_FFFF; 0x8000_0000; 0x8000_0001;
+                      0xFFFF_FFFF ];
+      w32 ]
+
+let data_props =
+  [
+    qt ~count:150 "SUBL3, DIVL3, BICL3 compute dst <- b op a" (QCheck.pair w32 w32)
+      (fun (a, b) ->
+        on_both (fun engine ->
+            let run op = run_data ~engine (op, [ r 1; r 2; r 3 ]) (a, b, 0) in
+            let _, _, d, (n, z, v, c) = run Opcode.Subl3 in
+            let diff = s32 b - s32 a in
+            let _, _, bic, _ = run Opcode.Bicl3 in
+            d = diff land mask
+            && n = (s32 d < 0) && z = (d = 0) && v = not (fits32 diff)
+            && c = (b < a)
+            && bic = b land lnot a land mask
+            && (a = 0
+               ||
+               let _, _, q, _ = run Opcode.Divl3 in
+               q = (s32 b / s32 a) land mask)));
+    qt ~count:150 "MOVB merges the low byte into a register, N from bit 7, C kept"
+      (QCheck.triple w32 w32 cc_arb) (fun (src, dst, cc) ->
+        on_both (fun engine ->
+            let _, d, _, (n, z, v, c) =
+              run_data ~engine ~cc (Opcode.Movb, [ r 1; r 2 ]) (src, dst, 0)
+            in
+            d = dst land 0xFFFF_FF00 lor (src land 0xFF)
+            && n = (src land 0x80 <> 0) && z = (src land 0xFF = 0) && (not v)
+            && c = c_of cc));
+    qt ~count:150 "CMPB: N from the signed, C from the unsigned byte compare"
+      (QCheck.pair w32 w32) (fun (a, b) ->
+        on_both (fun engine ->
+            let _, _, _, (n, z, v, c) =
+              run_data ~engine (Opcode.Cmpb, [ r 1; r 2 ]) (a, b, 0)
+            in
+            n = (sext8 a < sext8 b) && z = (a land 0xFF = b land 0xFF)
+            && (not v) && c = (a land 0xFF < b land 0xFF)));
+    qt ~count:150 "TSTB: N from bit 7, Z of the low byte, V and C clear"
+      (QCheck.pair w32 cc_arb) (fun (x, cc) ->
+        on_both (fun engine ->
+            let x', _, _, (n, z, v, c) =
+              run_data ~engine ~cc (Opcode.Tstb, [ r 1 ]) (x, 0, 0)
+            in
+            x' = x && n = (x land 0x80 <> 0) && z = (x land 0xFF = 0)
+            && (not v) && not c));
+    qt ~count:150 "CLRB clears the low byte of a register, C kept"
+      (QCheck.pair w32 cc_arb) (fun (x, cc) ->
+        on_both (fun engine ->
+            let _, d, _, (n, z, v, c) =
+              run_data ~engine ~cc (Opcode.Clrb, [ r 2 ]) (0, x, 0)
+            in
+            d = x land 0xFFFF_FF00 && (not n) && z && (not v) && c = c_of cc));
+    qt ~count:150 "INCL and DECL at the ^x7FFFFFFF and 0 boundaries" edge32 (fun x ->
+        on_both (fun engine ->
+            let _, i, _, (n, z, v, c) =
+              run_data ~engine (Opcode.Incl, [ r 2 ]) (0, x, 0)
+            in
+            let inc_ok =
+              i = (x + 1) land mask
+              && n = (s32 i < 0) && z = (i = 0) && v = (x = 0x7FFF_FFFF)
+              && c = (x = 0xFFFF_FFFF)
+            in
+            let _, d, _, (n, z, v, c) =
+              run_data ~engine (Opcode.Decl, [ r 2 ]) (0, x, 0)
+            in
+            inc_ok
+            && d = (x - 1) land mask
+            && n = (s32 d < 0) && z = (d = 0) && v = (x = 0x8000_0000)
+            && c = (x = 0)));
+    qt ~count:150 "MOVL and CLRL keep C, TSTL clears it" (QCheck.pair w32 cc_arb)
+      (fun (x, cc) ->
+        on_both (fun engine ->
+            let _, m, _, (n, z, v, c) =
+              run_data ~engine ~cc (Opcode.Movl, [ r 1; r 2 ]) (x, 0, 0)
+            in
+            let mov_ok =
+              m = x && n = (s32 x < 0) && z = (x = 0) && (not v) && c = c_of cc
+            in
+            let _, k, _, (n, z, v, c) =
+              run_data ~engine ~cc (Opcode.Clrl, [ r 2 ]) (0, x, 0)
+            in
+            let clr_ok = k = 0 && (not n) && z && (not v) && c = c_of cc in
+            let _, _, _, (n, z, v, c) =
+              run_data ~engine ~cc (Opcode.Tstl, [ r 1 ]) (x, 0, 0)
+            in
+            mov_ok && clr_ok && n = (s32 x < 0) && z = (x = 0) && (not v)
+            && not c));
+    qt ~count:150 "DIVL ^x80000000 / -1 stores ^x80000000 with N and V set" cc_arb
+      (fun cc ->
+        on_both (fun engine ->
+            let operands =
+              [ (Opcode.Divl3, [ r 1; r 2; r 3 ]); (Opcode.Divl2, [ r 1; r 3 ]) ]
+            in
+            List.for_all
+              (fun insn ->
+                let _, _, q, flags =
+                  run_data ~engine ~cc insn (0xFFFF_FFFF, 0x8000_0000, 0x8000_0000)
+                in
+                q = 0x8000_0000 && flags = (true, false, true, false))
+              operands));
+  ]
+
 (* push/pop round trip over random sequences *)
 let stack_prop =
   qt "PUSHL/pop sequences preserve values"
@@ -289,6 +438,7 @@ let () =
   Alcotest.run "exec_props"
     [
       ("semantics", exec_props);
+      ("data", data_props);
       ( "ashl",
         [ Alcotest.test_case "exhaustive counts x sign patterns" `Quick
             ashl_exhaustive ] );
