@@ -1,8 +1,6 @@
 open Vax_arch
 open Vax_mem
 
-exception Vm_nxm of string
-
 let vm_io_base_pfn = Phys_mem.io_space_base lsr Addr.page_shift
 
 let charge mmu n = Cycles.charge (Mmu.clock mmu) n
@@ -25,12 +23,13 @@ let identity_va (vm : Vm.t) =
   Addr.of_region_vpn Addr.S
     (Layout.identity_vpn ~nslots:(Array.length vm.Vm.slots))
 
-(* VM-physical to real physical; checks against the VM's memory size. *)
-let vm_phys_to_real (vm : Vm.t) vmpa =
-  if vmpa < 0 || vmpa >= vm.Vm.memsize * Addr.page_size then
-    raise
-      (Vm_nxm (Printf.sprintf "VM-physical address %08x out of range" vmpa));
-  Addr.phys_of_pfn vm.Vm.base_pfn + vmpa
+(* the one bounds check on VM-physical references *)
+let vm_phys_addr (vm : Vm.t) vmpa ~len =
+  if vmpa < 0 || vmpa + len > vm.Vm.memsize * Addr.page_size then -1
+  else Addr.phys_of_pfn vm.Vm.base_pfn + vmpa
+
+let out_of_range vmpa =
+  Printf.sprintf "VM-physical address %08x out of range" vmpa
 
 (* ------------------------------------------------------------------ *)
 (* Static table construction                                           *)
@@ -179,17 +178,26 @@ let acv va ~len ~pt ~write =
   Mmu.Access_violation
     { va; length_violation = len; ptbl_ref = pt; write }
 
+type walk =
+  | Pte_at of { pte : Word.t; pa : Word.t }
+  | Walk_fault of Mmu.fault
+  | Walk_nxm of string
+
+(* the longword at VM-physical [vmpa] as a VM PTE *)
+let pte_at phys vm vmpa =
+  let pa = vm_phys_addr vm vmpa ~len:4 in
+  if pa < 0 then Walk_nxm (out_of_range vmpa)
+  else Pte_at { pte = Phys_mem.read_long phys pa; pa }
+
 let read_vm_pte phys (vm : Vm.t) va =
   let region = Addr.region_of va in
   let vpn = Addr.vpn va in
   match region with
-  | Addr.Reserved_region -> Error (acv va ~len:true ~pt:false ~write:false)
+  | Addr.Reserved_region -> Walk_fault (acv va ~len:true ~pt:false ~write:false)
   | Addr.S ->
       if vpn >= vm.Vm.slr || vpn >= Layout.vm_s_limit_vpn then
-        Error (acv va ~len:true ~pt:false ~write:false)
-      else
-        let pa = vm_phys_to_real vm (Word.add vm.Vm.sbr (4 * vpn)) in
-        Ok (Phys_mem.read_long phys pa, pa)
+        Walk_fault (acv va ~len:true ~pt:false ~write:false)
+      else pte_at phys vm (Word.add vm.Vm.sbr (4 * vpn))
   | Addr.P0 | Addr.P1 ->
       let br, limit_ok =
         match region with
@@ -199,28 +207,27 @@ let read_vm_pte phys (vm : Vm.t) va =
             ( vm.Vm.p1br,
               vpn >= vm.Vm.p1lr && vpn >= Layout.p1_first_vpn )
       in
-      if not limit_ok then Error (acv va ~len:true ~pt:false ~write:false)
-      else begin
-        let pte_va = Word.add br (4 * vpn) in
-        if Addr.region_of pte_va <> Addr.S then
-          raise (Vm_nxm "VM process page table base not in S space");
+      let pte_va = Word.add br (4 * vpn) in
+      if not limit_ok then Walk_fault (acv va ~len:true ~pt:false ~write:false)
+      else if Addr.region_of pte_va <> Addr.S then
+        Walk_nxm "VM process page table base not in S space"
+      else
         let s_vpn = Addr.vpn pte_va in
-        if s_vpn >= vm.Vm.slr then Error (acv va ~len:true ~pt:true ~write:false)
+        let spte_vmpa = Word.add vm.Vm.sbr (4 * s_vpn) in
+        let spte_pa = vm_phys_addr vm spte_vmpa ~len:4 in
+        if s_vpn >= vm.Vm.slr then
+          Walk_fault (acv va ~len:true ~pt:true ~write:false)
+        else if spte_pa < 0 then Walk_nxm (out_of_range spte_vmpa)
         else
-          let spte_pa = vm_phys_to_real vm (Word.add vm.Vm.sbr (4 * s_vpn)) in
           let spte = Phys_mem.read_long phys spte_pa in
           if not (Protection.can_read (Pte.prot spte) Mode.Kernel) then
-            Error (acv va ~len:false ~pt:true ~write:false)
+            Walk_fault (acv va ~len:false ~pt:true ~write:false)
           else if not (Pte.valid spte) then
-            Error
+            Walk_fault
               (Mmu.Translation_not_valid { va; ptbl_ref = true; write = false })
           else
-            let page_vmpa = Pte.pfn spte * Addr.page_size in
-            let pa =
-              vm_phys_to_real vm (page_vmpa + Addr.offset pte_va)
-            in
-            Ok (Phys_mem.read_long phys pa, pa)
-      end
+            pte_at phys vm
+              ((Pte.pfn spte * Addr.page_size) + Addr.offset pte_va)
 
 (* ------------------------------------------------------------------ *)
 (* Shadow PTE addressing                                               *)
@@ -293,9 +300,9 @@ let fill mmu (vm : Vm.t) ?(prefill = 0) ?(ro_scheme = false) va =
   else begin
     charge mmu (2 * Cost.vmm_guest_mem);
     match read_vm_pte (Mmu.phys mmu) vm va with
-    | exception Vm_nxm m -> Halt_nxm m
-    | Error f -> Reflect f
-    | Ok (pte, _) ->
+    | Walk_nxm m -> Halt_nxm m
+    | Walk_fault f -> Reflect f
+    | Pte_at { pte; _ } ->
         if not (Pte.valid pte) then
           Reflect (Mmu.Translation_not_valid { va; ptbl_ref = false; write = false })
         else (
@@ -322,7 +329,7 @@ let fill mmu (vm : Vm.t) ?(prefill = 0) ?(ro_scheme = false) va =
                   if Addr.region_of va_k = Addr.region_of va then begin
                     charge mmu (2 * Cost.vmm_guest_mem);
                     (match read_vm_pte (Mmu.phys mmu) vm va_k with
-                    | Ok (pte_k, _) when Pte.valid pte_k -> (
+                    | Pte_at { pte = pte_k; _ } when Pte.valid pte_k -> (
                         match translate_one ~ro_scheme mmu vm va_k pte_k with
                         | `Pte sp_k ->
                             install_shadow mmu vm va_k sp_k;
@@ -333,8 +340,7 @@ let fill mmu (vm : Vm.t) ?(prefill = 0) ?(ro_scheme = false) va =
                               Vax_obs.Trace.emit tr Vax_obs.Trace.Shadow_fill
                                 ~b:1 (Word.mask va_k)
                         | `Io | `Nxm _ -> ())
-                    | Ok _ | Error _ -> ()
-                    | exception Vm_nxm _ -> ());
+                    | Pte_at _ | Walk_fault _ | Walk_nxm _ -> ());
                     pre (k + 1)
                   end
                 end
@@ -358,9 +364,9 @@ let set_modify mmu (vm : Vm.t) va =
         Mmu.tbis mmu va;
         charge mmu (2 * Cost.memory_access);
         match read_vm_pte phys vm va with
-        | exception Vm_nxm m -> Error m
-        | Error _ -> Error "modify fault but VM PTE unreachable"
-        | Ok (vpte, vpa) ->
+        | Walk_nxm m -> Error m
+        | Walk_fault _ -> Error "modify fault but VM PTE unreachable"
+        | Pte_at { pte = vpte; pa = vpa } ->
             Phys_mem.write_long phys vpa (Pte.with_modify vpte true);
             charge mmu (2 * Cost.vmm_guest_mem);
             vm.Vm.stats.Vm.modify_faults <- vm.Vm.stats.Vm.modify_faults + 1;
@@ -390,9 +396,9 @@ let invalidate_all mmu (vm : Vm.t) =
 
 let upgrade_ro mmu (vm : Vm.t) va =
   match read_vm_pte (Mmu.phys mmu) vm va with
-  | exception Vm_nxm m -> Error m
-  | Error _ -> Error "write ACV but VM PTE unreachable"
-  | Ok (vpte, vpa) ->
+  | Walk_nxm m -> Error m
+  | Walk_fault _ -> Error "write ACV but VM PTE unreachable"
+  | Pte_at { pte = vpte; pa = vpa } ->
       if not (Pte.valid vpte) then Error "write ACV on invalid VM PTE"
       else begin
         let phys = Mmu.phys mmu in
@@ -410,17 +416,3 @@ let upgrade_ro mmu (vm : Vm.t) va =
         vm.Vm.stats.Vm.modify_faults <- vm.Vm.stats.Vm.modify_faults + 1;
         Ok ()
       end
-
-(* ------------------------------------------------------------------ *)
-(* PROBE support                                                       *)
-
-let probe_vm_pte mmu (vm : Vm.t) ~write ~mode va =
-  charge mmu (2 * Cost.vmm_guest_mem);
-  match read_vm_pte (Mmu.phys mmu) vm va with
-  | Error (Mmu.Access_violation { length_violation = true; ptbl_ref = false; _ })
-    ->
-      Ok false
-  | Error f -> Error f
-  | Ok (pte, _) ->
-      let prot = Protection.compress (Pte.prot pte) in
-      Ok ((if write then Protection.can_write else Protection.can_read) prot mode)

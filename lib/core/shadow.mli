@@ -19,9 +19,12 @@
 open Vax_arch
 open Vax_mem
 
-exception Vm_nxm of string
-(** Raised when the VM's own page tables reference nonexistent VM-physical
-    memory; the monitor halts the VM (paper §5: hardware errors). *)
+val vm_phys_addr : Vm.t -> Word.t -> len:int -> int
+(** The real address of the [len] bytes at VM-physical [vmpa], or -1
+    when any of them lies outside the VM's memory. *)
+
+val out_of_range : Word.t -> string
+(** Why a VM that referenced VM-physical [vmpa] is halted (paper §5). *)
 
 val vm_io_base_pfn : int
 (** VM-physical PFNs at or above this are the VM's I/O space. *)
@@ -51,11 +54,14 @@ type fill_result =
   | Io_ref of Word.t  (** VM-physical I/O space reference (MMIO mode) *)
   | Halt_nxm of string  (** VM touched nonexistent memory (paper §5) *)
 
-val read_vm_pte :
-  Phys_mem.t -> Vm.t -> Word.t -> (Word.t * Word.t, Mmu.fault) result
-(** Software walk of the VM's own page tables for [va]: returns the VM
-    PTE and the *real* physical address where it lives.  Faults are VM
-    faults to reflect (length violations, invalid page-table pages). *)
+type walk =
+  | Pte_at of { pte : Word.t; pa : Word.t }
+      (** the VM PTE and the *real* physical address where it lives *)
+  | Walk_fault of Mmu.fault  (** a VM fault to reflect *)
+  | Walk_nxm of string  (** the tables reach nonexistent VM memory *)
+
+val read_vm_pte : Phys_mem.t -> Vm.t -> Word.t -> walk
+(** Software walk of the VM's own page tables for [va]. *)
 
 val fill :
   Mmu.t -> Vm.t -> ?prefill:int -> ?ro_scheme:bool -> Word.t -> fill_result
@@ -84,10 +90,3 @@ val invalidate_single : Mmu.t -> Vm.t -> Word.t -> unit
 val invalidate_all : Mmu.t -> Vm.t -> unit
 (** The VM issued TBIA (or changed SBR/SLR): null the VM-visible part of
     the shadow S table and the active process slot. *)
-
-val probe_vm_pte :
-  Mmu.t -> Vm.t -> write:bool -> mode:Mode.t -> Word.t ->
-  (bool, Mmu.fault) result
-(** Accessibility of [va] per the VM's own PTE with compressed
-    protection — the software half of PROBE emulation when the VM PTE is
-    itself invalid. *)

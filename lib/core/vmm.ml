@@ -62,15 +62,10 @@ let guest_instructions (vm : Vm.t) = vm.Vm.guest_instructions
 (* ------------------------------------------------------------------ *)
 (* VM-physical access (host side)                                      *)
 
-let vm_phys_pa (vm : Vm.t) vmpa =
-  if vmpa < 0 || vmpa >= vm.Vm.memsize * Addr.page_size then
-    raise (Shadow.Vm_nxm (Printf.sprintf "VM-physical %08x out of range" vmpa));
-  Addr.phys_of_pfn vm.Vm.base_pfn + vmpa
-
-let vm_phys_read_long t vm vmpa = Phys_mem.read_long (phys t) (vm_phys_pa vm vmpa)
-
-let vm_phys_write_long t vm vmpa v =
-  Phys_mem.write_long (phys t) (vm_phys_pa vm vmpa) v
+let vm_phys_read_long t vm vmpa =
+  let pa = Shadow.vm_phys_addr vm vmpa ~len:4 in
+  if pa < 0 then invalid_arg ("Vmm.vm_phys_read_long: " ^ Shadow.out_of_range vmpa);
+  Phys_mem.read_long (phys t) pa
 
 (* ------------------------------------------------------------------ *)
 (* The live register file                                              *)
@@ -112,9 +107,44 @@ let halt_vm (vm : Vm.t) reason =
   vm.Vm.timer_gen <- vm.Vm.timer_gen + 1
 
 (* ------------------------------------------------------------------ *)
-(* Guest virtual-memory access with shadow servicing                   *)
+(* Handler outcomes                                                    *)
 
-exception Reflect_to_vm of Mmu.fault
+(* What servicing an exit means for the VM.  Every emulator and
+   memory-event handler returns one, and [serve] applies it: the one
+   place where a guest's error becomes a reflected exception, taken at
+   the VM's saved PC, or a halt. *)
+type outcome =
+  | Resume
+  | Reflect of { vector : int; params : Word.t list }
+  | Halt of string
+
+let reserved_operand = Reflect { vector = Scb.reserved_operand; params = [] }
+
+(* A memory-management fault the VM takes; [orig_write] marks one the
+   VM's write reference caused, whatever the fault says. *)
+let fault_reflection (fault : Mmu.fault) ~orig_write =
+  let code ~len ~pt ~write =
+    (if len then 1 else 0) lor (if pt then 2 else 0)
+    lor if write || orig_write then 4 else 0
+  in
+  let vector, params =
+    match fault with
+    | Mmu.Access_violation { va; length_violation; ptbl_ref; write } ->
+        (Scb.access_violation, [ code ~len:length_violation ~pt:ptbl_ref ~write; va ])
+    | Mmu.Translation_not_valid { va; ptbl_ref; write } ->
+        (Scb.translation_not_valid, [ code ~len:false ~pt:ptbl_ref ~write; va ])
+    | Mmu.Modify_fault { va } ->
+        (* the virtual VAX also uses the modify-fault discipline *)
+        (Scb.modify_fault, [ code ~len:false ~pt:false ~write:true; va ])
+  in
+  Reflect { vector; params }
+
+(* A guest-memory read that cannot complete raises [Stop] with what that
+   means for the VM; only [serve] catches it. *)
+exception Stop of outcome
+
+(* ------------------------------------------------------------------ *)
+(* Guest virtual-memory access with shadow servicing                   *)
 
 let ensure_installed t (vm : Vm.t) =
   if t.installed_for <> vm.Vm.vid then begin
@@ -122,32 +152,48 @@ let ensure_installed t (vm : Vm.t) =
     t.installed_for <- vm.Vm.vid
   end
 
-(* Perform a guest memory access, demand-filling shadow PTEs and
-   propagating modify bits as the hardware/VMM pair would.  VM-level
-   faults are raised as [Reflect_to_vm]; NXM raises [Shadow.Vm_nxm]. *)
-let rec guest_try t vm ~attempts f =
-  match f () with
+(* Service a fault a VMM access to guest memory took, as the
+   hardware/VMM pair would: [Resume] once the shadow tables let the
+   access be retried, otherwise what the fault means for the VM. *)
+let service_fault t vm ~write ~attempts (fault : Mmu.fault) =
+  match fault with
+  | Mmu.Translation_not_valid { va; _ } when attempts > 0 -> (
+      match Shadow.fill (mmu t) vm ~prefill:t.cfg.prefill_group
+              ~ro_scheme:t.cfg.ro_shadow_scheme va with
+      | Shadow.Filled -> Resume
+      | Shadow.Reflect fault -> fault_reflection fault ~orig_write:write
+      | Shadow.Io_ref _ -> Halt "VMM access touched VM I/O space"
+      | Shadow.Halt_nxm m -> Halt m)
+  | Mmu.Modify_fault { va } when attempts > 0 -> (
+      match Shadow.set_modify (mmu t) vm va with
+      | Ok () -> Resume
+      | Error m -> Halt m)
+  | _ -> fault_reflection fault ~orig_write:write
+
+let rec read_retrying t vm ~mode va ~attempts =
+  match Mmu.v_read_long (mmu t) ~mode va with
   | Ok v ->
       charge t Cost.vmm_guest_mem;
       v
-  | Error f' when attempts = 0 -> raise (Reflect_to_vm f')
-  | Error (Mmu.Translation_not_valid { va; _ }) -> (
-      match Shadow.fill (mmu t) vm ~prefill:t.cfg.prefill_group
-              ~ro_scheme:t.cfg.ro_shadow_scheme va with
-      | Shadow.Filled -> guest_try t vm ~attempts:(attempts - 1) f
-      | Shadow.Reflect fault -> raise (Reflect_to_vm fault)
-      | Shadow.Io_ref _ ->
-          raise (Shadow.Vm_nxm "VMM access touched VM I/O space")
-      | Shadow.Halt_nxm m -> raise (Shadow.Vm_nxm m))
-  | Error (Mmu.Modify_fault { va }) -> (
-      match Shadow.set_modify (mmu t) vm va with
-      | Ok () -> guest_try t vm ~attempts:(attempts - 1) f
-      | Error m -> raise (Shadow.Vm_nxm m))
-  | Error f' -> raise (Reflect_to_vm f')
+  | Error fault -> (
+      match service_fault t vm ~write:false ~attempts fault with
+      | Resume -> read_retrying t vm ~mode va ~attempts:(attempts - 1)
+      | o -> raise (Stop o))
+
+let rec write_retrying t vm ~mode va v ~attempts =
+  match Mmu.v_write_long (mmu t) ~mode va v with
+  | Ok () ->
+      charge t Cost.vmm_guest_mem;
+      Resume
+  | Error fault -> (
+      match service_fault t vm ~write:true ~attempts fault with
+      | Resume -> write_retrying t vm ~mode va v ~attempts:(attempts - 1)
+      | o -> o)
 
 (* Both accessors try the MMU's allocation-free fast half first: it
-   charges exactly what the first [guest_try] attempt would on a TLB
-   hit, and nothing otherwise. *)
+   charges exactly what the first attempt would on a TLB hit, and
+   nothing otherwise.  A read that cannot complete raises [Stop]; a
+   write returns its outcome. *)
 let guest_read_long t vm ~vmode va =
   ensure_installed t vm;
   let mode = Ring.compress_mode vmode in
@@ -156,14 +202,16 @@ let guest_read_long t vm ~vmode va =
     charge t Cost.vmm_guest_mem;
     v
   end
-  else guest_try t vm ~attempts:3 (fun () -> Mmu.v_read_long (mmu t) ~mode va)
+  else read_retrying t vm ~mode va ~attempts:3
 
 let guest_write_long t vm ~vmode va v =
   ensure_installed t vm;
   let mode = Ring.compress_mode vmode in
-  if Mmu.v_write_long_fast (mmu t) ~mode va v then charge t Cost.vmm_guest_mem
-  else
-    guest_try t vm ~attempts:4 (fun () -> Mmu.v_write_long (mmu t) ~mode va v)
+  if Mmu.v_write_long_fast (mmu t) ~mode va v then begin
+    charge t Cost.vmm_guest_mem;
+    Resume
+  end
+  else write_retrying t vm ~mode va v ~attempts:4
 
 (* ------------------------------------------------------------------ *)
 (* PSL plumbing                                                        *)
@@ -194,78 +242,64 @@ let vstack_slot (vm : Vm.t) =
 (* ------------------------------------------------------------------ *)
 (* Reflecting exceptions and delivering virtual interrupts             *)
 
+(* The VM's SCB entry for [vector], or -1 when it lies outside the VM's
+   memory. *)
 let read_vm_scb_entry t (vm : Vm.t) vector =
   charge t Cost.vmm_guest_mem;
-  vm_phys_read_long t vm (Word.add vm.Vm.scbb vector)
+  let pa = Shadow.vm_phys_addr vm (Word.add vm.Vm.scbb vector) ~len:4 in
+  if pa < 0 then -1 else Phys_mem.read_long (phys t) pa
 
-(* Build an exception/interrupt frame on one of the VM's stacks and
-   redirect the VM to its handler.  Operates on the VM's saved context. *)
-let push_guest t vm sp v =
-  let sp = Word.sub sp 4 in
-  guest_write_long t vm ~vmode:Mode.Kernel sp v;
-  sp
+let scb_unreachable (vm : Vm.t) vector =
+  "SCB unreachable: " ^ Shadow.out_of_range (Word.add vm.Vm.scbb vector)
 
-(* the last parameter is pushed first, the first ends on top *)
-let rec push_params t vm sp = function
-  | [] -> sp
-  | p :: rest -> push_guest t vm (push_params t vm sp rest) p
+(* Store [params] upward from [sp] with the PC and PSL above them, the
+   deepest word first, as successive pushes would. *)
+let rec store_frame t vm sp ~pc ~psl = function
+  | [] -> (
+      match guest_write_long t vm ~vmode:Mode.Kernel (Word.add sp 4) psl with
+      | Resume -> guest_write_long t vm ~vmode:Mode.Kernel sp pc
+      | o -> o)
+  | p :: rest -> (
+      match store_frame t vm (Word.add sp 4) ~pc ~psl rest with
+      | Resume -> guest_write_long t vm ~vmode:Mode.Kernel sp p
+      | o -> o)
 
+(* Push an exception frame — the PSL, the PC, then [params], the first
+   ending on top — on the VM stack in [target_slot].  The stack pointer
+   moves only once every word has landed. *)
 let push_vm_frame t (vm : Vm.t) ~target_slot ~params ~pc ~psl =
-  let sp = push_guest t vm vm.Vm.sps.(target_slot) psl in
-  let sp = push_guest t vm sp pc in
-  vm.Vm.sps.(target_slot) <- push_params t vm sp params
+  let sp = Word.sub vm.Vm.sps.(target_slot) (4 * (List.length params + 2)) in
+  let o = store_frame t vm sp ~pc ~psl params in
+  if o == Resume then vm.Vm.sps.(target_slot) <- sp;
+  o
 
-let reflect_exception t (vm : Vm.t) ~vector ~params ~pc =
-  if Sys.getenv_opt "VMM_DEBUG" <> None then
-    Format.eprintf "reflect %s vec=0x%x pc=%x params=%s sps0=%x@."
-      vm.Vm.name vector pc
-      (String.concat "," (List.map (Printf.sprintf "%x") params))
-      vm.Vm.sps.(0);
+(* Take [vector] in the VM: push its frame on the stack its SCB entry
+   selects and enter the handler in virtual kernel mode at IPL [ipl].
+   A frame that cannot be pushed halts the VM with [stack_fault]. *)
+let take_in_vm t (vm : Vm.t) ~vector ~params ~prv ~ipl ~stack_fault =
+  let entry = read_vm_scb_entry t vm vector in
+  if entry < 0 then halt_vm vm (scb_unreachable vm vector)
+  else
+    let use_is = entry land 1 = 1 || Psl.is vm.Vm.saved_vmpsl in
+    match
+      push_vm_frame t vm
+        ~target_slot:(if use_is then 4 else 0)
+        ~params ~pc:vm.Vm.saved_regs.(15) ~psl:(merged_saved_psl vm)
+    with
+    | Resume ->
+        let vp = Psl.with_prv (Psl.with_cur vm.Vm.saved_vmpsl Mode.Kernel) prv in
+        vm.Vm.saved_vmpsl <- Psl.with_ipl (Psl.with_is vp use_is) ipl;
+        vm.Vm.saved_regs.(15) <- Word.logand entry (Word.lognot 3);
+        vm.Vm.saved_psl <- resume_psl vm 0
+    | Halt m -> halt_vm vm m
+    | Reflect _ -> halt_vm vm stack_fault
+
+let reflect_exception t (vm : Vm.t) ~vector ~params =
   charge t Cost.vmm_interrupt_deliver;
   vm.Vm.stats.Vm.reflected_faults <- vm.Vm.stats.Vm.reflected_faults + 1;
-  match read_vm_scb_entry t vm vector with
-  | exception Shadow.Vm_nxm m -> halt_vm vm ("SCB unreachable: " ^ m)
-  | entry -> (
-      let use_is = entry land 1 = 1 || Psl.is vm.Vm.saved_vmpsl in
-      let target_slot = if use_is then 4 else 0 in
-      let old_cur = Psl.cur vm.Vm.saved_vmpsl in
-      match
-        push_vm_frame t vm ~target_slot ~params ~pc ~psl:(merged_saved_psl vm)
-      with
-      | exception Reflect_to_vm _ ->
-          halt_vm vm "VM kernel stack not valid during exception"
-      | exception Shadow.Vm_nxm m -> halt_vm vm m
-      | () ->
-          let vp = vm.Vm.saved_vmpsl in
-          let vp = Psl.with_cur vp Mode.Kernel in
-          let vp = Psl.with_prv vp old_cur in
-          let vp = Psl.with_is vp use_is in
-          vm.Vm.saved_vmpsl <- vp;
-          vm.Vm.saved_regs.(15) <- Word.logand entry (Word.lognot 3);
-          vm.Vm.saved_psl <- resume_psl vm 0)
-
-let reflect_fault t vm (fault : Mmu.fault) ~orig_write ~pc =
-  let param ~len ~pt ~write =
-    (if len then 1 else 0) lor (if pt then 2 else 0) lor if write then 4 else 0
-  in
-  match fault with
-  | Mmu.Access_violation { va; length_violation; ptbl_ref; write } ->
-      reflect_exception t vm ~vector:Scb.access_violation
-        ~params:
-          [
-            param ~len:length_violation ~pt:ptbl_ref ~write:(write || orig_write);
-            va;
-          ]
-        ~pc
-  | Mmu.Translation_not_valid { va; ptbl_ref; write } ->
-      reflect_exception t vm ~vector:Scb.translation_not_valid
-        ~params:[ param ~len:false ~pt:ptbl_ref ~write:(write || orig_write); va ]
-        ~pc
-  | Mmu.Modify_fault { va } ->
-      (* the virtual VAX also uses the modify-fault discipline *)
-      reflect_exception t vm ~vector:Scb.modify_fault
-        ~params:[ param ~len:false ~pt:false ~write:true; va ]
-        ~pc
+  let vp = vm.Vm.saved_vmpsl in
+  take_in_vm t vm ~vector ~params ~prv:(Psl.cur vp) ~ipl:(Psl.ipl vp)
+    ~stack_fault:"VM kernel stack not valid during exception"
 
 let deliver_virq t (vm : Vm.t) ~level ~vector =
   charge t Cost.vmm_interrupt_deliver;
@@ -273,28 +307,14 @@ let deliver_virq t (vm : Vm.t) ~level ~vector =
   (if vector >= Scb.software_interrupt 1 && vector <= Scb.software_interrupt 15
    then vm.Vm.sisr <- vm.Vm.sisr land lnot (1 lsl ((vector - 0x80) / 4))
    else Vm.retract_virq vm ~vector);
-  match read_vm_scb_entry t vm vector with
-  | exception Shadow.Vm_nxm m -> halt_vm vm ("SCB unreachable: " ^ m)
-  | entry -> (
-      let use_is = entry land 1 = 1 || Psl.is vm.Vm.saved_vmpsl in
-      let target_slot = if use_is then 4 else 0 in
-      match
-        push_vm_frame t vm ~target_slot ~params:[]
-          ~pc:vm.Vm.saved_regs.(15)
-          ~psl:(merged_saved_psl vm)
-      with
-      | exception Reflect_to_vm _ ->
-          halt_vm vm "VM interrupt stack not valid"
-      | exception Shadow.Vm_nxm m -> halt_vm vm m
-      | () ->
-          let vp = vm.Vm.saved_vmpsl in
-          let vp = Psl.with_cur vp Mode.Kernel in
-          let vp = Psl.with_prv vp Mode.Kernel in
-          let vp = Psl.with_is vp use_is in
-          let vp = Psl.with_ipl vp level in
-          vm.Vm.saved_vmpsl <- vp;
-          vm.Vm.saved_regs.(15) <- Word.logand entry (Word.lognot 3);
-          vm.Vm.saved_psl <- resume_psl vm 0)
+  take_in_vm t vm ~vector ~params:[] ~prv:Mode.Kernel ~ipl:level
+    ~stack_fault:"VM interrupt stack not valid"
+
+(* Apply a handler's outcome to the VM. *)
+let apply t vm = function
+  | Resume -> ()
+  | Reflect { vector; params } -> reflect_exception t vm ~vector ~params
+  | Halt reason -> halt_vm vm reason
 
 (* ------------------------------------------------------------------ *)
 (* Virtual interval timer                                              *)
@@ -495,6 +515,13 @@ let resume_after t (vm : Vm.t) (x : State.exit_record) =
     end
   done
 
+(* An emulation that succeeded completes the instruction. *)
+let completed t vm x = function
+  | Resume ->
+      resume_after t vm x;
+      Resume
+  | o -> o
+
 (* Store an emulated instruction's result into its operand [i]. *)
 let write_result t (vm : Vm.t) (x : State.exit_record) i v =
   let dst = op_value x i in
@@ -505,12 +532,10 @@ let write_result t (vm : Vm.t) (x : State.exit_record) i v =
         vm.Vm.sps.(vs) <- Word.mask v;
         vm.Vm.saved_regs.(14) <- Word.mask v
       end
-      else set_vm_reg t vm dst v
+      else set_vm_reg t vm dst v;
+      Resume
   | 1 -> guest_write_long t vm ~vmode:(Psl.cur vm.Vm.saved_vmpsl) dst v
-  | _ -> ()
-
-let set_result_cc (vm : Vm.t) ~n ~z ~v ~c =
-  vm.Vm.saved_psl <- Psl.with_nzvc vm.Vm.saved_psl ~n ~z ~v ~c
+  | _ -> Resume
 
 (* ------------------------------------------------------------------ *)
 (* Virtual console and KCALL                                           *)
@@ -533,57 +558,58 @@ let read_vm_disk t (vm : Vm.t) block =
   assert (block >= 0 && block < vm.Vm.disk_blocks);
   Disk.read_block t.m.Machine.disk (vm.Vm.disk_base + block)
 
+(* A transfer moves one 512-byte block, and every byte of its buffer
+   must lie in the VM's memory: otherwise status 2, like a bad block. *)
 let start_vm_disk_io t (vm : Vm.t) ~write ~vm_block ~vm_buf ~on_done =
   vm.Vm.stats.Vm.io_requests <- vm.Vm.stats.Vm.io_requests + 1;
   charge t Cost.vmm_io_start;
-  if vm_block < 0 || vm_block >= vm.Vm.disk_blocks then on_done 2
+  let pa = Shadow.vm_phys_addr vm vm_buf ~len:Addr.page_size in
+  if vm_block < 0 || vm_block >= vm.Vm.disk_blocks || pa < 0 then on_done 2
   else
-    match vm_phys_pa vm vm_buf with
-    | exception Shadow.Vm_nxm _ -> on_done 2
-    | pa ->
-        Disk.submit t.m.Machine.disk ~write ~block:(vm.Vm.disk_base + vm_block)
-          ~phys_addr:pa ~on_complete:(fun () ->
-            let was = Cycles.in_monitor (clock t) in
-            Cycles.set_in_monitor (clock t) true;
-            on_done 1;
-            Cycles.set_in_monitor (clock t) was)
+    Disk.submit t.m.Machine.disk ~write ~block:(vm.Vm.disk_base + vm_block)
+      ~phys_addr:pa ~on_complete:(fun () ->
+        let was = Cycles.in_monitor (clock t) in
+        Cycles.set_in_monitor (clock t) true;
+        on_done 1;
+        Cycles.set_in_monitor (clock t) was)
 
+(* The KCALL packet is four longwords: function, block, buffer, status. *)
 let kcall t (vm : Vm.t) packet_vmpa =
   charge t (4 * Cost.vmm_guest_mem);
-  match
-    let fn = vm_phys_read_long t vm packet_vmpa in
-    let block = vm_phys_read_long t vm (Word.add packet_vmpa 4) in
-    let buf = vm_phys_read_long t vm (Word.add packet_vmpa 8) in
-    (fn, block, buf)
-  with
-  | exception Shadow.Vm_nxm m -> halt_vm vm ("bad KCALL packet: " ^ m)
-  | fn, block, buf -> (
-      (let tr = (st t).State.trace in
-       if Vax_obs.Trace.enabled tr then
-         Vax_obs.Trace.emit tr Vax_obs.Trace.Kcall ~b:packet_vmpa fn);
-      let finish status =
-        (try vm_phys_write_long t vm (Word.add packet_vmpa 12) status
-         with Shadow.Vm_nxm _ -> ());
-        Vm.post_virq vm ~level:Disk.ipl ~vector:Scb.disk;
-        doorbell t
-      in
-      match fn with
-      | 0 -> finish 1
-      | 1 -> start_vm_disk_io t vm ~write:false ~vm_block:block ~vm_buf:buf
-               ~on_done:finish
-      | 2 -> start_vm_disk_io t vm ~write:true ~vm_block:block ~vm_buf:buf
-               ~on_done:finish
-      | _ -> finish 3)
+  let pa = Shadow.vm_phys_addr vm packet_vmpa ~len:16 in
+  if pa < 0 then Halt ("bad KCALL packet: " ^ Shadow.out_of_range packet_vmpa)
+  else begin
+    let p = phys t in
+    let fn = Phys_mem.read_long p pa in
+    let block = Phys_mem.read_long p (pa + 4) in
+    let buf = Phys_mem.read_long p (pa + 8) in
+    (let tr = (st t).State.trace in
+     if Vax_obs.Trace.enabled tr then
+       Vax_obs.Trace.emit tr Vax_obs.Trace.Kcall ~b:packet_vmpa fn);
+    let finish status =
+      Phys_mem.write_long p (pa + 12) status;
+      Vm.post_virq vm ~level:Disk.ipl ~vector:Scb.disk;
+      doorbell t
+    in
+    (match fn with
+    | 0 -> finish 1
+    | 1 -> start_vm_disk_io t vm ~write:false ~vm_block:block ~vm_buf:buf
+             ~on_done:finish
+    | 2 -> start_vm_disk_io t vm ~write:true ~vm_block:block ~vm_buf:buf
+             ~on_done:finish
+    | _ -> finish 3);
+    Resume
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Virtual processor registers                                         *)
 
-exception Vm_reserved_operand
-
+(* The register's value, or -1 when the VM may not read it (a reserved
+   operand). *)
 let virtual_mfpr t (vm : Vm.t) regnum =
   charge t Cost.vmm_ipr_emulate;
   match Ipr.of_int (Word.mask regnum) with
-  | None -> raise Vm_reserved_operand
+  | None -> -1
   | Some r -> (
       match r with
       | Ipr.KSP -> vm.Vm.sps.(0)
@@ -625,21 +651,28 @@ let virtual_mfpr t (vm : Vm.t) regnum =
       | Ipr.NICR | Ipr.SIRR | Ipr.TBIA | Ipr.TBIS | Ipr.KCALL | Ipr.IORESET
       | Ipr.VMPSL | Ipr.VMPEND ->
           (* write-only or nonexistent on the virtual VAX *)
-          raise Vm_reserved_operand)
+          -1)
 
 let virtual_mtpr t (vm : Vm.t) ~value ~regnum =
   charge t Cost.vmm_ipr_emulate;
   match Ipr.of_int (Word.mask regnum) with
-  | None -> raise Vm_reserved_operand
-  | Some r -> (
-      match r with
+  | None
+  | Some (Ipr.SID | Ipr.ICR | Ipr.MEMSIZE | Ipr.UPTIME | Ipr.VMPSL | Ipr.VMPEND)
+    ->
+      (* read-only or nonexistent on the virtual VAX *)
+      reserved_operand
+  | Some Ipr.P0BR when Addr.region_of value <> Addr.S -> reserved_operand
+  | Some Ipr.SIRR when Word.mask value < 1 || Word.mask value > 15 ->
+      reserved_operand
+  | Some Ipr.KCALL -> kcall t vm value
+  | Some r ->
+      (match r with
       | Ipr.KSP -> vm.Vm.sps.(0) <- value
       | Ipr.ESP -> vm.Vm.sps.(1) <- value
       | Ipr.SSP -> vm.Vm.sps.(2) <- value
       | Ipr.USP -> vm.Vm.sps.(3) <- value
       | Ipr.ISP -> vm.Vm.sps.(4) <- value
       | Ipr.P0BR ->
-          if Addr.region_of value <> Addr.S then raise Vm_reserved_operand;
           vm.Vm.p0br <- value;
           if vm.Vm.mapen then
             Shadow.activate_process (mmu t) vm
@@ -661,10 +694,7 @@ let virtual_mtpr t (vm : Vm.t) ~value ~regnum =
       | Ipr.SCBB -> vm.Vm.scbb <- Addr.page_align_down value
       | Ipr.IPL ->
           vm.Vm.saved_vmpsl <- Psl.with_ipl vm.Vm.saved_vmpsl (value land 31)
-      | Ipr.SIRR ->
-          let l = Word.mask value in
-          if l < 1 || l > 15 then raise Vm_reserved_operand;
-          vm.Vm.sisr <- vm.Vm.sisr lor (1 lsl l)
+      | Ipr.SIRR -> vm.Vm.sisr <- vm.Vm.sisr lor (1 lsl Word.mask value)
       | Ipr.SISR -> vm.Vm.sisr <- value land 0xFFFE
       | Ipr.MAPEN ->
           vm.Vm.mapen <- value land 1 = 1;
@@ -699,13 +729,14 @@ let virtual_mtpr t (vm : Vm.t) ~value ~regnum =
           if vm.Vm.txcs land 0x40 <> 0 then
             Vm.post_virq vm ~level:Console.tx_ipl ~vector:Scb.console_transmit
       | Ipr.RXDB -> ()
-      | Ipr.KCALL -> kcall t vm value
       | Ipr.IORESET ->
           vm.Vm.pending_virq <- [];
           vm.Vm.vdisk.Vm.vd_csr <- 0
-      | Ipr.SID | Ipr.ICR | Ipr.MEMSIZE | Ipr.UPTIME | Ipr.VMPSL | Ipr.VMPEND
-        ->
-          raise Vm_reserved_operand)
+      | Ipr.KCALL | Ipr.SID | Ipr.ICR | Ipr.MEMSIZE | Ipr.UPTIME | Ipr.VMPSL
+      | Ipr.VMPEND ->
+          (* served or refused above *)
+          ());
+      Resume
 
 (* ------------------------------------------------------------------ *)
 (* Emulation of the sensitive instructions (paper §4.2, §4.4)          *)
@@ -719,29 +750,28 @@ let emulate_rei t (vm : Vm.t) =
   let vmode = Psl.cur vp in
   let new_pc = guest_read_long t vm ~vmode sp in
   let new_psl = guest_read_long t vm ~vmode (Word.add sp 4) in
-  let bad cond = if cond then raise Vm_reserved_operand in
   let n_cur = Mode.to_int (Psl.cur new_psl) in
-  bad (n_cur < Mode.to_int (Psl.cur vp));
-  bad (Mode.to_int (Psl.prv new_psl) < n_cur);
-  bad (Psl.is new_psl && not (Psl.is vp));
-  bad (Psl.is new_psl && n_cur <> 0);
-  bad (Psl.ipl new_psl > Psl.ipl vp);
-  bad (n_cur <> 0 && Psl.ipl new_psl <> 0);
-  bad (Psl.vm new_psl) (* self-virtualization is not supported *);
-  bad (Psl.mbz_violation new_psl);
-  vm.Vm.sps.(cur_slot) <- Word.add sp 8;
-  let vp' =
-    Psl.with_is
-      (Psl.with_ipl
-         (Psl.with_prv (Psl.with_cur vp (Psl.cur new_psl)) (Psl.prv new_psl))
-         (Psl.ipl new_psl))
-      (Psl.is new_psl)
-  in
-  vm.Vm.saved_vmpsl <- vp';
-  vm.Vm.saved_psl <- resume_psl vm new_psl;
-  vm.Vm.saved_regs.(15) <- new_pc;
-  vm.Vm.saved_regs.(14) <- vm.Vm.sps.(vstack_slot vm)
+  if n_cur < Mode.to_int (Psl.cur vp)
+     || Mode.to_int (Psl.prv new_psl) < n_cur
+     || (Psl.is new_psl && not (Psl.is vp))
+     || (Psl.is new_psl && n_cur <> 0)
+     || Psl.ipl new_psl > Psl.ipl vp
+     || (n_cur <> 0 && Psl.ipl new_psl <> 0)
+     || Psl.vm new_psl (* self-virtualization is not supported *)
+     || Psl.mbz_violation new_psl
+  then reserved_operand
+  else begin
+    vm.Vm.sps.(cur_slot) <- Word.add sp 8;
+    let vp = Psl.with_prv (Psl.with_cur vp (Psl.cur new_psl)) (Psl.prv new_psl) in
+    vm.Vm.saved_vmpsl <-
+      Psl.with_is (Psl.with_ipl vp (Psl.ipl new_psl)) (Psl.is new_psl);
+    vm.Vm.saved_psl <- resume_psl vm new_psl;
+    vm.Vm.saved_regs.(15) <- new_pc;
+    vm.Vm.saved_regs.(14) <- vm.Vm.sps.(vstack_slot vm);
+    Resume
+  end
 
+(* A CHM whose frame cannot be pushed reflects that fault to the VM. *)
 let emulate_chm t (vm : Vm.t) (x : State.exit_record) target =
   charge t Cost.vmm_chm_emulate;
   vm.Vm.stats.Vm.chm_forwarded <- vm.Vm.stats.Vm.chm_forwarded + 1;
@@ -753,175 +783,156 @@ let emulate_chm t (vm : Vm.t) (x : State.exit_record) target =
     if Mode.to_int target < Mode.to_int cur then target else cur
   in
   let next_pc = Word.add vm.Vm.saved_regs.(15) x.State.x_length in
-  match read_vm_scb_entry t vm (Scb.chm_vector target) with
-  | exception Shadow.Vm_nxm m -> halt_vm vm ("SCB unreachable: " ^ m)
-  | entry -> (
-      let target_slot = Mode.to_int new_mode in
-      match
-        push_vm_frame t vm ~target_slot ~params:[ code ] ~pc:next_pc
-          ~psl:(merged_saved_psl vm)
-      with
-      | exception Reflect_to_vm fault ->
-          reflect_fault t vm fault ~orig_write:true ~pc:vm.Vm.saved_regs.(15)
-      | exception Shadow.Vm_nxm m -> halt_vm vm m
-      | () ->
-          let vp = vm.Vm.saved_vmpsl in
-          let vp = Psl.with_prv (Psl.with_cur vp new_mode) cur in
-          vm.Vm.saved_vmpsl <- vp;
-          vm.Vm.saved_regs.(15) <- Word.logand entry (Word.lognot 3);
-          vm.Vm.saved_psl <- resume_psl vm vm.Vm.saved_psl)
+  let vector = Scb.chm_vector target in
+  let entry = read_vm_scb_entry t vm vector in
+  if entry < 0 then Halt (scb_unreachable vm vector)
+  else
+    match
+      push_vm_frame t vm ~target_slot:(Mode.to_int new_mode) ~params:[ code ]
+        ~pc:next_pc ~psl:(merged_saved_psl vm)
+    with
+    | Resume ->
+        vm.Vm.saved_vmpsl <- Psl.with_prv (Psl.with_cur vm.Vm.saved_vmpsl new_mode) cur;
+        vm.Vm.saved_regs.(15) <- Word.logand entry (Word.lognot 3);
+        vm.Vm.saved_psl <- resume_psl vm vm.Vm.saved_psl;
+        Resume
+    | o -> o
 
+(* Reads and checks the whole PCB before it loads anything, so a rejected
+   LDPCTX leaves the VM as it was.  Unlike the bare microcode it rejects
+   a P0BR outside S space: the shadow process tables need S-space ones. *)
 let emulate_ldpctx t (vm : Vm.t) (x : State.exit_record) =
   charge t (Opcode.base_cycles Opcode.Ldpctx + (24 * Cost.vmm_guest_mem));
-  match
-    let pcb off = vm_phys_read_long t vm (Word.add vm.Vm.pcbb off) in
-    for slot = 0 to 3 do
-      vm.Vm.sps.(slot) <- pcb (4 * slot)
-    done;
-    for r = 0 to 13 do
-      set_vm_reg t vm r (pcb (16 + (4 * r)))
-    done;
-    let p0br = pcb 80 in
-    if Addr.region_of p0br <> Addr.S then raise Vm_reserved_operand;
-    vm.Vm.p0br <- p0br;
-    vm.Vm.p0lr <- pcb 84;
-    vm.Vm.p1br <- pcb 88;
-    vm.Vm.p1lr <- pcb 92;
-    Shadow.activate_process (mmu t) vm ~cache:t.cfg.shadow_cache_enabled;
-    (* push the PCB's PC/PSL pair on the VM's kernel stack for the REI *)
-    let pc = pcb Microcode.pcb_off_pc and psl = pcb Microcode.pcb_off_psl in
-    vm.Vm.saved_vmpsl <- Psl.with_is vm.Vm.saved_vmpsl false;
-    push_vm_frame t vm ~target_slot:0 ~params:[] ~pc ~psl;
-    vm.Vm.saved_regs.(15) <- Word.add vm.Vm.saved_regs.(15) x.State.x_length;
-    vm.Vm.saved_regs.(14) <- vm.Vm.sps.(0);
-    vm.Vm.saved_psl <- resume_psl vm vm.Vm.saved_psl
-  with
-  | exception Shadow.Vm_nxm m -> halt_vm vm ("LDPCTX: " ^ m)
-  | exception Reflect_to_vm _ -> halt_vm vm "LDPCTX: kernel stack not valid"
-  | () -> ()
+  let pa = Shadow.vm_phys_addr vm vm.Vm.pcbb ~len:Microcode.pcb_size in
+  if pa < 0 then Halt ("LDPCTX: " ^ Shadow.out_of_range vm.Vm.pcbb)
+  else
+    let pcb =
+      Array.init (Microcode.pcb_size / 4) (fun i ->
+          Phys_mem.read_long (phys t) (pa + (4 * i)))
+    in
+    let long off = pcb.(off / 4) in
+    if Addr.region_of (long 80) <> Addr.S then reserved_operand
+    else begin
+      for slot = 0 to 3 do
+        vm.Vm.sps.(slot) <- long (4 * slot)
+      done;
+      for r = 0 to 13 do
+        set_vm_reg t vm r (long (16 + (4 * r)))
+      done;
+      vm.Vm.p0br <- long 80;
+      vm.Vm.p0lr <- long 84;
+      vm.Vm.p1br <- long 88;
+      vm.Vm.p1lr <- long 92;
+      Shadow.activate_process (mmu t) vm ~cache:t.cfg.shadow_cache_enabled;
+      (* push the PCB's PC/PSL pair on the VM's kernel stack for the REI *)
+      vm.Vm.saved_vmpsl <- Psl.with_is vm.Vm.saved_vmpsl false;
+      match
+        push_vm_frame t vm ~target_slot:0 ~params:[]
+          ~pc:(long Microcode.pcb_off_pc) ~psl:(long Microcode.pcb_off_psl)
+      with
+      | Resume ->
+          vm.Vm.saved_regs.(14) <- vm.Vm.sps.(0);
+          vm.Vm.saved_psl <- resume_psl vm vm.Vm.saved_psl;
+          completed t vm x Resume
+      | Halt m -> Halt ("LDPCTX: " ^ m)
+      | Reflect _ -> Halt "LDPCTX: kernel stack not valid"
+    end
 
 let emulate_svpctx t (vm : Vm.t) (x : State.exit_record) =
   charge t (Opcode.base_cycles Opcode.Svpctx + (20 * Cost.vmm_guest_mem));
-  match
+  let pa = Shadow.vm_phys_addr vm vm.Vm.pcbb ~len:Microcode.pcb_size in
+  if pa < 0 then Halt ("SVPCTX: " ^ Shadow.out_of_range vm.Vm.pcbb)
+  else begin
     let cur_slot = vstack_slot vm in
     let sp = vm.Vm.sps.(cur_slot) in
     let vmode = Psl.cur vm.Vm.saved_vmpsl in
     let pc = guest_read_long t vm ~vmode sp in
     let psl = guest_read_long t vm ~vmode (Word.add sp 4) in
     vm.Vm.sps.(cur_slot) <- Word.add sp 8;
-    let pcb_write off v = vm_phys_write_long t vm (Word.add vm.Vm.pcbb off) v in
-    pcb_write Microcode.pcb_off_pc pc;
-    pcb_write Microcode.pcb_off_psl psl;
+    let p = phys t in
+    Phys_mem.write_long p (pa + Microcode.pcb_off_pc) pc;
+    Phys_mem.write_long p (pa + Microcode.pcb_off_psl) psl;
     for slot = 0 to 3 do
-      pcb_write (4 * slot) vm.Vm.sps.(slot)
+      Phys_mem.write_long p (pa + (4 * slot)) vm.Vm.sps.(slot)
     done;
     for r = 0 to 13 do
-      pcb_write (16 + (4 * r)) (vm_reg t vm r)
+      Phys_mem.write_long p (pa + 16 + (4 * r)) (vm_reg t vm r)
     done;
     vm.Vm.saved_vmpsl <- Psl.with_is vm.Vm.saved_vmpsl true;
-    vm.Vm.saved_regs.(15) <- Word.add vm.Vm.saved_regs.(15) x.State.x_length;
     vm.Vm.saved_regs.(14) <- vm.Vm.sps.(4);
-    vm.Vm.saved_psl <- resume_psl vm vm.Vm.saved_psl
-  with
-  | exception Shadow.Vm_nxm m -> halt_vm vm ("SVPCTX: " ^ m)
-  | exception Reflect_to_vm _ -> halt_vm vm "SVPCTX: stack not valid"
-  | () -> ()
+    vm.Vm.saved_psl <- resume_psl vm vm.Vm.saved_psl;
+    completed t vm x Resume
+  end
+
+(* PROBE's software half: whether [va] is accessible in [mode] per the
+   VM's own PTE, or the fault the VM takes.  Filling the shadow PTE on
+   the way lets later PROBEs of the page take the microcode path. *)
+let probe_page t (vm : Vm.t) ~write ~mode va =
+  ignore (Shadow.fill (mmu t) vm ~prefill:0 va : Shadow.fill_result);
+  charge t (2 * Cost.vmm_guest_mem);
+  match Shadow.read_vm_pte (phys t) vm va with
+  | Shadow.Walk_fault
+      (Mmu.Access_violation { length_violation = true; ptbl_ref = false; _ })
+    ->
+      Ok false
+  | Shadow.Walk_fault f -> Error f
+  | Shadow.Walk_nxm m -> raise (Stop (Halt ("PROBE: " ^ m)))
+  | Shadow.Pte_at { pte; _ } ->
+      let prot = Protection.compress (Pte.prot pte) in
+      Ok ((if write then Protection.can_write else Protection.can_read) prot mode)
 
 let emulate_probe t (vm : Vm.t) (x : State.exit_record) ~write =
   vm.Vm.stats.Vm.probe_emulated <- vm.Vm.stats.Vm.probe_emulated + 1;
-  if x.State.x_noperands <> 3 then halt_vm vm "malformed PROBE frame"
+  if x.State.x_noperands <> 3 then Halt "malformed PROBE frame"
   else
     let requested = Mode.of_int (op_value x 0 land 3) in
-    let probe_mode =
-      Mode.least_privileged (Psl.prv vm.Vm.saved_vmpsl) requested
-    in
-    let len =
-      let l = op_value x 1 land 0xFFFF in
-      if l = 0 then 1 else l
-    in
-    let base = op_value x 2 in
-    let check va =
-      (* opportunistically fill the shadow so later PROBEs take the
-         microcode path *)
-      (match Shadow.fill (mmu t) vm ~prefill:0 va with
-      | Shadow.Filled | Shadow.Reflect _ | Shadow.Io_ref _
-      | Shadow.Halt_nxm _ ->
-          ());
-      Shadow.probe_vm_pte (mmu t) vm ~write ~mode:probe_mode va
-    in
-    match
-      let first = check base in
-      let last = check (Word.add base (len - 1)) in
-      (first, last)
-    with
-    | exception Shadow.Vm_nxm m -> halt_vm vm ("PROBE: " ^ m)
-    | Error fault, _ | _, Error fault ->
-        reflect_fault t vm fault ~orig_write:write ~pc:vm.Vm.saved_regs.(15)
+    let mode = Mode.least_privileged (Psl.prv vm.Vm.saved_vmpsl) requested in
+    let len = max 1 (op_value x 1 land 0xFFFF) in
+    let first = probe_page t vm ~write ~mode (op_value x 2) in
+    let last = probe_page t vm ~write ~mode (Word.add (op_value x 2) (len - 1)) in
+    match (first, last) with
+    | Error fault, _ | _, Error fault -> fault_reflection fault ~orig_write:write
     | Ok a, Ok b ->
-        let accessible = a && b in
-        set_result_cc vm ~n:false ~z:(not accessible) ~v:false ~c:false;
-        resume_after t vm x
+        vm.Vm.saved_psl <-
+          Psl.with_nzvc vm.Vm.saved_psl ~n:false ~z:(not (a && b)) ~v:false ~c:false;
+        completed t vm x Resume
 
-let emulate_mtpr_trap t (vm : Vm.t) (x : State.exit_record) =
-  if x.State.x_noperands <> 2 then halt_vm vm "malformed MTPR frame"
+let emulate_mtpr t (vm : Vm.t) (x : State.exit_record) =
+  if x.State.x_noperands <> 2 then Halt "malformed MTPR frame"
   else
-    match virtual_mtpr t vm ~value:(op_value x 0) ~regnum:(op_value x 1) with
-    | exception Vm_reserved_operand ->
-        reflect_exception t vm ~vector:Scb.reserved_operand ~params:[]
-          ~pc:vm.Vm.saved_regs.(15)
-    | exception Shadow.Vm_nxm m -> halt_vm vm m
-    | () -> resume_after t vm x
+    completed t vm x
+      (virtual_mtpr t vm ~value:(op_value x 0) ~regnum:(op_value x 1))
 
-let emulate_mfpr_trap t (vm : Vm.t) (x : State.exit_record) =
-  if x.State.x_noperands <> 2 then halt_vm vm "malformed MFPR frame"
+let emulate_mfpr t (vm : Vm.t) (x : State.exit_record) =
+  if x.State.x_noperands <> 2 then Halt "malformed MFPR frame"
   else
-    match virtual_mfpr t vm (op_value x 0) with
-    | exception Vm_reserved_operand ->
-        reflect_exception t vm ~vector:Scb.reserved_operand ~params:[]
-          ~pc:vm.Vm.saved_regs.(15)
-    | exception Shadow.Vm_nxm m -> halt_vm vm m
-    | v -> (
-        match write_result t vm x 1 v with
-        | exception Reflect_to_vm fault ->
-            reflect_fault t vm fault ~orig_write:true
-              ~pc:vm.Vm.saved_regs.(15)
-        | exception Shadow.Vm_nxm m -> halt_vm vm m
-        | () -> resume_after t vm x)
+    let v = virtual_mfpr t vm (op_value x 0) in
+    if v < 0 then reserved_operand else completed t vm x (write_result t vm x 1 v)
 
 let emulate t (vm : Vm.t) (x : State.exit_record) =
   vm.Vm.stats.Vm.emulation_traps <- vm.Vm.stats.Vm.emulation_traps + 1;
   Vm.count_opcode vm.Vm.stats x.State.x_opcode;
   match x.State.x_opcode with
-  | Opcode.Rei -> (
-      match emulate_rei t vm with
-      | exception Vm_reserved_operand ->
-          reflect_exception t vm ~vector:Scb.reserved_operand ~params:[]
-            ~pc:vm.Vm.saved_regs.(15)
-      | exception Reflect_to_vm fault ->
-          reflect_fault t vm fault ~orig_write:false ~pc:vm.Vm.saved_regs.(15)
-      | exception Shadow.Vm_nxm m -> halt_vm vm m
-      | () -> ())
+  | Opcode.Rei -> emulate_rei t vm
   | Opcode.Chmk -> emulate_chm t vm x Mode.Kernel
   | Opcode.Chme -> emulate_chm t vm x Mode.Executive
   | Opcode.Chms -> emulate_chm t vm x Mode.Supervisor
   | Opcode.Chmu -> emulate_chm t vm x Mode.User
-  | Opcode.Mtpr -> emulate_mtpr_trap t vm x
-  | Opcode.Mfpr -> emulate_mfpr_trap t vm x
+  | Opcode.Mtpr -> emulate_mtpr t vm x
+  | Opcode.Mfpr -> emulate_mfpr t vm x
   | Opcode.Ldpctx -> emulate_ldpctx t vm x
   | Opcode.Svpctx -> emulate_svpctx t vm x
-  | Opcode.Halt -> halt_vm vm "guest HALT"
+  | Opcode.Halt -> Halt "guest HALT"
   | Opcode.Wait ->
-      vm.Vm.saved_regs.(15) <-
-        Word.add vm.Vm.saved_regs.(15) x.State.x_length;
-      vm.Vm.run_state <- Vm.Idle_until (now t + Cost.wait_timeout_cycles)
+      vm.Vm.run_state <- Vm.Idle_until (now t + Cost.wait_timeout_cycles);
+      completed t vm x Resume
   | Opcode.Prober -> emulate_probe t vm x ~write:false
   | Opcode.Probew -> emulate_probe t vm x ~write:true
   | Opcode.Probevmr | Opcode.Probevmw ->
       (* self-virtualization unsupported: unimplemented instruction *)
-      reflect_exception t vm ~vector:Scb.privileged_instruction ~params:[]
-        ~pc:vm.Vm.saved_regs.(15)
+      Reflect { vector = Scb.privileged_instruction; params = [] }
   | op ->
-      halt_vm vm
+      Halt
         (Printf.sprintf "unexpected VM-emulation trap for %s" (Opcode.name op))
 
 (* ------------------------------------------------------------------ *)
@@ -1006,15 +1017,16 @@ let emulate_mmio t (vm : Vm.t) ~va ~io_vmpa =
   (* an emulation that gives up leaves the VM's registers as the exit
      found them: back out the operand side effects the decode applied
      before the VM is halted (and its registers written back) *)
-  let abandon d =
+  let abandon d reason =
     Decode.undo_side_effects s d;
-    restore ()
+    restore ();
+    Halt reason
   in
   let io_offset = io_vmpa - Phys_mem.io_space_base in
   match Decode.decode s with
   | exception State.Fault _ ->
       restore ();
-      halt_vm vm "MMIO emulation: cannot decode instruction"
+      Halt "MMIO emulation: cannot decode instruction"
   | d -> (
       let finish () =
         (* changes made through Decode land in the live registers, where
@@ -1022,44 +1034,37 @@ let emulate_mmio t (vm : Vm.t) ~va ~io_vmpa =
         vm.Vm.sps.(vstack_slot vm) <- State.sp s;
         vm.Vm.saved_regs.(14) <- State.sp s;
         vm.Vm.saved_regs.(15) <- d.Decode.next_pc;
-        restore ()
+        restore ();
+        Resume
       in
-      let vm_pa_of_operand (o : Decode.operand) =
+      let is_io (o : Decode.operand) =
         match o.Decode.loc with
         | Decode.Mem va -> (
             match Shadow.read_vm_pte (phys t) vm va with
-            | Ok (pte, _) when Pte.valid pte ->
-                Some ((Pte.pfn pte * Addr.page_size) + Addr.offset va)
-            | _ -> None)
-        | Decode.Reg _ | Decode.Imm _ -> None
-      in
-      let is_io o =
-        match vm_pa_of_operand o with
-        | Some pa -> pa >= Phys_mem.io_space_base
-        | None -> false
+            | Shadow.Pte_at { pte; _ } ->
+                Pte.valid pte
+                && (Pte.pfn pte * Addr.page_size) + Addr.offset va
+                   >= Phys_mem.io_space_base
+            | Shadow.Walk_fault _ | Shadow.Walk_nxm _ -> false)
+        | Decode.Reg _ | Decode.Imm _ -> false
       in
       match (d.Decode.opcode, d.Decode.operands) with
       | Opcode.Movl, [ src; dst ] when is_io src -> (
           let v = vdisk_read vm io_offset in
           match Decode.write_value s dst v with
           | exception State.Fault _ ->
-              abandon d;
-              halt_vm vm "MMIO emulation: destination fault"
+              abandon d "MMIO emulation: destination fault"
           | () -> finish ())
       | Opcode.Movl, [ src; dst ] when is_io dst -> (
           match Decode.read_value s src with
-          | exception State.Fault _ ->
-              abandon d;
-              halt_vm vm "MMIO emulation: source fault"
+          | exception State.Fault _ -> abandon d "MMIO emulation: source fault"
           | v ->
               vdisk_write t vm io_offset v;
               finish ())
       | (Opcode.Tstl | Opcode.Bisl2), _ ->
-          abandon d;
-          halt_vm vm "MMIO emulation: unsupported read-modify-write"
+          abandon d "MMIO emulation: unsupported read-modify-write"
       | _ ->
-          abandon d;
-          halt_vm vm
+          abandon d
             (Printf.sprintf "MMIO emulation: unsupported opcode %s"
                (Opcode.name d.Decode.opcode)))
 
@@ -1074,38 +1079,36 @@ let handle_tnv t (vm : Vm.t) (x : State.exit_record) =
   let va = fault_va x in
   match Shadow.fill (mmu t) vm ~prefill:t.cfg.prefill_group
               ~ro_scheme:t.cfg.ro_shadow_scheme va with
-  | Shadow.Filled -> () (* retry at the same PC *)
-  | Shadow.Reflect fault ->
-      reflect_fault t vm fault
-        ~orig_write:(param_write x)
-        ~pc:x.State.x_pc
+  | Shadow.Filled -> Resume (* retry at the same PC *)
+  | Shadow.Reflect fault -> fault_reflection fault ~orig_write:(param_write x)
   | Shadow.Io_ref io_vmpa ->
       if vm.Vm.io_mode = Vm.Mmio_io then emulate_mmio t vm ~va ~io_vmpa
-      else halt_vm vm "VM mapped I/O space in KCALL mode"
-  | Shadow.Halt_nxm m -> halt_vm vm m
+      else Halt "VM mapped I/O space in KCALL mode"
+  | Shadow.Halt_nxm m -> Halt m
 
 let handle_acv t (vm : Vm.t) (x : State.exit_record) =
   let param = if x.State.x_nparams = 2 then x.State.x_params.(0) else 0 in
   let va = fault_va x in
   let write = param land 4 <> 0 in
   let length = param land 1 <> 0 in
+  let violation ~length_violation ~ptbl_ref =
+    fault_reflection ~orig_write:write
+      (Mmu.Access_violation { va; length_violation; ptbl_ref; write })
+  in
   if length then
     (* beyond the real (clamped) length registers: the VM sees its own
        length violation, since the VMM's limit is architected (paper §5) *)
-    reflect_fault t vm
-      (Mmu.Access_violation
-         { va; length_violation = true; ptbl_ref = param land 2 <> 0; write })
-      ~orig_write:write ~pc:x.State.x_pc
-  else begin
+    violation ~length_violation:true ~ptbl_ref:(param land 2 <> 0)
+  else
     (* protection violation: distinguish VM I/O space (MMIO emulation)
        from a genuine VM-level protection fault *)
     match Shadow.read_vm_pte (phys t) vm va with
-    | Ok (pte, _)
+    | Shadow.Pte_at { pte; _ }
       when Pte.valid pte && Pte.pfn pte >= Shadow.vm_io_base_pfn
            && vm.Vm.io_mode = Vm.Mmio_io ->
         emulate_mmio t vm ~va
           ~io_vmpa:((Pte.pfn pte * Addr.page_size) + Addr.offset va)
-    | Ok (pte, _)
+    | Shadow.Pte_at { pte; _ }
       when t.cfg.ro_shadow_scheme && write && Pte.valid pte
            && (not (Pte.modify pte))
            && Protection.can_write
@@ -1113,19 +1116,15 @@ let handle_acv t (vm : Vm.t) (x : State.exit_record) =
                 (Psl.cur x.State.x_psl) -> (
         (* read-only-shadow scheme: first write to the page *)
         match Shadow.upgrade_ro (mmu t) vm va with
-        | Ok () -> () (* retry *)
-        | Error m -> halt_vm vm m)
-    | exception Shadow.Vm_nxm m -> halt_vm vm m
-    | _ ->
-        reflect_fault t vm
-          (Mmu.Access_violation
-             { va; length_violation = false; ptbl_ref = false; write })
-          ~orig_write:write ~pc:x.State.x_pc
-  end
+        | Ok () -> Resume (* retry *)
+        | Error m -> Halt m)
+    | Shadow.Walk_nxm m -> Halt m
+    | Shadow.Pte_at _ | Shadow.Walk_fault _ ->
+        violation ~length_violation:false ~ptbl_ref:false
 
 let handle_modify t (vm : Vm.t) (x : State.exit_record) =
   match Shadow.set_modify (mmu t) vm (fault_va x) with
-  | Ok () -> () (* retry *)
+  | Ok () -> Resume (* retry *)
   | Error _ ->
       (* shadow PTE invalid: treat as TNV (fill first) *)
       handle_tnv t vm x
@@ -1150,23 +1149,35 @@ let handle_host_interrupt t (x : State.exit_record) =
 (* ------------------------------------------------------------------ *)
 (* The kernel agent                                                    *)
 
-(* A machine check raised while a VM was running: its page was poisoned
-   (injected parity) or its shadow map reached nonexistent physical
-   memory.  Per the paper's exception discipline the VMM reflects it
-   through the VM's SCB, so the guest OS sees the frame a real VAX
-   would push; a guest whose SCB or stack cannot take the frame is
-   cleanly halted instead (the fault is absorbed with the VM). *)
 (* the frame's fault parameters as a list, for reflection *)
 let fault_params (x : State.exit_record) =
   List.init x.State.x_nparams (fun i -> x.State.x_params.(i))
 
-let handle_guest_machine_check t vm (x : State.exit_record) =
-  reflect_exception t vm ~vector:Scb.machine_check ~params:(fault_params x)
-    ~pc:x.State.x_pc;
-  let inject = (st t).State.inject in
-  match vm.Vm.run_state with
-  | Vm.Halted_vm _ -> Vax_fault.Engine.note_mc_absorbed inject
-  | _ -> Vax_fault.Engine.note_mc_reflected inject
+(* The handler for an exception the VM raised. *)
+let handle_exit t vm (x : State.exit_record) =
+  match x.State.x_vector with
+  | v when v = Scb.vm_emulation -> emulate t vm x
+  | v when v = Scb.translation_not_valid -> handle_tnv t vm x
+  | v when v = Scb.access_violation -> handle_acv t vm x
+  | v when v = Scb.modify_fault -> handle_modify t vm x
+  | v
+    when v = Scb.privileged_instruction || v = Scb.reserved_operand
+         || v = Scb.reserved_addressing_mode || v = Scb.breakpoint
+         || v = Scb.arithmetic || v = Scb.machine_check ->
+      (* the VM's own exception, with the frame's parameters *)
+      Reflect { vector = v; params = fault_params x }
+  | v when v = Scb.chmk || v = Scb.chme || v = Scb.chms || v = Scb.chmu ->
+      (* CHM traps are turned into VM-emulation traps by the microcode;
+         reaching here means a bug *)
+      Halt "unexpected CHM trap from VM"
+  | v -> Halt (Printf.sprintf "unhandled vector 0x%x" v)
+
+(* The one boundary between the handlers and the VM: run the handler for
+   the exit and apply its outcome.  A guest-memory read that could not
+   complete ends the handler with the outcome it carries, caught here
+   and nowhere else. *)
+let serve t vm x =
+  apply t vm (match handle_exit t vm x with o -> o | exception Stop o -> o)
 
 let dispatch t (x : State.exit_record) =
   let s = st t in
@@ -1181,32 +1192,23 @@ let dispatch t (x : State.exit_record) =
   (if x.State.x_from_vm then begin
      match t.running with
      | None -> () (* cannot happen: PSL<VM> only set while a VM runs *)
-     | Some vm -> (
+     | Some vm ->
          sync_vm_on_exit t vm x;
          if x.State.x_interrupt then handle_host_interrupt t x
-         else
-           match x.State.x_vector with
-           | v when v = Scb.vm_emulation -> emulate t vm x
-           | v when v = Scb.translation_not_valid -> handle_tnv t vm x
-           | v when v = Scb.access_violation -> handle_acv t vm x
-           | v when v = Scb.modify_fault -> handle_modify t vm x
-           | v when v = Scb.machine_check ->
-               handle_guest_machine_check t vm x
-           | v
-             when v = Scb.privileged_instruction
-                  || v = Scb.reserved_operand
-                  || v = Scb.reserved_addressing_mode
-                  || v = Scb.breakpoint ->
-               reflect_exception t vm ~vector:v ~params:[] ~pc:x.State.x_pc
-           | v when v = Scb.arithmetic ->
-               reflect_exception t vm ~vector:v ~params:(fault_params x)
-                 ~pc:x.State.x_pc
-           | v when v = Scb.chmk || v = Scb.chme || v = Scb.chms || v = Scb.chmu
-             ->
-               (* CHM traps are turned into VM-emulation traps by the
-                  microcode; reaching here means a bug *)
-               halt_vm vm "unexpected CHM trap from VM"
-           | v -> halt_vm vm (Printf.sprintf "unhandled vector 0x%x" v))
+         else begin
+           serve t vm x;
+           (* A machine check raised while a VM ran — its page was
+              poisoned (injected parity) or its shadow map reached
+              nonexistent memory — is reflected through the VM's SCB, so
+              the guest OS sees the frame a real VAX would push.  A
+              guest whose SCB or stack cannot take the frame is halted:
+              the fault is absorbed with the VM. *)
+           if x.State.x_vector = Scb.machine_check then
+             let inject = (st t).State.inject in
+             match vm.Vm.run_state with
+             | Vm.Halted_vm _ -> Vax_fault.Engine.note_mc_absorbed inject
+             | _ -> Vax_fault.Engine.note_mc_reflected inject
+         end
    end
    else if
      (not x.State.x_interrupt) && x.State.x_vector = Scb.machine_check
@@ -1353,7 +1355,9 @@ let add_vm t ~name ~memory_pages ~disk_blocks ?io_mode ~images ~start_pc () =
   Shadow.init_vm_tables (phys t) vm;
   List.iter
     (fun (vmpa, data) ->
-      Phys_mem.blit_in (phys t) (vm_phys_pa vm vmpa) data)
+      let pa = Shadow.vm_phys_addr vm vmpa ~len:(Bytes.length data) in
+      if pa < 0 then invalid_arg ("Vmm.add_vm: image at " ^ Shadow.out_of_range vmpa);
+      Phys_mem.blit_in (phys t) pa data)
     images;
   vm.Vm.saved_regs.(15) <- start_pc;
   (* power-on virtual PSL: kernel, interrupt stack, IPL 31 *)

@@ -78,7 +78,9 @@ val vms : t -> Vm.t list
 
 val run : t -> ?max_cycles:int -> unit -> Machine.outcome
 (** Enter the first runnable VM and drive the machine until every VM has
-    halted ([Stopped]), a cycle budget expires, or deadlock. *)
+    halted ([Stopped]), a cycle budget expires, or deadlock.  No guest
+    program raises out of [run]: whatever a guest does is reflected to it
+    as a VM exception or halts that VM alone. *)
 
 val console_output : Vm.t -> string
 val console_feed : t -> Vm.t -> string -> unit

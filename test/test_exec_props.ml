@@ -13,165 +13,10 @@ let w32 = QCheck.map (fun i -> i land 0xFFFF_FFFF) QCheck.int
 let qt ?(count = 300) name gen f =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen f)
 
-(* Execute one two-operand instruction with both operands in registers
-   and return (result, n, z, v, c). *)
-let run_binop op a_val b_val =
-  let cpu = Cpu.create () in
-  let asm = Asm.create ~origin:0x1000 in
-  Asm.ins asm op [ Asm.R 1; Asm.R 2 ];
-  Asm.ins asm Opcode.Halt [];
-  let img = Asm.assemble asm in
-  Cpu.load cpu 0x1000 img.Asm.code;
-  State.set_pc cpu.Cpu.state 0x1000;
-  State.set_sp cpu.Cpu.state 0x2000;
-  State.set_reg cpu.Cpu.state 1 a_val;
-  State.set_reg cpu.Cpu.state 2 b_val;
-  ignore (Cpu.run cpu ~max_instructions:10 ());
-  let p = cpu.Cpu.state.State.psl in
-  (State.reg cpu.Cpu.state 2, Psl.n p, Psl.z p, Psl.v p, Psl.c p)
-
 let signed = Word.to_signed
 
-(* Execute ASHL #cnt, R1, R2 and return (result, n, z, v, c).  The
-   count immediate is encoded as a byte, so the machine sees the
-   sign-extended low 8 bits of [cnt]. *)
-let run_ashl cnt v =
-  let cpu = Cpu.create () in
-  let asm = Asm.create ~origin:0x1000 in
-  Asm.ins asm Opcode.Ashl [ Asm.Imm cnt; Asm.R 1; Asm.R 2 ];
-  Asm.ins asm Opcode.Halt [];
-  let img = Asm.assemble asm in
-  Cpu.load cpu 0x1000 img.Asm.code;
-  State.set_pc cpu.Cpu.state 0x1000;
-  State.set_sp cpu.Cpu.state 0x2000;
-  State.set_reg cpu.Cpu.state 1 v;
-  ignore (Cpu.run cpu ~max_instructions:10 ());
-  let p = cpu.Cpu.state.State.psl in
-  (State.reg cpu.Cpu.state 2, Psl.n p, Psl.z p, Psl.v p, Psl.c p)
-
-(* Independent bit-serial ASHL reference: shift one position at a time;
-   overflow iff a left shift ever brings a bit into the sign position
-   that differs from the initial sign.  Returns (result, v). *)
-let ashl_ref cnt v =
-  let cnt = Word.to_signed (Word.sext ~width:8 (cnt land 0xFF)) in
-  let sign x = (x lsr 31) land 1 in
-  if cnt >= 0 then begin
-    let r = ref v and ov = ref false in
-    let s0 = sign v in
-    for _ = 1 to cnt do
-      r := (!r lsl 1) land 0xFFFF_FFFF;
-      if sign !r <> s0 then ov := true
-    done;
-    (!r, !ov)
-  end
-  else begin
-    let r = ref v in
-    for _ = 1 to -cnt do
-      r := (!r lsr 1) lor (sign !r lsl 31)
-    done;
-    (!r, false)
-  end
-
-(* Every count the byte encoding can express, against values covering
-   the interesting sign patterns (sign boundaries, alternating bits,
-   single bits near the top).  Checks the result and all four codes
-   against the bit-serial reference, and that Absdom's transfer
-   (Word.ashl) agrees with what the machine computed. *)
-let ashl_exhaustive () =
-  let values =
-    [
-      0x0000_0000; 0x0000_0001; 0x0000_0002; 0x7FFF_FFFF; 0x8000_0000;
-      0x8000_0001; 0xFFFF_FFFF; 0xFFFF_FFFE; 0xAAAA_AAAA; 0x5555_5555;
-      0x4000_0000; 0xC000_0000; 0x1234_5678; 0xFEDC_BA98; 0x0000_8000;
-      0xFFFF_8000;
-    ]
-  in
-  for cnt = -128 to 127 do
-    List.iter
-      (fun v ->
-        let r, n, z, ov, c = run_ashl cnt v in
-        let er, ev = ashl_ref cnt v in
-        let ctx = Printf.sprintf "ASHL #%d, #0x%08x" cnt v in
-        Alcotest.(check int) (ctx ^ " result") er r;
-        Alcotest.(check bool) (ctx ^ " N") (signed er < 0) n;
-        Alcotest.(check bool) (ctx ^ " Z") (er = 0) z;
-        Alcotest.(check bool) (ctx ^ " V") ev ov;
-        Alcotest.(check bool) (ctx ^ " C") false c;
-        Alcotest.(check int)
-          (ctx ^ " Word.ashl agrees")
-          r
-          (Word.ashl ~cnt:(cnt land 0xFF) v))
-      values
-  done
-
-let exec_props =
-  [
-    qt "ADDL2 = 32-bit addition with correct N Z V C" (QCheck.pair w32 w32)
-      (fun (a, b) ->
-        let r, n, z, v, c = run_binop Opcode.Addl2 a b in
-        let expect = (a + b) land 0xFFFF_FFFF in
-        let sv = signed a >= 0 = (signed b >= 0) && signed expect >= 0 <> (signed a >= 0) in
-        r = expect && n = (signed expect < 0) && z = (expect = 0) && v = sv
-        && c = (a + b > 0xFFFF_FFFF));
-    qt "SUBL2 = dst - src with borrow" (QCheck.pair w32 w32) (fun (a, b) ->
-        (* run_binop computes b - a (src = R1, dst = R2) *)
-        let r, n, z, _, c = run_binop Opcode.Subl2 a b in
-        let expect = (b - a) land 0xFFFF_FFFF in
-        r = expect && n = (signed expect < 0) && z = (expect = 0) && c = (b < a));
-    qt "MULL2 = signed 32-bit product, V on overflow" (QCheck.pair w32 w32)
-      (fun (a, b) ->
-        let r, _, _, v, _ = run_binop Opcode.Mull2 a b in
-        let wide = signed a * signed b in
-        r = (wide land 0xFFFF_FFFF)
-        && v = (wide < -0x8000_0000 || wide > 0x7FFF_FFFF));
-    qt "BISL2 = bitwise or" (QCheck.pair w32 w32) (fun (a, b) ->
-        let r, _, z, v, _ = run_binop Opcode.Bisl2 a b in
-        r = a lor b && z = (a lor b = 0) && not v);
-    qt "BICL2 = dst and-not src" (QCheck.pair w32 w32) (fun (a, b) ->
-        let r, _, _, _, _ = run_binop Opcode.Bicl2 a b in
-        r = b land lnot a land 0xFFFF_FFFF);
-    qt "XORL2 = bitwise xor" (QCheck.pair w32 w32) (fun (a, b) ->
-        let r, _, _, _, _ = run_binop Opcode.Xorl2 a b in
-        r = a lxor b);
-    qt "CMPL orders like signed and unsigned comparison"
-      (QCheck.pair w32 w32)
-      (fun (a, b) ->
-        let _, n, z, _, c = run_binop Opcode.Cmpl a b in
-        n = (signed a < signed b) && z = (a = b) && c = (a < b));
-    qt "DIVL2 matches OCaml division (nonzero divisor)"
-      (QCheck.pair w32 w32)
-      (fun (a, b) ->
-        QCheck.assume (a land 0xFFFF_FFFF <> 0);
-        (* dst <- dst / src : b / a *)
-        let r, _, _, _, _ = run_binop Opcode.Divl2 a b in
-        r = (signed b / signed a) land 0xFFFF_FFFF);
-    qt "ASHL matches the bit-serial reference"
-      (QCheck.pair (QCheck.int_range (-128) 127) w32)
-      (fun (cnt, v) ->
-        let r, n, z, ov, c = run_ashl cnt v in
-        let er, ev = ashl_ref cnt v in
-        r = er && n = (signed er < 0) && z = (er = 0) && ov = ev && not c);
-    qt "MOVZBL zero-extends" w32 (fun v ->
-        let cpu = Cpu.create () in
-        let asm = Asm.create ~origin:0x1000 in
-        Asm.ins asm Opcode.Movzbl [ Asm.R 1; Asm.R 2 ];
-        Asm.ins asm Opcode.Halt [];
-        let img = Asm.assemble asm in
-        Cpu.load cpu 0x1000 img.Asm.code;
-        State.set_pc cpu.Cpu.state 0x1000;
-        State.set_sp cpu.Cpu.state 0x2000;
-        State.set_reg cpu.Cpu.state 1 v;
-        State.set_reg cpu.Cpu.state 2 0xFFFF_FFFF;
-        ignore (Cpu.run cpu ~max_instructions:10 ());
-        State.reg cpu.Cpu.state 2 = v land 0xFF);
-    qt "MNEGL negates" w32 (fun v ->
-        let r, _, z, _, _ = run_binop Opcode.Mnegl v 0 in
-        (* mnegl src,dst: dst <- -src; our run_binop uses (R1=src, R2=dst) *)
-        r = Word.neg v && z = (Word.neg v = 0));
-  ]
-
 (* ------------------------------------------------------------------ *)
-(* Data instructions against plain OCaml references *)
+(* One instruction on either engine *)
 
 let mask = 0xFFFF_FFFF
 let s32 x = if x land 0x8000_0000 <> 0 then x - 0x1_0000_0000 else x
@@ -208,6 +53,21 @@ let run_data ~engine ?(cc = 0) (op, operands) (r1, r2, r3) =
     (Psl.n p, Psl.z p, Psl.v p, Psl.c p) )
 
 let on_both f = f Exec.Stepper && f Exec.Blocks
+
+(* [op R1, R2] with R1 = [a] and R2 = [b]: (R2, N, Z, V, C) *)
+let binop ~engine op a b =
+  let _, r2, _, (n, z, v, c) = run_data ~engine (op, [ Asm.R 1; Asm.R 2 ]) (a, b, 0) in
+  (r2, n, z, v, c)
+
+(* ASHL #cnt, R1, R2 with R1 = [v]: (R2, N, Z, V, C).  The count
+   immediate is encoded as a byte, so the machine sees the
+   sign-extended low 8 bits of [cnt]. *)
+let ashl ~engine cnt v =
+  let _, r2, _, (n, z, ov, c) =
+    run_data ~engine (Opcode.Ashl, [ Asm.Imm cnt; Asm.R 1; Asm.R 2 ]) (v, 0, 0)
+  in
+  (r2, n, z, ov, c)
+
 let cc_arb = QCheck.int_bound 15
 let c_of cc = cc land 1 = 1
 let r n = Asm.R n
@@ -218,6 +78,136 @@ let edge32 =
     [ QCheck.oneofl [ 0; 1; 0x7FFF_FFFE; 0x7FFF_FFFF; 0x8000_0000; 0x8000_0001;
                       0xFFFF_FFFF ];
       w32 ]
+
+(* Independent bit-serial ASHL reference: shift one position at a time;
+   overflow iff a left shift ever brings a bit into the sign position
+   that differs from the initial sign.  Returns (result, v). *)
+let ashl_ref cnt v =
+  let cnt = Word.to_signed (Word.sext ~width:8 (cnt land 0xFF)) in
+  let sign x = (x lsr 31) land 1 in
+  if cnt >= 0 then begin
+    let r = ref v and ov = ref false in
+    let s0 = sign v in
+    for _ = 1 to cnt do
+      r := (!r lsl 1) land 0xFFFF_FFFF;
+      if sign !r <> s0 then ov := true
+    done;
+    (!r, !ov)
+  end
+  else begin
+    let r = ref v in
+    for _ = 1 to -cnt do
+      r := (!r lsr 1) lor (sign !r lsl 31)
+    done;
+    (!r, false)
+  end
+
+(* Every count the byte encoding can express, against values covering
+   the interesting sign patterns (sign boundaries, alternating bits,
+   single bits near the top), on both engines.  Checks the result and
+   all four codes against the bit-serial reference, and that Absdom's
+   transfer (Word.ashl) agrees with what the machine computed. *)
+let ashl_exhaustive () =
+  let values =
+    [
+      0x0000_0000; 0x0000_0001; 0x0000_0002; 0x7FFF_FFFF; 0x8000_0000;
+      0x8000_0001; 0xFFFF_FFFF; 0xFFFF_FFFE; 0xAAAA_AAAA; 0x5555_5555;
+      0x4000_0000; 0xC000_0000; 0x1234_5678; 0xFEDC_BA98; 0x0000_8000;
+      0xFFFF_8000;
+    ]
+  in
+  for cnt = -128 to 127 do
+    List.iter
+      (fun (engine, v) ->
+        let r, n, z, ov, c = ashl ~engine cnt v in
+        let er, ev = ashl_ref cnt v in
+        let ctx =
+          Printf.sprintf "ASHL #%d, #0x%08x (%s)" cnt v
+            (if engine = Exec.Stepper then "stepper" else "blocks")
+        in
+        Alcotest.(check int) (ctx ^ " result") er r;
+        Alcotest.(check bool) (ctx ^ " N") (signed er < 0) n;
+        Alcotest.(check bool) (ctx ^ " Z") (er = 0) z;
+        Alcotest.(check bool) (ctx ^ " V") ev ov;
+        Alcotest.(check bool) (ctx ^ " C") false c;
+        Alcotest.(check int)
+          (ctx ^ " Word.ashl agrees")
+          r
+          (Word.ashl ~cnt:(cnt land 0xFF) v))
+      (List.concat_map (fun v -> [ (Exec.Stepper, v); (Exec.Blocks, v) ]) values)
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Data instructions against plain OCaml references *)
+
+let exec_props =
+  [
+    qt "ADDL2 = 32-bit addition with correct N Z V C" (QCheck.pair w32 w32)
+      (fun (a, b) ->
+        on_both (fun engine ->
+            let r, n, z, v, c = binop ~engine Opcode.Addl2 a b in
+            let expect = (a + b) land 0xFFFF_FFFF in
+            let sv =
+              signed a >= 0 = (signed b >= 0) && signed expect >= 0 <> (signed a >= 0)
+            in
+            r = expect && n = (signed expect < 0) && z = (expect = 0) && v = sv
+            && c = (a + b > 0xFFFF_FFFF)));
+    qt "SUBL2 = dst - src with borrow" (QCheck.pair w32 w32) (fun (a, b) ->
+        on_both (fun engine ->
+            (* binop computes b - a (src = R1, dst = R2) *)
+            let r, n, z, _, c = binop ~engine Opcode.Subl2 a b in
+            let expect = (b - a) land 0xFFFF_FFFF in
+            r = expect && n = (signed expect < 0) && z = (expect = 0) && c = (b < a)));
+    qt "MULL2 = signed 32-bit product, V on overflow" (QCheck.pair w32 w32)
+      (fun (a, b) ->
+        on_both (fun engine ->
+            let r, _, _, v, _ = binop ~engine Opcode.Mull2 a b in
+            let wide = signed a * signed b in
+            r = (wide land 0xFFFF_FFFF)
+            && v = (wide < -0x8000_0000 || wide > 0x7FFF_FFFF)));
+    qt "BISL2 = bitwise or" (QCheck.pair w32 w32) (fun (a, b) ->
+        on_both (fun engine ->
+            let r, _, z, v, _ = binop ~engine Opcode.Bisl2 a b in
+            r = a lor b && z = (a lor b = 0) && not v));
+    qt "BICL2 = dst and-not src" (QCheck.pair w32 w32) (fun (a, b) ->
+        on_both (fun engine ->
+            let r, _, _, _, _ = binop ~engine Opcode.Bicl2 a b in
+            r = b land lnot a land 0xFFFF_FFFF));
+    qt "XORL2 = bitwise xor" (QCheck.pair w32 w32) (fun (a, b) ->
+        on_both (fun engine ->
+            let r, _, _, _, _ = binop ~engine Opcode.Xorl2 a b in
+            r = a lxor b));
+    qt "CMPL orders like signed and unsigned comparison"
+      (QCheck.pair w32 w32)
+      (fun (a, b) ->
+        on_both (fun engine ->
+            let _, n, z, _, c = binop ~engine Opcode.Cmpl a b in
+            n = (signed a < signed b) && z = (a = b) && c = (a < b)));
+    qt "DIVL2 matches OCaml division (nonzero divisor)"
+      (QCheck.pair w32 w32)
+      (fun (a, b) ->
+        QCheck.assume (a land 0xFFFF_FFFF <> 0);
+        on_both (fun engine ->
+            (* dst <- dst / src : b / a *)
+            let r, _, _, _, _ = binop ~engine Opcode.Divl2 a b in
+            r = (signed b / signed a) land 0xFFFF_FFFF));
+    qt "ASHL matches the bit-serial reference"
+      (QCheck.pair (QCheck.int_range (-128) 127) w32)
+      (fun (cnt, v) ->
+        on_both (fun engine ->
+            let r, n, z, ov, c = ashl ~engine cnt v in
+            let er, ev = ashl_ref cnt v in
+            r = er && n = (signed er < 0) && z = (er = 0) && ov = ev && not c));
+    qt "MOVZBL zero-extends" w32 (fun v ->
+        on_both (fun engine ->
+            let r, _, _, _, _ = binop ~engine Opcode.Movzbl v 0xFFFF_FFFF in
+            r = v land 0xFF));
+    qt "MNEGL negates" w32 (fun v ->
+        on_both (fun engine ->
+            (* mnegl src,dst: dst <- -src; binop uses (R1=src, R2=dst) *)
+            let r, _, z, _, _ = binop ~engine Opcode.Mnegl v 0 in
+            r = Word.neg v && z = (Word.neg v = 0)));
+  ]
 
 let data_props =
   [

@@ -569,6 +569,242 @@ let test_registers_survive_switches () =
     (List.init 14 (State.reg cpu))
     (List.filteri (fun r _ -> r < 14) (regs cut))
 
+(* ------------------------------------------------------------------ *)
+(* Containment: no guest raises out of [Vmm.run]                       *)
+
+(* R0–R13 as the LDPCTX guest sets them: R5 = ^x1234, the rest
+   distinct *)
+let ldpctx_regs = List.init 14 (fun r -> if r = 5 then 0x1234 else 0x100 + r)
+
+(* A PCB of zeros carries a P0BR outside S space, which the VM's LDPCTX
+   rejects: the VM must see a reserved-operand fault at the LDPCTX with
+   its registers and stack pointers as they were, or, without a usable
+   SCB, be halted cleanly. *)
+let ldpctx_guest ~scbb a =
+  List.iteri (fun r v -> Asm.ins a Opcode.Movl [ Asm.Imm v; Asm.R r ]) ldpctx_regs;
+  Asm.ins a Opcode.Mtpr [ Asm.Imm scbb; Asm.Imm (Ipr.to_int Ipr.SCBB) ];
+  Asm.ins a Opcode.Moval [ Asm.Abs_label "rop"; Asm.Abs (0x2000 + Scb.reserved_operand) ];
+  Asm.ins a Opcode.Mtpr [ Asm.Imm 0x1000; Asm.Imm (Ipr.to_int Ipr.PCBB) ];
+  Asm.label a "ldpctx";
+  Asm.ins a Opcode.Ldpctx [];
+  Asm.ins a Opcode.Halt [];
+  Asm.align a 4;
+  Asm.label a "rop";
+  Asm.ins a Opcode.Halt []
+
+let test_rejected_ldpctx_reflects () =
+  List.iter
+    (fun (name, scbb) ->
+      let _, vmm, vm, img = boot_guest (ldpctx_guest ~scbb) in
+      let sps = Array.copy vm.Vm.sps in
+      (match run_vmm vmm with
+      | Machine.Stopped -> ()
+      | o -> Alcotest.failf "%s: unexpected outcome %a" name Machine.pp_outcome o);
+      Alcotest.(check (list int))
+        (name ^ ": R0-R13 as before the LDPCTX") ldpctx_regs
+        (List.filteri (fun r _ -> r < 14) (Array.to_list vm.Vm.saved_regs));
+      Alcotest.(check (list int))
+        (name ^ ": KSP ESP SSP USP as before") (Array.to_list (Array.sub sps 0 4))
+        (Array.to_list (Array.sub vm.Vm.sps 0 4));
+      if scbb = 0x2000 then begin
+        halted_ok vm;
+        check_int "one reserved-operand fault reflected" 1
+          vm.Vm.stats.Vm.reflected_faults;
+        (* the frame on the interrupt stack: the LDPCTX's PC, then the PSL *)
+        check_int "ISP holds one frame" (sps.(4) - 8) vm.Vm.sps.(4);
+        check_int "frame PC is the LDPCTX" (Asm.lookup img "ldpctx")
+          (Vmm.vm_phys_read_long vmm vm vm.Vm.sps.(4))
+      end
+      else begin
+        (match vm.Vm.run_state with
+        | Vm.Halted_vm r ->
+            check_bool (name ^ ": halted for its SCB") true
+              (String.starts_with ~prefix:"SCB unreachable" r)
+        | _ -> Alcotest.failf "%s: VM not halted" name);
+        check_int (name ^ ": ISP untouched") sps.(4) vm.Vm.sps.(4)
+      end)
+    [ ("usable SCB", 0x2000); ("SCB outside VM memory", 0x10_0000) ]
+
+(* One sensitive instruction with random operands, run in a VM with
+   mapping on or off over a random PCB, stack and SCB.  Whatever it
+   does, it must end inside the VM: reflected to it, halting it, or
+   still running at the cycle budget. *)
+type sensitive =
+  | Rei
+  | Ldpctx
+  | Svpctx
+  | Chm of Opcode.t * int
+  | Mtpr of int * int  (** value, IPR number *)
+  | Mfpr of int * Asm.operand  (** IPR number, destination *)
+  | Probe of Opcode.t * int * int * int  (** mode, length, base *)
+  | Kcall of int  (** packet address *)
+
+type escape_case = {
+  mapen : bool;
+  insn : sensitive;
+  scbb : int;
+  pcbb : int;
+  sp : int;
+  pcb : int array;  (** 24 longwords at 0x5000 *)
+  stack : int array;  (** 8 longwords at 0x6000 *)
+  packet : int array;  (** 4 longwords at 0x7000 *)
+}
+
+let pp_sensitive = function
+  | Rei -> "REI"
+  | Ldpctx -> "LDPCTX"
+  | Svpctx -> "SVPCTX"
+  | Chm (op, code) -> Printf.sprintf "%s #%x" (Opcode.name op) code
+  | Mtpr (v, r) -> Printf.sprintf "MTPR #%x, #%d" v r
+  | Mfpr (r, _) -> Printf.sprintf "MFPR #%d" r
+  | Probe (op, m, l, b) -> Printf.sprintf "%s #%d, #%x, @#%x" (Opcode.name op) m l b
+  | Kcall p -> Printf.sprintf "KCALL %x" p
+
+let print_case c =
+  Printf.sprintf "%s mapen=%b scbb=%x pcbb=%x sp=%x" (pp_sensitive c.insn)
+    c.mapen c.scbb c.pcbb c.sp
+
+let gen_case =
+  let open QCheck.Gen in
+  let word = map (fun i -> i land 0xFFFF_FFFF) int in
+  let addr = oneof [ int_range 0 0x8000; word ] in
+  let longs n = array_repeat n (oneof [ word; int_range 0 0x8000; return 0x8000_0000 ]) in
+  let insn =
+    oneof
+      [
+        return Rei;
+        return Ldpctx;
+        return Svpctx;
+        map2 (fun op code -> Chm (op, code))
+          (oneofl Opcode.[ Chmk; Chme; Chms; Chmu ]) (int_bound 0xFFFF);
+        map2 (fun v r -> Mtpr (v, r)) (oneof [ word; addr ]) (int_bound 255);
+        map2 (fun r d -> Mfpr (r, d)) (int_bound 255)
+          (oneof [ return (Asm.R 3); map (fun a -> Asm.Abs a) addr ]);
+        map (fun (op, m, l, b) -> Probe (op, m, l, b))
+          (quad (oneofl Opcode.[ Prober; Probew ]) (int_bound 3) (int_bound 0xFFFF) addr);
+        map (fun p -> Kcall p) (oneof [ return 0x7000; addr ]);
+      ]
+  in
+  let* mapen = bool in
+  let* insn = insn in
+  let* scbb = oneof [ return 0x4000; addr ] in
+  let* pcbb = oneof [ return 0x5000; addr ] in
+  let* sp = oneof [ return 0x6000; addr ] in
+  let* pcb = longs 24 in
+  let* stack = longs 8 in
+  let+ packet = array_repeat 4 (oneof [ int_bound 3; int_bound 100; addr ]) in
+  { mapen; insn; scbb; pcbb; sp; pcb; stack; packet }
+
+let image_of_longs ls =
+  let b = Bytes.create (4 * Array.length ls) in
+  Array.iteri (fun i v -> Bytes.set_int32_le b (4 * i) (Int32.of_int v)) ls;
+  b
+
+let run_escape_case c =
+  let m = Machine.create ~variant:Variant.Virtualizing ~memory_pages:1024 () in
+  let vmm = Vmm.create m in
+  let a = Asm.create ~origin:0x200 in
+  if c.mapen then
+    Vax_workloads.Conformance.emit_spt_and_mapen a
+      ~test_pte:(Pte.make ~modify:true ~prot:Protection.UW ~pfn:16 ());
+  Asm.ins a Opcode.Mtpr [ Asm.Imm c.scbb; Asm.Imm (Ipr.to_int Ipr.SCBB) ];
+  Asm.ins a Opcode.Mtpr [ Asm.Imm c.pcbb; Asm.Imm (Ipr.to_int Ipr.PCBB) ];
+  Asm.ins a Opcode.Movl [ Asm.Imm c.sp; Asm.R Asm.sp ];
+  (match c.insn with
+  | Rei -> Asm.ins a Opcode.Rei []
+  | Ldpctx -> Asm.ins a Opcode.Ldpctx []
+  | Svpctx -> Asm.ins a Opcode.Svpctx []
+  | Chm (op, code) -> Asm.ins a op [ Asm.Imm code ]
+  | Mtpr (v, r) -> Asm.ins a Opcode.Mtpr [ Asm.Imm v; Asm.Imm r ]
+  | Mfpr (r, d) -> Asm.ins a Opcode.Mfpr [ Asm.Imm r; d ]
+  | Probe (op, md, l, b) -> Asm.ins a op [ Asm.Imm md; Asm.Imm l; Asm.Abs b ]
+  | Kcall p -> Asm.ins a Opcode.Mtpr [ Asm.Imm p; Asm.Imm (Ipr.to_int Ipr.KCALL) ]);
+  Asm.ins a Opcode.Halt [];
+  Asm.align a 4;
+  Asm.label a "handler";
+  Asm.ins a Opcode.Halt [];
+  let img = Asm.assemble a in
+  let scb = Array.make 128 (Asm.lookup img "handler") in
+  ignore
+    (Vmm.add_vm vmm ~name:"fuzz" ~memory_pages:128 ~disk_blocks:8
+       ~images:
+         [
+           (0x200, img.Asm.code);
+           (0x4000, image_of_longs scb);
+           (0x5000, image_of_longs c.pcb);
+           (0x6000, image_of_longs c.stack);
+           (0x7000, image_of_longs c.packet);
+         ]
+       ~start_pc:0x200 ());
+  ignore (Vmm.run vmm ~max_cycles:200_000 ())
+
+let no_escape_prop =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 28 |])
+    (QCheck.Test.make ~count:1000 ~name:"no sensitive instruction escapes Vmm.run"
+       (QCheck.make ~print:print_case gen_case)
+       (fun c ->
+         match run_escape_case c with
+         | () -> true
+         | exception e ->
+             QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)))
+
+(* A KCALL transfer whose 512-byte buffer runs past the top of VM a's
+   memory must not reach VM b, whose memory lies just above: status 2,
+   and neither VM's memory nor a's disk changes.  A buffer that ends
+   exactly at the top still transfers. *)
+let kcall_dma ~fn ~block ~buf =
+  let _, vmm = make_vmm () in
+  let guest =
+    build
+      (fun a ->
+        let packet = 0x1000 in
+        Asm.ins a Opcode.Movl [ Asm.Imm fn; Asm.Abs packet ];
+        Asm.ins a Opcode.Movl [ Asm.Imm block; Asm.Abs (packet + 4) ];
+        Asm.ins a Opcode.Movl [ Asm.Imm buf; Asm.Abs (packet + 8) ];
+        Asm.ins a Opcode.Clrl [ Asm.Abs (packet + 12) ];
+        Asm.ins a Opcode.Mtpr [ Asm.Imm packet; Asm.Imm (Ipr.to_int Ipr.KCALL) ];
+        Asm.label a "wait";
+        Asm.ins a Opcode.Tstl [ Asm.Abs (packet + 12) ];
+        Asm.ins a Opcode.Beql [ Asm.Branch "wait" ];
+        Asm.ins a Opcode.Movl [ Asm.Abs (packet + 12); Asm.R 0 ];
+        Asm.ins a Opcode.Halt [])
+      0x200
+  in
+  let halt = build (fun a -> Asm.ins a Opcode.Halt []) 0x200 in
+  let vm_a =
+    Vmm.add_vm vmm ~name:"a" ~memory_pages:64 ~disk_blocks:8
+      ~images:[ (0x200, guest.Asm.code) ] ~start_pc:0x200 ()
+  in
+  let vm_b =
+    Vmm.add_vm vmm ~name:"b" ~memory_pages:64 ~disk_blocks:8
+      ~images:[ (0x200, halt.Asm.code); (0, Bytes.make 512 '\xCD') ]
+      ~start_pc:0x200 ()
+  in
+  Vmm.load_vm_disk vmm vm_a 0 (Bytes.make 512 '\xAB');
+  ignore (run_vmm vmm);
+  halted_ok vm_a;
+  halted_ok vm_b;
+  (vmm, vm_a, vm_b)
+
+let test_disk_dma_stays_in_vm () =
+  let top = 64 * 512 in
+  (* read: block 0 (all ^xAB) into a buffer 4 bytes below the top *)
+  let vmm, a, b = kcall_dma ~fn:1 ~block:0 ~buf:(top - 4) in
+  check_int "read overrun refused" 2 a.Vm.saved_regs.(0);
+  check_int "b's memory untouched" 0xCDCDCDCD (Vmm.vm_phys_read_long vmm b 0x10);
+  check_int "a's last longword untouched" 0 (Vmm.vm_phys_read_long vmm a (top - 4));
+  (* write: block 1 from the same buffer would carry b's memory out *)
+  let vmm, a, _ = kcall_dma ~fn:2 ~block:1 ~buf:(top - 4) in
+  check_int "write overrun refused" 2 a.Vm.saved_regs.(0);
+  check_bool "a's disk untouched" true
+    (Bytes.equal (Vmm.read_vm_disk vmm a 1) (Bytes.make 512 '\x00'));
+  (* a buffer ending exactly at the top is whole *)
+  let vmm, a, b = kcall_dma ~fn:1 ~block:0 ~buf:(top - 512) in
+  check_int "top buffer transferred" 1 a.Vm.saved_regs.(0);
+  check_int "top buffer holds the block" 0xABABABAB
+    (Vmm.vm_phys_read_long vmm a (top - 4));
+  check_int "b still untouched" 0xCDCDCDCD (Vmm.vm_phys_read_long vmm b 0x10)
+
 let () =
   Alcotest.run "vax_vmm"
     [
@@ -599,6 +835,11 @@ let () =
             test_vm_cannot_touch_vmm_memory;
           Alcotest.test_case "nonexistent memory halts the VM" `Quick
             test_vm_nxm_halts_vm;
+          Alcotest.test_case "rejected LDPCTX reflects, state intact" `Quick
+            test_rejected_ldpctx_reflects;
+          Alcotest.test_case "disk DMA stays inside its VM" `Quick
+            test_disk_dma_stays_in_vm;
+          no_escape_prop;
         ] );
       ( "shadow",
         [
