@@ -1,12 +1,11 @@
 (* The paper's Popek–Goldberg taxonomy over the simulated subset, and the
    per-site trap prediction the differential oracle checks against.
 
-   Classification (paper §3–§4):
-   - privileged: trap when executed outside kernel mode (HALT, LDPCTX,
-     SVPCTX, MTPR, MFPR, WAIT, PROBEVMx);
+   Classification (paper §3–§4), read from {!Opcode.sensitivity}:
+   - privileged: trap when executed outside kernel mode;
    - sensitive but unprivileged: read or depend on privileged state
-     without trapping on a standard VAX (MOVPSL, CHMx, REI, PROBEx) —
-     the instructions that break the VAX for classical virtualization;
+     without trapping on a standard VAX — the instructions that break
+     the VAX for classical virtualization;
    - innocuous: everything else.
 
    Trap prediction is a superset relation: a predicted (site, kind) pair
@@ -21,32 +20,25 @@ module Disasm = Vax_asm.Disasm
 type cls = Innocuous | Privileged | Sensitive_unprivileged
 
 let classify op =
-  if Opcode.privileged op then Privileged
-  else
-    match op with
-    | Opcode.Movpsl | Opcode.Chmk | Opcode.Chme | Opcode.Chms | Opcode.Chmu
-    | Opcode.Rei | Opcode.Prober | Opcode.Probew ->
-        Sensitive_unprivileged
-    | _ -> Innocuous
+  match Opcode.sensitivity op with
+  | Opcode.Innocuous -> Innocuous
+  | Opcode.Privileged -> Privileged
+  | Opcode.Traps_in_vm | Opcode.Composed_in_vm | Opcode.Traps_on_condition ->
+      Sensitive_unprivileged
 
 let cls_name = function
   | Innocuous -> "innocuous"
   | Privileged -> "privileged"
   | Sensitive_unprivileged -> "sensitive-unprivileged"
 
-(* Which of the sensitive-unprivileged instructions actually take the
-   VM-emulation trap when PSL<VM> is set.  MOVPSL is the deliberate
-   exception: the modified microcode composes the virtual PSL in place,
-   which is the paper's showcase of a sensitive instruction virtualized
-   without trapping (§4.4.1). *)
+(* Which instructions may take the VM-emulation trap when PSL<VM> is
+   set.  MOVPSL is the deliberate exception: the modified microcode
+   composes the virtual PSL in place, which is the paper's showcase of a
+   sensitive instruction virtualized without trapping (§4.4.1). *)
 let vm_trapping op =
-  Opcode.privileged op
-  ||
-  match op with
-  | Opcode.Chmk | Opcode.Chme | Opcode.Chms | Opcode.Chmu | Opcode.Rei
-  | Opcode.Prober | Opcode.Probew ->
-      true
-  | _ -> false
+  match Opcode.sensitivity op with
+  | Opcode.Privileged | Opcode.Traps_in_vm | Opcode.Traps_on_condition -> true
+  | Opcode.Innocuous | Opcode.Composed_in_vm -> false
 
 (* Assumed execution context of an image: on the bare machine or inside a
    virtual machine (PSL<VM> set while its code runs). *)

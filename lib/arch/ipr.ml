@@ -125,10 +125,31 @@ let name = function
 
 let pp ppf r = Format.pp_print_string ppf (name r)
 
-let modified_only = function VMPSL | VMPEND -> true | _ -> false
+type processor = Standard | Modified | Virtual
 
-let virtual_only = function
-  | MEMSIZE | KCALL | IORESET | UPTIME -> true
-  | _ -> false
+let exists p = function
+  | VMPSL | VMPEND -> p = Modified
+  | MEMSIZE | KCALL | IORESET | UPTIME -> p = Virtual
+  | _ -> true
 
-let standard r = not (modified_only r || virtual_only r)
+let readable = function
+  | SIRR | NICR | TBIA | TBIS | KCALL | IORESET -> false
+  | _ -> true
+
+let writable = function SID | ICR | MEMSIZE | UPTIME -> false | _ -> true
+
+let write_value p r v =
+  if not (exists p r && writable r) then -1
+  else
+    match r with
+    | P0BR -> if Addr.region_of v = Addr.S then v else -1
+    | P0LR | P1LR | SBR | SLR | VMPSL -> Word.mask v
+    | PCBB -> Word.logand v (Word.lognot 3)
+    | SCBB -> Addr.page_align_down v
+    | IPL | VMPEND -> v land 31
+    | SIRR ->
+        let l = Word.mask v in
+        if l >= 1 && l <= 15 then l else -1
+    | SISR -> v land 0xFFFE
+    | MAPEN -> v land 1
+    | _ -> v

@@ -60,11 +60,33 @@ val all : t list
 val name : t -> string
 val pp : Format.formatter -> t -> unit
 
-val standard : t -> bool
-(** Registers defined by the standard VAX architecture. *)
+(** {2 The MTPR/MFPR access rule}
 
-val modified_only : t -> bool
-(** Registers that exist only on the modified (virtualizing) real VAX. *)
+    The microcode applies it to the real registers, the VMM to the VM's
+    saved copy (paper §4.4, §5).  Device behaviour (the interval clock,
+    the console, KCALL) is not part of it. *)
 
-val virtual_only : t -> bool
-(** Registers that exist only on the virtual VAX processor. *)
+type processor =
+  | Standard
+  | Modified  (** the modified (virtualizing) real VAX *)
+  | Virtual  (** the virtual VAX a VM sees *)
+
+val exists : processor -> t -> bool
+(** The standard registers exist everywhere, VMPSL and VMPEND only on
+    [Modified], MEMSIZE, KCALL, IORESET and UPTIME only on [Virtual]. *)
+
+val readable : t -> bool
+(** False for the write-only registers: SIRR, NICR, TBIA, TBIS, KCALL,
+    IORESET. *)
+
+val writable : t -> bool
+(** False for the read-only registers: SID, ICR, MEMSIZE, UPTIME. *)
+
+val write_value : processor -> t -> Word.t -> int
+(** What MTPR of [v] stores in the register, or -1 (a reserved operand)
+    when the register does not exist on the processor, is not writable,
+    or refuses the value: a P0BR outside S space, or an SIRR level
+    outside 1–15.  The stored value is normalized: the length registers,
+    SBR and VMPSL masked to a longword, PCBB longword-aligned, SCBB
+    page-aligned, IPL and VMPEND [land 31], SISR [land 0xFFFE], MAPEN
+    [land 1].  Allocates nothing. *)

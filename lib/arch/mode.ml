@@ -14,6 +14,7 @@ let all = [ Kernel; Executive; Supervisor; User ]
 let more_privileged a b = to_int a < to_int b
 let at_least_as_privileged a b = to_int a <= to_int b
 let least_privileged a b = if to_int a >= to_int b then a else b
+let most_privileged a b = if to_int a <= to_int b then a else b
 
 let name = function
   | Kernel -> "kernel"

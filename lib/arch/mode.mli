@@ -27,6 +27,11 @@ val least_privileged : t -> t -> t
     PROBE, which checks access for the less privileged of its operand mode
     and PSL<PRV>. *)
 
+val most_privileged : t -> t -> t
+(** The more privileged (numerically smaller) of the two modes.  Used by
+    CHM, which changes to the more privileged of its target mode and the
+    current mode. *)
+
 val name : t -> string
 val pp : Format.formatter -> t -> unit
 

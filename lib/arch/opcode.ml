@@ -236,9 +236,22 @@ let operands = function
   | Sobgtr -> [ (Modify, Long); (Branch_byte, Byte) ]
   | Calls -> [ (Read, Long); (Address, Byte) ]
 
-let privileged = function
-  | Halt | Ldpctx | Svpctx | Mtpr | Mfpr | Probevmr | Probevmw | Wait -> true
-  | _ -> false
+type sensitivity =
+  | Innocuous
+  | Privileged
+  | Traps_in_vm
+  | Composed_in_vm
+  | Traps_on_condition
+
+let sensitivity = function
+  | Halt | Ldpctx | Svpctx | Mtpr | Mfpr | Probevmr | Probevmw | Wait ->
+      Privileged
+  | Chmk | Chme | Chms | Chmu | Rei -> Traps_in_vm
+  | Movpsl -> Composed_in_vm
+  | Prober | Probew -> Traps_on_condition
+  | _ -> Innocuous
+
+let privileged op = sensitivity op = Privileged
 
 let base_cycles = function
   | Nop -> 1

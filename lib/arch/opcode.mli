@@ -116,11 +116,24 @@ val is_extended_prefix : int -> bool
 val operands : t -> (access * width) list
 (** Operand specifiers in evaluation order. *)
 
+(** How an instruction stands to virtualization (paper Table 1, §4.4):
+    the CPU's privilege gate, the block engine's exclusions and the
+    analyzers' classes all read it.  In a VM, a [Privileged] instruction
+    takes the VM-emulation trap from virtual kernel mode and the
+    privileged-instruction fault otherwise.  The other three classes are
+    sensitive but unprivileged. *)
+type sensitivity =
+  | Innocuous
+  | Privileged  (** HALT, LDPCTX, SVPCTX, MTPR, MFPR, PROBEVMx, WAIT *)
+  | Traps_in_vm  (** always, in any mode: CHMx, REI *)
+  | Composed_in_vm  (** by the microcode, without a trap: MOVPSL *)
+  | Traps_on_condition  (** on an invalid shadow PTE: PROBEx (§4.3.2) *)
+
+val sensitivity : t -> sensitivity
+
 val privileged : t -> bool
-(** Instructions reserved to kernel mode on the standard VAX (HALT,
-    LDPCTX, SVPCTX, MTPR, MFPR) and the privileged extensions (PROBEVM).
-    WAIT is also privileged.  CHM/REI/PROBE/MOVPSL are NOT privileged —
-    that is the whole problem the paper solves. *)
+(** [sensitivity op = Privileged].  CHM/REI/PROBE/MOVPSL are NOT
+    privileged — that is the whole problem the paper solves. *)
 
 val base_cycles : t -> int
 (** Cost-model base execution time in cycles, excluding per-operand and

@@ -63,7 +63,24 @@ let mbz_mask =
     lor (1 lsl bit_fpd))
 
 let mbz_violation p = Word.logand p mbz_mask <> 0
-let psw_mask = 0xFFFF
+
+let stack_slot p = if is p then 4 else Mode.to_int (cur p)
+
+let merge_vmpsl p ~vmpsl =
+  let p = with_cur p (cur vmpsl) in
+  let p = with_prv p (prv vmpsl) in
+  let p = with_ipl p (ipl vmpsl) in
+  with_vm (with_is p (is vmpsl)) false
+
+let rei_valid ~current ~stacked ~may_enter_vm =
+  let c = Mode.to_int (cur current) and n = Mode.to_int (cur stacked) in
+  n >= c
+  && Mode.to_int (prv stacked) >= n
+  && ((not (is stacked)) || (is current && n = 0))
+  && ipl stacked <= ipl current
+  && (n = 0 || ipl stacked = 0)
+  && ((not (vm stacked)) || (may_enter_vm && c = 0 && not (vm current)))
+  && not (mbz_violation (with_vm stacked false))
 
 let pp ppf p =
   Format.fprintf ppf "cur=%a prv=%a ipl=%d is=%d%s NZVC=%d%d%d%d" Mode.pp

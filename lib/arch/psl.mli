@@ -74,8 +74,23 @@ val mbz_violation : t -> bool
     and REI on the modified VAX clears rather than loads it (the VMM sets
     it through a dedicated microcode path instead). *)
 
-val psw_mask : Word.t
-(** Mask of the low (PSW) bits a CHM target may inherit. *)
+val stack_slot : t -> int
+(** Which of the five stack pointers the PSL selects: 4 (the interrupt
+    stack) when IS is set, else the current mode's. *)
+
+val merge_vmpsl : t -> vmpsl:t -> t
+(** The VM's PSL as MOVPSL and the VM-emulation frame show it (paper
+    §4.4.1): the real PSL's condition codes and trap enables, CUR, PRV,
+    IPL and IS from [vmpsl], and PSL<VM> clear.  The microcode composes
+    it from the real registers, the VMM from the VM's saved copies. *)
+
+val rei_valid : current:t -> stacked:t -> may_enter_vm:bool -> bool
+(** The REI rule (paper §4.4): whether REI run under [current] may load
+    [stacked].  It may not raise the mode, put PRV above the new mode,
+    reach the interrupt stack from off it or outside kernel mode, raise
+    the IPL, keep a nonzero IPL outside kernel mode, or set an MBZ bit.
+    PSL<VM> needs [may_enter_vm] (the modified VAX) and kernel mode
+    outside a VM: the VMM's doorway into a VM. *)
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable rendering, e.g. [cur=kernel prv=user ipl=0 is=0 NZVC=0100]. *)

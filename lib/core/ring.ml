@@ -6,9 +6,4 @@ let compress_mode = function
   | Mode.Supervisor -> Mode.Supervisor
   | Mode.User -> Mode.User
 
-let modes_sharing_ring real =
-  List.filter (fun v -> compress_mode v = real) Mode.all
-
-let compress_protection = Protection.compress
-
 let mapping_table = List.map (fun v -> (v, compress_mode v)) Mode.all

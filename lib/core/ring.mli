@@ -20,12 +20,6 @@ open Vax_arch
 val compress_mode : Mode.t -> Mode.t
 (** The real mode a virtual mode executes in. *)
 
-val modes_sharing_ring : Mode.t -> Mode.t list
-(** Virtual modes mapped onto the given real ring (executive gets two). *)
-
-val compress_protection : Protection.t -> Protection.t
-(** Alias of {!Vax_arch.Protection.compress}, here for discoverability. *)
-
 val mapping_table : (Mode.t * Mode.t) list
 (** [(virtual, real)] pairs, most privileged first — the data behind
     Figure 3. *)

@@ -121,23 +121,14 @@ type outcome =
 let reserved_operand = Reflect { vector = Scb.reserved_operand; params = [] }
 
 (* A memory-management fault the VM takes; [orig_write] marks one the
-   VM's write reference caused, whatever the fault says. *)
+   VM's write reference caused, whatever the fault says.  The virtual
+   VAX also uses the modify-fault discipline. *)
 let fault_reflection (fault : Mmu.fault) ~orig_write =
-  let code ~len ~pt ~write =
-    (if len then 1 else 0) lor (if pt then 2 else 0)
-    lor if write || orig_write then 4 else 0
-  in
-  let vector, params =
-    match fault with
-    | Mmu.Access_violation { va; length_violation; ptbl_ref; write } ->
-        (Scb.access_violation, [ code ~len:length_violation ~pt:ptbl_ref ~write; va ])
-    | Mmu.Translation_not_valid { va; ptbl_ref; write } ->
-        (Scb.translation_not_valid, [ code ~len:false ~pt:ptbl_ref ~write; va ])
-    | Mmu.Modify_fault { va } ->
-        (* the virtual VAX also uses the modify-fault discipline *)
-        (Scb.modify_fault, [ code ~len:false ~pt:false ~write:true; va ])
-  in
-  Reflect { vector; params }
+  Reflect
+    {
+      vector = Mmu.fault_vector fault;
+      params = [ Mmu.fault_param fault ~write:orig_write; Mmu.fault_va fault ];
+    }
 
 (* A guest-memory read that cannot complete raises [Stop] with what that
    means for the VM; only [serve] catches it. *)
@@ -216,11 +207,12 @@ let guest_write_long t vm ~vmode va v =
 (* ------------------------------------------------------------------ *)
 (* PSL plumbing                                                        *)
 
-(* The real PSL a VM runs with: condition codes and trap enables from
-   [cc_src], current/previous mode compressed from the virtual PSL, real
-   IPL 0 (so the VMM regains control on any real interrupt), PSL<VM>. *)
+(* The real PSL a VM runs with: condition codes, trap enables and FPD
+   from [cc_src], current/previous mode compressed from the virtual PSL,
+   real IPL 0 (so the VMM regains control on any real interrupt),
+   PSL<VM>. *)
 let resume_psl (vm : Vm.t) cc_src =
-  let p = Word.logand cc_src 0xFF in
+  let p = Word.logand cc_src (Psl.with_fpd 0xFF true) in
   let p = Psl.with_cur p (Ring.compress_mode (Psl.cur vm.Vm.saved_vmpsl)) in
   let p = Psl.with_prv p (Ring.compress_mode (Psl.prv vm.Vm.saved_vmpsl)) in
   let p = Psl.with_ipl p 0 in
@@ -228,16 +220,9 @@ let resume_psl (vm : Vm.t) cc_src =
   Psl.with_vm p true
 
 let merged_saved_psl (vm : Vm.t) =
-  let p = vm.Vm.saved_psl in
-  let vp = vm.Vm.saved_vmpsl in
-  let p = Psl.with_cur p (Psl.cur vp) in
-  let p = Psl.with_prv p (Psl.prv vp) in
-  let p = Psl.with_ipl p (Psl.ipl vp) in
-  let p = Psl.with_is p (Psl.is vp) in
-  Psl.with_vm p false
+  Psl.merge_vmpsl vm.Vm.saved_psl ~vmpsl:vm.Vm.saved_vmpsl
 
-let vstack_slot (vm : Vm.t) =
-  if Psl.is vm.Vm.saved_vmpsl then 4 else Mode.to_int (Psl.cur vm.Vm.saved_vmpsl)
+let vstack_slot (vm : Vm.t) = Psl.stack_slot vm.Vm.saved_vmpsl
 
 (* ------------------------------------------------------------------ *)
 (* Reflecting exceptions and delivering virtual interrupts             *)
@@ -274,13 +259,14 @@ let push_vm_frame t (vm : Vm.t) ~target_slot ~params ~pc ~psl =
   o
 
 (* Take [vector] in the VM: push its frame on the stack its SCB entry
-   selects and enter the handler in virtual kernel mode at IPL [ipl].
-   A frame that cannot be pushed halts the VM with [stack_fault]. *)
-let take_in_vm t (vm : Vm.t) ~vector ~params ~prv ~ipl ~stack_fault =
+   selects, or on the interrupt stack when [force_is] (a machine check,
+   as on the bare machine), and enter the handler in virtual kernel mode
+   at IPL [ipl].  A frame that cannot be pushed halts the VM. *)
+let take_in_vm t (vm : Vm.t) ~vector ~params ~prv ~ipl ~force_is =
   let entry = read_vm_scb_entry t vm vector in
   if entry < 0 then halt_vm vm (scb_unreachable vm vector)
   else
-    let use_is = entry land 1 = 1 || Psl.is vm.Vm.saved_vmpsl in
+    let use_is = force_is || entry land 1 = 1 || Psl.is vm.Vm.saved_vmpsl in
     match
       push_vm_frame t vm
         ~target_slot:(if use_is then 4 else 0)
@@ -292,14 +278,17 @@ let take_in_vm t (vm : Vm.t) ~vector ~params ~prv ~ipl ~stack_fault =
         vm.Vm.saved_regs.(15) <- Word.logand entry (Word.lognot 3);
         vm.Vm.saved_psl <- resume_psl vm 0
     | Halt m -> halt_vm vm m
-    | Reflect _ -> halt_vm vm stack_fault
+    | Reflect _ ->
+        halt_vm vm
+          (if use_is then "VM interrupt stack not valid"
+           else "VM kernel stack not valid during exception")
 
 let reflect_exception t (vm : Vm.t) ~vector ~params =
   charge t Cost.vmm_interrupt_deliver;
   vm.Vm.stats.Vm.reflected_faults <- vm.Vm.stats.Vm.reflected_faults + 1;
   let vp = vm.Vm.saved_vmpsl in
   take_in_vm t vm ~vector ~params ~prv:(Psl.cur vp) ~ipl:(Psl.ipl vp)
-    ~stack_fault:"VM kernel stack not valid during exception"
+    ~force_is:(vector = Scb.machine_check)
 
 let deliver_virq t (vm : Vm.t) ~level ~vector =
   charge t Cost.vmm_interrupt_deliver;
@@ -307,8 +296,7 @@ let deliver_virq t (vm : Vm.t) ~level ~vector =
   (if vector >= Scb.software_interrupt 1 && vector <= Scb.software_interrupt 15
    then vm.Vm.sisr <- vm.Vm.sisr land lnot (1 lsl ((vector - 0x80) / 4))
    else Vm.retract_virq vm ~vector);
-  take_in_vm t vm ~vector ~params:[] ~prv:Mode.Kernel ~ipl:level
-    ~stack_fault:"VM interrupt stack not valid"
+  take_in_vm t vm ~vector ~params:[] ~prv:Mode.Kernel ~ipl:level ~force_is:false
 
 (* Apply a handler's outcome to the VM. *)
 let apply t vm = function
@@ -394,14 +382,11 @@ let enter_vm t (vm : Vm.t) =
       s.State.sp_bank.(4) <- Layout.interrupt_stack_top_va;
       s.State.sp_bank.(2) <- vm.Vm.sps.(2);
       s.State.sp_bank.(3) <- vm.Vm.sps.(3);
+      (* the real executive slot holds the VM's kernel or interrupt
+         stack while it runs in either, its executive stack otherwise *)
       let vslot = vstack_slot vm in
       s.State.sp_bank.(1) <-
-        (if vslot = 4 then vm.Vm.sps.(4)
-         else
-           match Psl.cur vm.Vm.saved_vmpsl with
-           | Mode.Kernel -> vm.Vm.sps.(0)
-           | Mode.Executive -> vm.Vm.sps.(1)
-           | Mode.Supervisor | Mode.User -> vm.Vm.sps.(1));
+        vm.Vm.sps.(if vslot = 4 || vslot = 0 then vslot else 1);
       s.State.psl <- resume_psl vm vm.Vm.saved_psl;
       let cur_slot = Mode.to_int (Psl.cur s.State.psl) in
       State.set_sp s s.State.sp_bank.(cur_slot);
@@ -604,19 +589,17 @@ let kcall t (vm : Vm.t) packet_vmpa =
 (* ------------------------------------------------------------------ *)
 (* Virtual processor registers                                         *)
 
-(* The register's value, or -1 when the VM may not read it (a reserved
-   operand). *)
+(* The access rule is {!Ipr.write_value} and {!Ipr.readable} on the
+   virtual VAX; what is left here is where each register lives in the VM
+   and the virtual devices behind it.  MFPR gives the register's value,
+   or -1 when the VM may not read it (a reserved operand). *)
 let virtual_mfpr t (vm : Vm.t) regnum =
   charge t Cost.vmm_ipr_emulate;
   match Ipr.of_int (Word.mask regnum) with
-  | None -> -1
-  | Some r -> (
+  | Some r when Ipr.exists Ipr.Virtual r && Ipr.readable r -> (
       match r with
-      | Ipr.KSP -> vm.Vm.sps.(0)
-      | Ipr.ESP -> vm.Vm.sps.(1)
-      | Ipr.SSP -> vm.Vm.sps.(2)
-      | Ipr.USP -> vm.Vm.sps.(3)
-      | Ipr.ISP -> vm.Vm.sps.(4)
+      | Ipr.KSP | Ipr.ESP | Ipr.SSP | Ipr.USP | Ipr.ISP ->
+          vm.Vm.sps.(Ipr.to_int r)
       | Ipr.P0BR -> vm.Vm.p0br
       | Ipr.P0LR -> vm.Vm.p0lr
       | Ipr.P1BR -> vm.Vm.p1br
@@ -645,98 +628,87 @@ let virtual_mfpr t (vm : Vm.t) regnum =
                   ~vector:Scb.console_receive;
               c)
       | Ipr.TXCS -> vm.Vm.txcs lor 0x80
-      | Ipr.TXDB -> 0
       | Ipr.MEMSIZE -> vm.Vm.memsize
       | Ipr.UPTIME -> Word.mask (now t / 10_000)
-      | Ipr.NICR | Ipr.SIRR | Ipr.TBIA | Ipr.TBIS | Ipr.KCALL | Ipr.IORESET
-      | Ipr.VMPSL | Ipr.VMPEND ->
-          (* write-only or nonexistent on the virtual VAX *)
-          -1)
+      | _ -> 0 (* TXDB; the guard refused every other register *))
+  | _ -> -1
 
 let virtual_mtpr t (vm : Vm.t) ~value ~regnum =
   charge t Cost.vmm_ipr_emulate;
   match Ipr.of_int (Word.mask regnum) with
-  | None
-  | Some (Ipr.SID | Ipr.ICR | Ipr.MEMSIZE | Ipr.UPTIME | Ipr.VMPSL | Ipr.VMPEND)
-    ->
-      (* read-only or nonexistent on the virtual VAX *)
-      reserved_operand
-  | Some Ipr.P0BR when Addr.region_of value <> Addr.S -> reserved_operand
-  | Some Ipr.SIRR when Word.mask value < 1 || Word.mask value > 15 ->
-      reserved_operand
-  | Some Ipr.KCALL -> kcall t vm value
-  | Some r ->
-      (match r with
-      | Ipr.KSP -> vm.Vm.sps.(0) <- value
-      | Ipr.ESP -> vm.Vm.sps.(1) <- value
-      | Ipr.SSP -> vm.Vm.sps.(2) <- value
-      | Ipr.USP -> vm.Vm.sps.(3) <- value
-      | Ipr.ISP -> vm.Vm.sps.(4) <- value
-      | Ipr.P0BR ->
-          vm.Vm.p0br <- value;
-          if vm.Vm.mapen then
-            Shadow.activate_process (mmu t) vm
-              ~cache:t.cfg.shadow_cache_enabled
-      | Ipr.P0LR ->
-          vm.Vm.p0lr <- Word.mask value;
-          if vm.Vm.mapen then Shadow.install_mm_registers (mmu t) vm
-      | Ipr.P1BR -> vm.Vm.p1br <- value
-      | Ipr.P1LR ->
-          vm.Vm.p1lr <- Word.mask value;
-          if vm.Vm.mapen then Shadow.install_mm_registers (mmu t) vm
-      | Ipr.SBR ->
-          vm.Vm.sbr <- Word.mask value;
-          Shadow.invalidate_all (mmu t) vm
-      | Ipr.SLR ->
-          vm.Vm.slr <- min (Word.mask value) Layout.vm_s_limit_vpn;
-          Shadow.invalidate_all (mmu t) vm
-      | Ipr.PCBB -> vm.Vm.pcbb <- Word.logand value (Word.lognot 3)
-      | Ipr.SCBB -> vm.Vm.scbb <- Addr.page_align_down value
-      | Ipr.IPL ->
-          vm.Vm.saved_vmpsl <- Psl.with_ipl vm.Vm.saved_vmpsl (value land 31)
-      | Ipr.SIRR -> vm.Vm.sisr <- vm.Vm.sisr lor (1 lsl Word.mask value)
-      | Ipr.SISR -> vm.Vm.sisr <- value land 0xFFFE
-      | Ipr.MAPEN ->
-          vm.Vm.mapen <- value land 1 = 1;
-          if vm.Vm.mapen then
-            (* bind the guest's current process registers to a shadow slot *)
-            Shadow.activate_process (mmu t) vm
-              ~cache:t.cfg.shadow_cache_enabled;
-          t.installed_for <- -1
-      | Ipr.TBIA -> Shadow.invalidate_all (mmu t) vm
-      | Ipr.TBIS -> Shadow.invalidate_single (mmu t) vm value
-      | Ipr.ICCS ->
-          if value land 0x80 <> 0 then begin
-            vm.Vm.iccs <- vm.Vm.iccs land lnot 0x80;
-            Vm.retract_virq vm ~vector:Scb.interval_timer
-          end;
-          let was_on = vtimer_running vm in
-          vm.Vm.iccs <- (vm.Vm.iccs land lnot 0x41) lor (value land 0x41);
-          if vtimer_running vm && not was_on then begin
-            cancel_vtimer vm;
-            arm_vtimer t vm
-          end
-          else if was_on && not (vtimer_running vm) then cancel_vtimer vm
-      | Ipr.NICR -> vm.Vm.nicr <- max 500 (Word.mask value)
-      | Ipr.TODR -> ()
-      | Ipr.RXCS ->
-          vm.Vm.rxcs <- value land 0x40;
-          if vm.Vm.console_in <> [] && vm.Vm.rxcs land 0x40 <> 0 then
-            Vm.post_virq vm ~level:Console.rx_ipl ~vector:Scb.console_receive
-      | Ipr.TXCS -> vm.Vm.txcs <- value land 0x40
-      | Ipr.TXDB ->
-          Buffer.add_char vm.Vm.console_out (Char.chr (value land 0xFF));
-          if vm.Vm.txcs land 0x40 <> 0 then
-            Vm.post_virq vm ~level:Console.tx_ipl ~vector:Scb.console_transmit
-      | Ipr.RXDB -> ()
-      | Ipr.IORESET ->
-          vm.Vm.pending_virq <- [];
-          vm.Vm.vdisk.Vm.vd_csr <- 0
-      | Ipr.KCALL | Ipr.SID | Ipr.ICR | Ipr.MEMSIZE | Ipr.UPTIME | Ipr.VMPSL
-      | Ipr.VMPEND ->
-          (* served or refused above *)
-          ());
-      Resume
+  | None -> reserved_operand
+  | Some r -> (
+      let v = Ipr.write_value Ipr.Virtual r value in
+      if v < 0 then reserved_operand
+      else
+        match r with
+        | Ipr.KCALL -> kcall t vm v
+        | _ ->
+            (match r with
+            | Ipr.KSP | Ipr.ESP | Ipr.SSP | Ipr.USP | Ipr.ISP ->
+                vm.Vm.sps.(Ipr.to_int r) <- v
+            | Ipr.P0BR ->
+                vm.Vm.p0br <- v;
+                if vm.Vm.mapen then
+                  Shadow.activate_process (mmu t) vm
+                    ~cache:t.cfg.shadow_cache_enabled
+            | Ipr.P0LR ->
+                vm.Vm.p0lr <- v;
+                if vm.Vm.mapen then Shadow.install_mm_registers (mmu t) vm
+            | Ipr.P1BR -> vm.Vm.p1br <- v
+            | Ipr.P1LR ->
+                vm.Vm.p1lr <- v;
+                if vm.Vm.mapen then Shadow.install_mm_registers (mmu t) vm
+            | Ipr.SBR ->
+                vm.Vm.sbr <- v;
+                Shadow.invalidate_all (mmu t) vm
+            | Ipr.SLR ->
+                vm.Vm.slr <- min v Layout.vm_s_limit_vpn;
+                Shadow.invalidate_all (mmu t) vm
+            | Ipr.PCBB -> vm.Vm.pcbb <- v
+            | Ipr.SCBB -> vm.Vm.scbb <- v
+            | Ipr.IPL -> vm.Vm.saved_vmpsl <- Psl.with_ipl vm.Vm.saved_vmpsl v
+            | Ipr.SIRR -> vm.Vm.sisr <- vm.Vm.sisr lor (1 lsl v)
+            | Ipr.SISR -> vm.Vm.sisr <- v
+            | Ipr.MAPEN ->
+                vm.Vm.mapen <- v = 1;
+                if vm.Vm.mapen then
+                  (* bind the guest's current process registers to a
+                     shadow slot *)
+                  Shadow.activate_process (mmu t) vm
+                    ~cache:t.cfg.shadow_cache_enabled;
+                t.installed_for <- -1
+            | Ipr.TBIA -> Shadow.invalidate_all (mmu t) vm
+            | Ipr.TBIS -> Shadow.invalidate_single (mmu t) vm v
+            | Ipr.ICCS ->
+                if v land 0x80 <> 0 then begin
+                  vm.Vm.iccs <- vm.Vm.iccs land lnot 0x80;
+                  Vm.retract_virq vm ~vector:Scb.interval_timer
+                end;
+                let was_on = vtimer_running vm in
+                vm.Vm.iccs <- (vm.Vm.iccs land lnot 0x41) lor (v land 0x41);
+                if vtimer_running vm && not was_on then begin
+                  cancel_vtimer vm;
+                  arm_vtimer t vm
+                end
+                else if was_on && not (vtimer_running vm) then cancel_vtimer vm
+            | Ipr.NICR -> vm.Vm.nicr <- max 500 v
+            | Ipr.RXCS ->
+                vm.Vm.rxcs <- v land 0x40;
+                if vm.Vm.console_in <> [] && vm.Vm.rxcs land 0x40 <> 0 then
+                  Vm.post_virq vm ~level:Console.rx_ipl
+                    ~vector:Scb.console_receive
+            | Ipr.TXCS -> vm.Vm.txcs <- v land 0x40
+            | Ipr.TXDB ->
+                Buffer.add_char vm.Vm.console_out (Char.chr (v land 0xFF));
+                if vm.Vm.txcs land 0x40 <> 0 then
+                  Vm.post_virq vm ~level:Console.tx_ipl
+                    ~vector:Scb.console_transmit
+            | Ipr.IORESET ->
+                vm.Vm.pending_virq <- [];
+                vm.Vm.vdisk.Vm.vd_csr <- 0
+            | _ -> (* TODR, RXDB: writes ignored *) ());
+            Resume)
 
 (* ------------------------------------------------------------------ *)
 (* Emulation of the sensitive instructions (paper §4.2, §4.4)          *)
@@ -750,15 +722,8 @@ let emulate_rei t (vm : Vm.t) =
   let vmode = Psl.cur vp in
   let new_pc = guest_read_long t vm ~vmode sp in
   let new_psl = guest_read_long t vm ~vmode (Word.add sp 4) in
-  let n_cur = Mode.to_int (Psl.cur new_psl) in
-  if n_cur < Mode.to_int (Psl.cur vp)
-     || Mode.to_int (Psl.prv new_psl) < n_cur
-     || (Psl.is new_psl && not (Psl.is vp))
-     || (Psl.is new_psl && n_cur <> 0)
-     || Psl.ipl new_psl > Psl.ipl vp
-     || (n_cur <> 0 && Psl.ipl new_psl <> 0)
-     || Psl.vm new_psl (* self-virtualization is not supported *)
-     || Psl.mbz_violation new_psl
+  (* self-virtualization is not supported: a VM may not enter a VM *)
+  if not (Psl.rei_valid ~current:vp ~stacked:new_psl ~may_enter_vm:false)
   then reserved_operand
   else begin
     vm.Vm.sps.(cur_slot) <- Word.add sp 8;
@@ -779,56 +744,59 @@ let emulate_chm t (vm : Vm.t) (x : State.exit_record) target =
     if x.State.x_noperands = 1 then Word.sext ~width:16 (op_value x 0) else 0
   in
   let cur = Psl.cur vm.Vm.saved_vmpsl in
-  let new_mode =
-    if Mode.to_int target < Mode.to_int cur then target else cur
-  in
+  let vp = Psl.with_cur vm.Vm.saved_vmpsl (Mode.most_privileged target cur) in
+  let vp = Psl.with_prv vp cur in
   let next_pc = Word.add vm.Vm.saved_regs.(15) x.State.x_length in
   let vector = Scb.chm_vector target in
   let entry = read_vm_scb_entry t vm vector in
   if entry < 0 then Halt (scb_unreachable vm vector)
   else
     match
-      push_vm_frame t vm ~target_slot:(Mode.to_int new_mode) ~params:[ code ]
+      push_vm_frame t vm ~target_slot:(Psl.stack_slot vp) ~params:[ code ]
         ~pc:next_pc ~psl:(merged_saved_psl vm)
     with
     | Resume ->
-        vm.Vm.saved_vmpsl <- Psl.with_prv (Psl.with_cur vm.Vm.saved_vmpsl new_mode) cur;
+        vm.Vm.saved_vmpsl <- vp;
         vm.Vm.saved_regs.(15) <- Word.logand entry (Word.lognot 3);
-        vm.Vm.saved_psl <- resume_psl vm vm.Vm.saved_psl;
+        vm.Vm.saved_psl <- resume_psl vm (Psl.with_fpd vm.Vm.saved_psl false);
         Resume
     | o -> o
 
-(* Reads and checks the whole PCB before it loads anything, so a rejected
-   LDPCTX leaves the VM as it was.  Unlike the bare microcode it rejects
-   a P0BR outside S space: the shadow process tables need S-space ones. *)
+(* Reads the whole PCB, and passes its memory-management registers
+   through MTPR's rule, before it loads anything: a P0BR outside S space
+   is a reserved operand that leaves the VM as it was, as on the bare
+   machine. *)
 let emulate_ldpctx t (vm : Vm.t) (x : State.exit_record) =
   charge t (Opcode.base_cycles Opcode.Ldpctx + (24 * Cost.vmm_guest_mem));
-  let pa = Shadow.vm_phys_addr vm vm.Vm.pcbb ~len:Microcode.pcb_size in
+  let pa = Shadow.vm_phys_addr vm vm.Vm.pcbb ~len:Pcb.size in
   if pa < 0 then Halt ("LDPCTX: " ^ Shadow.out_of_range vm.Vm.pcbb)
   else
     let pcb =
-      Array.init (Microcode.pcb_size / 4) (fun i ->
+      Array.init (Pcb.size / 4) (fun i ->
           Phys_mem.read_long (phys t) (pa + (4 * i)))
     in
     let long off = pcb.(off / 4) in
-    if Addr.region_of (long 80) <> Addr.S then reserved_operand
+    let mm r off = Ipr.write_value Ipr.Virtual r (long off) in
+    let p0br = mm Ipr.P0BR Pcb.p0br in
+    if p0br < 0 then reserved_operand
     else begin
       for slot = 0 to 3 do
-        vm.Vm.sps.(slot) <- long (4 * slot)
+        vm.Vm.sps.(slot) <- long (Pcb.sp slot)
       done;
       for r = 0 to 13 do
-        set_vm_reg t vm r (long (16 + (4 * r)))
+        set_vm_reg t vm r (long (Pcb.reg r))
       done;
-      vm.Vm.p0br <- long 80;
-      vm.Vm.p0lr <- long 84;
-      vm.Vm.p1br <- long 88;
-      vm.Vm.p1lr <- long 92;
-      Shadow.activate_process (mmu t) vm ~cache:t.cfg.shadow_cache_enabled;
+      vm.Vm.p0br <- p0br;
+      vm.Vm.p0lr <- mm Ipr.P0LR Pcb.p0lr;
+      vm.Vm.p1br <- mm Ipr.P1BR Pcb.p1br;
+      vm.Vm.p1lr <- mm Ipr.P1LR Pcb.p1lr;
+      if vm.Vm.mapen then
+        Shadow.activate_process (mmu t) vm ~cache:t.cfg.shadow_cache_enabled;
       (* push the PCB's PC/PSL pair on the VM's kernel stack for the REI *)
       vm.Vm.saved_vmpsl <- Psl.with_is vm.Vm.saved_vmpsl false;
       match
         push_vm_frame t vm ~target_slot:0 ~params:[]
-          ~pc:(long Microcode.pcb_off_pc) ~psl:(long Microcode.pcb_off_psl)
+          ~pc:(long Pcb.pc) ~psl:(long Pcb.psl)
       with
       | Resume ->
           vm.Vm.saved_regs.(14) <- vm.Vm.sps.(0);
@@ -840,7 +808,7 @@ let emulate_ldpctx t (vm : Vm.t) (x : State.exit_record) =
 
 let emulate_svpctx t (vm : Vm.t) (x : State.exit_record) =
   charge t (Opcode.base_cycles Opcode.Svpctx + (20 * Cost.vmm_guest_mem));
-  let pa = Shadow.vm_phys_addr vm vm.Vm.pcbb ~len:Microcode.pcb_size in
+  let pa = Shadow.vm_phys_addr vm vm.Vm.pcbb ~len:Pcb.size in
   if pa < 0 then Halt ("SVPCTX: " ^ Shadow.out_of_range vm.Vm.pcbb)
   else begin
     let cur_slot = vstack_slot vm in
@@ -850,13 +818,13 @@ let emulate_svpctx t (vm : Vm.t) (x : State.exit_record) =
     let psl = guest_read_long t vm ~vmode (Word.add sp 4) in
     vm.Vm.sps.(cur_slot) <- Word.add sp 8;
     let p = phys t in
-    Phys_mem.write_long p (pa + Microcode.pcb_off_pc) pc;
-    Phys_mem.write_long p (pa + Microcode.pcb_off_psl) psl;
+    Phys_mem.write_long p (pa + Pcb.pc) pc;
+    Phys_mem.write_long p (pa + Pcb.psl) psl;
     for slot = 0 to 3 do
-      Phys_mem.write_long p (pa + (4 * slot)) vm.Vm.sps.(slot)
+      Phys_mem.write_long p (pa + Pcb.sp slot) vm.Vm.sps.(slot)
     done;
     for r = 0 to 13 do
-      Phys_mem.write_long p (pa + 16 + (4 * r)) (vm_reg t vm r)
+      Phys_mem.write_long p (pa + Pcb.reg r) (vm_reg t vm r)
     done;
     vm.Vm.saved_vmpsl <- Psl.with_is vm.Vm.saved_vmpsl true;
     vm.Vm.saved_regs.(14) <- vm.Vm.sps.(4);
@@ -914,10 +882,8 @@ let emulate t (vm : Vm.t) (x : State.exit_record) =
   Vm.count_opcode vm.Vm.stats x.State.x_opcode;
   match x.State.x_opcode with
   | Opcode.Rei -> emulate_rei t vm
-  | Opcode.Chmk -> emulate_chm t vm x Mode.Kernel
-  | Opcode.Chme -> emulate_chm t vm x Mode.Executive
-  | Opcode.Chms -> emulate_chm t vm x Mode.Supervisor
-  | Opcode.Chmu -> emulate_chm t vm x Mode.User
+  | (Opcode.Chmk | Opcode.Chme | Opcode.Chms | Opcode.Chmu) as op ->
+      emulate_chm t vm x (Option.get (Opcode.chm_target op))
   | Opcode.Mtpr -> emulate_mtpr t vm x
   | Opcode.Mfpr -> emulate_mfpr t vm x
   | Opcode.Ldpctx -> emulate_ldpctx t vm x
@@ -948,30 +914,32 @@ let vdisk_read (vm : Vm.t) offset =
   | 8 -> vm.Vm.vdisk.Vm.vd_addr
   | _ -> 0
 
+(* The CSR bits follow the real disk's ({!Disk}): a refused transfer
+   latches ERROR until software writes DONE. *)
 let vdisk_write t (vm : Vm.t) offset v =
+  let d = vm.Vm.vdisk in
   match offset land lnot 3 with
   | 0 ->
-      if v land 0x80 <> 0 then begin
-        vm.Vm.vdisk.Vm.vd_csr <- vm.Vm.vdisk.Vm.vd_csr land lnot 0x80;
+      if v land Disk.bit_done <> 0 then begin
+        d.Vm.vd_csr <- d.Vm.vd_csr land lnot (Disk.bit_done lor Disk.bit_error);
         Vm.retract_virq vm ~vector:Scb.disk
       end;
-      vm.Vm.vdisk.Vm.vd_csr <-
-        (vm.Vm.vdisk.Vm.vd_csr land lnot 0x40) lor (v land 0x40);
+      d.Vm.vd_csr <- (d.Vm.vd_csr land lnot Disk.bit_ie) lor (v land Disk.bit_ie);
       if v land 3 = 1 || v land 3 = 2 then begin
-        vm.Vm.vdisk.Vm.vd_csr <- vm.Vm.vdisk.Vm.vd_csr lor 1;
-        start_vm_disk_io t vm ~write:(v land 3 = 2)
-          ~vm_block:vm.Vm.vdisk.Vm.vd_block ~vm_buf:vm.Vm.vdisk.Vm.vd_addr
-          ~on_done:(fun status ->
-            ignore status;
-            vm.Vm.vdisk.Vm.vd_csr <-
-              (vm.Vm.vdisk.Vm.vd_csr land lnot 1) lor 0x80;
-            if vm.Vm.vdisk.Vm.vd_csr land 0x40 <> 0 then begin
+        d.Vm.vd_csr <- d.Vm.vd_csr lor Disk.bit_busy;
+        start_vm_disk_io t vm ~write:(v land 3 = 2) ~vm_block:d.Vm.vd_block
+          ~vm_buf:d.Vm.vd_addr ~on_done:(fun status ->
+            d.Vm.vd_csr <-
+              (d.Vm.vd_csr land lnot Disk.bit_busy)
+              lor Disk.bit_done
+              lor if status = 1 then 0 else Disk.bit_error;
+            if d.Vm.vd_csr land Disk.bit_ie <> 0 then begin
               Vm.post_virq vm ~level:Disk.ipl ~vector:Scb.disk;
               doorbell t
             end)
       end
-  | 4 -> vm.Vm.vdisk.Vm.vd_block <- Word.mask v
-  | 8 -> vm.Vm.vdisk.Vm.vd_addr <- Word.mask v
+  | 4 -> d.Vm.vd_block <- Word.mask v
+  | 8 -> d.Vm.vd_addr <- Word.mask v
   | _ -> ()
 
 let mmio_software_decode_cost = 60
@@ -1304,10 +1272,10 @@ let add_vm t ~name ~memory_pages ~disk_blocks ?io_mode ~images ~start_pc () =
       pcbb = 0;
       sisr = 0;
       mapen = false;
-      p0br = 0x8000_0000;
+      p0br = 0;
       p0lr = 0;
-      p1br = 0x8000_0000;
-      p1lr = 1 lsl Addr.vpn_width;
+      p1br = 0;
+      p1lr = 0;
       sbr = 0;
       slr = 0;
       pending_virq = [];

@@ -307,7 +307,6 @@ let rec shift_side_effects st sign = function
       shift_side_effects st sign rest
 
 let undo_side_effects st d = shift_side_effects st (-1) d.operands
-let redo_side_effects st d = shift_side_effects st 1 d.operands
 
 let read_value st o =
   if o.value <> no_value then o.value

@@ -69,9 +69,6 @@ val undo_side_effects : State.t -> decoded -> unit
 (** Back out all autoincrement/-decrement effects of a decoded
     instruction (used before delivering a fault-style exception). *)
 
-val redo_side_effects : State.t -> decoded -> unit
-(** Re-apply them (the VMM path, after emulating the instruction). *)
-
 val read_value : State.t -> operand -> Word.t
 (** The operand's raw value; fetches from memory for [Mem] locations when
     it was not prefetched. *)

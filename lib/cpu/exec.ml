@@ -23,8 +23,8 @@ let check_privileged st d ~start_pc =
   else if State.cur_mode st <> Mode.Kernel then
     raise (State.Fault State.Privileged_instruction)
 
-(* Sensitive but unprivileged instructions (CHM, REI, and PROBE on an
-   invalid PTE): trap whenever PSL<VM> is set, regardless of mode. *)
+(* Sensitive instructions that always trap in a VM (CHM, REI): trap
+   whenever PSL<VM> is set, regardless of mode. *)
 let vm_sensitive_trap st d ~start_pc =
   if in_vm st then Microcode.vm_emulation_trap st d ~start_pc
 
@@ -38,16 +38,8 @@ let probe_one_byte st d ~start_pc ~mode ~write va =
   match
     (try Mmu.probe st.State.mmu ~mode ~write va
      with
-     | Phys_mem.Nonexistent_memory pa ->
-         raise
-           (State.Fault
-              (State.Machine_check_fault
-                 { mc_code = State.mc_nonexistent; mc_pa = pa }))
-     | Vax_fault.Engine.Parity_error pa ->
-         raise
-           (State.Fault
-              (State.Machine_check_fault
-                 { mc_code = State.mc_parity; mc_pa = pa })))
+     | (Phys_mem.Nonexistent_memory _ | Vax_fault.Engine.Parity_error _) as e ->
+         raise (State.machine_check_of_phys e))
   with
   | Error f -> raise (State.Fault (State.Mm_fault f))
   | Ok { Mmu.accessible; pte_valid } ->
@@ -102,16 +94,9 @@ let exec_probevm st ~write ops =
         match
           (try Mmu.read_pte st.State.mmu base
            with
-           | Phys_mem.Nonexistent_memory pa ->
-               raise
-                 (State.Fault
-                    (State.Machine_check_fault
-                       { mc_code = State.mc_nonexistent; mc_pa = pa }))
-           | Vax_fault.Engine.Parity_error pa ->
-               raise
-                 (State.Fault
-                    (State.Machine_check_fault
-                       { mc_code = State.mc_parity; mc_pa = pa })))
+           | (Phys_mem.Nonexistent_memory _ | Vax_fault.Engine.Parity_error _)
+             as e ->
+               raise (State.machine_check_of_phys e))
         with
         | Error (Mmu.Access_violation { length_violation = true; _ }) ->
             State.set_nzvc st ~n:false ~z:true ~v:false ~c:false
@@ -134,28 +119,27 @@ let exec_probevm st ~write ops =
 
 let ipl_regnum = Ipr.to_int Ipr.IPL
 
+(* The privilege gate comes after the operand reads, and the assist
+   takes virtual-kernel references to IPL before it. *)
+let ipl_assisted st regnum =
+  vm_kernel st && st.State.ipl_assist && Word.mask regnum = ipl_regnum
+
 let exec_mtpr st d ~start_pc ops =
   match ops with
   | [ src; regnum_op ] ->
       let value = Decode.read_value st src in
       let regnum = Decode.read_value st regnum_op in
-      if in_vm st then begin
-        if not (vm_kernel st) then
-          raise (State.Fault State.Privileged_instruction);
-        if st.State.ipl_assist && Word.mask regnum = ipl_regnum then begin
-          (* VAX-11/730-style assist: maintain the VM's IPL in microcode,
-             trapping only when the new level would make a pending virtual
-             interrupt deliverable (paper §7.3). *)
-          let new_ipl = value land 31 in
-          if new_ipl < st.State.vmpend then
-            Microcode.vm_emulation_trap st d ~start_pc
-          else st.State.vmpsl <- Psl.with_ipl st.State.vmpsl new_ipl
-        end
-        else Microcode.vm_emulation_trap st d ~start_pc
+      if ipl_assisted st regnum then begin
+        (* VAX-11/730-style assist: maintain the VM's IPL in microcode,
+           trapping only when the new level would make a pending virtual
+           interrupt deliverable (paper §7.3). *)
+        let new_ipl = value land 31 in
+        if new_ipl < st.State.vmpend then
+          Microcode.vm_emulation_trap st d ~start_pc
+        else st.State.vmpsl <- Psl.with_ipl st.State.vmpsl new_ipl
       end
       else begin
-        if State.cur_mode st <> Mode.Kernel then
-          raise (State.Fault State.Privileged_instruction);
+        check_privileged st d ~start_pc;
         Microcode.mtpr st ~value ~regnum
       end
   | _ -> assert false
@@ -164,18 +148,11 @@ let exec_mfpr st d ~start_pc ops =
   match ops with
   | [ regnum_op; dst ] ->
       let regnum = Decode.read_value st regnum_op in
-      if in_vm st then begin
-        if not (vm_kernel st) then
-          raise (State.Fault State.Privileged_instruction);
-        if st.State.ipl_assist && Word.mask regnum = ipl_regnum then
-          Decode.write_value st dst (Psl.ipl st.State.vmpsl)
-        else Microcode.vm_emulation_trap st d ~start_pc
-      end
+      if ipl_assisted st regnum then
+        Decode.write_value st dst (Psl.ipl st.State.vmpsl)
       else begin
-        if State.cur_mode st <> Mode.Kernel then
-          raise (State.Fault State.Privileged_instruction);
-        let v = Microcode.mfpr st ~regnum in
-        Decode.write_value st dst v
+        check_privileged st d ~start_pc;
+        Decode.write_value st dst (Microcode.mfpr st ~regnum)
       end
   | _ -> assert false
 
@@ -215,11 +192,6 @@ let cond_branch st d =
       if branch_taken d.Decode.opcode st.State.psl then branch_to st op
       else State.set_pc st d.Decode.next_pc
   | _ -> assert false
-
-(* PROBE itself executes in VM mode without trapping when the PTE is
-   valid; the trap decision is inside [probe_one_byte].  This hook exists
-   to keep the dispatch uniform and documented. *)
-let vm_sensitive_trap_noop _st = ()
 
 (* Per-opcode handlers: the big dispatch resolved once per opcode rather
    than per executed instruction.  A handler returns [true] when the
@@ -271,65 +243,56 @@ let exec_data st (d : Decode.decoded) ~start_pc:_ =
   if e.Semantics.overflow then check_overflow_trap st;
   false
 
-(* every other opcode *)
-let other_handler : Opcode.t -> handler = function
+(* every other opcode, before its sensitivity gate (see [other_handler]) *)
+let ungated_handler : Opcode.t -> handler = function
   | Opcode.Nop -> (fun _st _d ~start_pc:_ -> false)
   | Opcode.Halt ->
-      (fun st d ~start_pc ->
-        check_privileged st d ~start_pc;
+      (fun st _d ~start_pc:_ ->
         st.State.halted <- true;
         true (* leave PC at the HALT *))
   | Opcode.Bpt -> (fun _st _d ~start_pc:_ -> raise (State.Fault State.Breakpoint_fault))
   | Opcode.Rei ->
-      (fun st d ~start_pc ->
-        vm_sensitive_trap st d ~start_pc;
+      (fun st _d ~start_pc:_ ->
         Microcode.rei st;
         true)
   | Opcode.Ldpctx ->
-      (fun st d ~start_pc ->
-        check_privileged st d ~start_pc;
+      (fun st _d ~start_pc:_ ->
         Microcode.ldpctx st;
         false)
   | Opcode.Svpctx ->
-      (fun st d ~start_pc ->
-        check_privileged st d ~start_pc;
+      (fun st _d ~start_pc:_ ->
         Microcode.svpctx st;
         false)
   | Opcode.Wait ->
       (* Not implemented by real processors, modified or not (Table 4:
          "no change"); the VMM catches the VM-emulation trap and
          deschedules the VM.  Bare kernels must not use it. *)
-      (fun st d ~start_pc ->
-        check_privileged st d ~start_pc;
+      (fun _st _d ~start_pc:_ ->
         raise (State.Fault State.Privileged_instruction))
   | Opcode.Chmk | Opcode.Chme | Opcode.Chms | Opcode.Chmu ->
-      (fun st d ~start_pc ->
+      (fun st d ~start_pc:_ ->
         match d.Decode.operands with
         | [ code_op ] ->
-            vm_sensitive_trap st d ~start_pc;
             let target = Option.get (Opcode.chm_target d.Decode.opcode) in
             let code = Decode.read_value st code_op in
             Microcode.chm st ~target ~code ~next_pc:d.Decode.next_pc;
             true
         | _ -> bad_operands ())
   | Opcode.Prober ->
+      (* traps in a VM only on an invalid PTE: see [probe_one_byte] *)
       (fun st d ~start_pc ->
-        vm_sensitive_trap_noop st;
         exec_probe st d ~start_pc ~write:false d.Decode.operands;
         false)
   | Opcode.Probew ->
       (fun st d ~start_pc ->
-        vm_sensitive_trap_noop st;
         exec_probe st d ~start_pc ~write:true d.Decode.operands;
         false)
   | Opcode.Probevmr ->
-      (fun st d ~start_pc ->
-        check_privileged st d ~start_pc;
+      (fun st d ~start_pc:_ ->
         exec_probevm st ~write:false d.Decode.operands;
         false)
   | Opcode.Probevmw ->
-      (fun st d ~start_pc ->
-        check_privileged st d ~start_pc;
+      (fun st d ~start_pc:_ ->
         exec_probevm st ~write:true d.Decode.operands;
         false)
   | Opcode.Movpsl ->
@@ -474,10 +437,37 @@ let other_handler : Opcode.t -> handler = function
         State.set_sp st (Word.add (State.sp st) (4 * (n land 0xFF)));
         State.set_pc st ret_pc;
         true)
-  | _ -> invalid_arg "Exec.other_handler"
+  | _ -> invalid_arg "Exec.ungated_handler"
 
-let handler_of op =
-  match Semantics.find op with Some _ -> exec_data | None -> other_handler op
+(* The gate each opcode's sensitivity picks, applied before the handler
+   runs.  MTPR and MFPR apply theirs inside [exec_mtpr]/[exec_mfpr],
+   after the operand reads, where the IPL assist decides. *)
+let other_handler op : handler =
+  let h = ungated_handler op in
+  match Opcode.sensitivity op with
+  | Opcode.Privileged when op <> Opcode.Mtpr && op <> Opcode.Mfpr ->
+      fun st d ~start_pc ->
+        check_privileged st d ~start_pc;
+        h st d ~start_pc
+  | Opcode.Traps_in_vm ->
+      fun st d ~start_pc ->
+        vm_sensitive_trap st d ~start_pc;
+        h st d ~start_pc
+  | Opcode.Innocuous | Opcode.Privileged | Opcode.Composed_in_vm
+  | Opcode.Traps_on_condition ->
+      h
+
+(* every opcode's gated handler, resolved once *)
+let handlers =
+  let t = Array.make Opcode.index_count exec_data in
+  List.iter
+    (fun op ->
+      if Option.is_none (Semantics.find op) then
+        t.(Opcode.index op) <- other_handler op)
+    Opcode.all;
+  t
+
+let handler_of op = handlers.(Opcode.index op)
 
 let execute st (d : Decode.decoded) ~start_pc =
   (handler_of d.Decode.opcode) st d ~start_pc
@@ -1009,16 +999,16 @@ let is_pc_setter = function
       true
   | _ -> false
 
-(* Sensitive/privileged instructions never enter a block at all: they
+(* Instructions that may trap in a VM never enter a block at all: they
    always execute on the cold path, so the VM-emulation and privilege
-   machinery sees exactly the per-step environment. *)
-let is_block_excluded = function
-  | Opcode.Halt | Opcode.Rei | Opcode.Bpt | Opcode.Ldpctx | Opcode.Svpctx
-  | Opcode.Wait | Opcode.Chmk | Opcode.Chme | Opcode.Chms | Opcode.Chmu
-  | Opcode.Prober | Opcode.Probew | Opcode.Probevmr | Opcode.Probevmw
-  | Opcode.Mtpr | Opcode.Mfpr ->
-      true
-  | _ -> false
+   machinery sees exactly the per-step environment.  MOVPSL, composed in
+   place, may; BPT, which always faults, may not. *)
+let is_block_excluded op =
+  op = Opcode.Bpt
+  ||
+  match Opcode.sensitivity op with
+  | Opcode.Privileged | Opcode.Traps_in_vm | Opcode.Traps_on_condition -> true
+  | Opcode.Innocuous | Opcode.Composed_in_vm -> false
 
 let finish_builder st (bc : Block_cache.t) =
   let pa = bc.Block_cache.bld_pa in

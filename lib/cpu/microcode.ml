@@ -30,19 +30,6 @@ let push_frame st n =
       State.push_long st st.State.frame.(i)
     done
 
-(* Convert a raw physical-memory exception (SCB or PCB reference made
-   via SCBB/PCBB without translation) into the architectural
-   machine-check fault. *)
-let machine_check_of_phys = function
-  | Phys_mem.Nonexistent_memory pa ->
-      State.Fault
-        (State.Machine_check_fault
-           { mc_code = State.mc_nonexistent; mc_pa = pa })
-  | Vax_fault.Engine.Parity_error pa ->
-      State.Fault
-        (State.Machine_check_fault { mc_code = State.mc_parity; mc_pa = pa })
-  | e -> e
-
 (* A fault raised while *delivering* an exception: the SCB, the service
    stack, or the PCB is itself bad.  A real VAX is architecturally
    stuck and aborts to the console; we record the reason and halt
@@ -97,6 +84,15 @@ let call_agent st agent ~vector ~nparams ~p0 ~p1 ~saved_pc ~saved_psl
   x.State.x_frame_words <- words;
   agent x
 
+(* The SCB entry for [vector], read physically via SCBB; with an agent
+   attached the handler address is unused but the fetch is still
+   charged. *)
+let scb_entry st vector =
+  Cycles.charge st.State.clock Cost.memory_access;
+  if st.State.agent = None then
+    Phys_mem.read_long (Mmu.phys st.State.mmu) (Word.add st.State.scbb vector)
+  else 0
+
 (* Initiate an exception or interrupt: push PSL, PC, the [nparams] (0–2)
    parameters [p0] (top of stack) and [p1], and with [vm_frame] the
    VM-emulation header and operands above them, on the service stack;
@@ -129,21 +125,14 @@ let deliver_exception st ~vector ~nparams ~p0 ~p1 ~saved_pc ~interrupt
      stack.  A machine check or memory-management fault in this span is
      a double fault: contain it as a clean halt. *)
   try
-    (* Read the SCB entry (physically, via SCBB); with an agent attached
-       the handler address is unused but the fetch is still charged. *)
-    Cycles.charge st.State.clock Cost.memory_access;
-    let entry =
-      if st.State.agent = None then
-        Phys_mem.read_long (Mmu.phys st.State.mmu)
-          (Word.add st.State.scbb vector)
-      else 0
-    in
+    let entry = scb_entry st vector in
     let use_is =
       interrupt || force_is || Psl.is saved_psl
       || (st.State.agent = None && entry land 1 = 1)
     in
     let new_psl =
-      let p = saved_psl in
+      (* the condition codes and trap enables start clear *)
+      let p = Word.logand saved_psl (Word.lognot 0xFF) in
       let p = Psl.with_cur p Mode.Kernel in
       let p =
         Psl.with_prv p (if interrupt then Mode.Kernel else Psl.cur saved_psl)
@@ -153,12 +142,7 @@ let deliver_exception st ~vector ~nparams ~p0 ~p1 ~saved_pc ~interrupt
       let p = Psl.with_is p use_is in
       if new_ipl >= 0 then Psl.with_ipl p new_ipl else p
     in
-    let target_slot = if use_is then 4 else Mode.to_int Mode.Kernel in
-    let old_slot = State.stack_slot st in
-    if old_slot <> target_slot then begin
-      st.State.sp_bank.(old_slot) <- State.sp st;
-      State.set_sp st st.State.sp_bank.(target_slot)
-    end;
+    State.switch_stack_to st (Psl.stack_slot new_psl);
     st.State.psl <- new_psl;
     let f = st.State.frame in
     let w = if vm_frame then vm_frame_words st else 0 in
@@ -185,11 +169,6 @@ let deliver_fault st ~vector ~nparams ~p0 ~p1 ~saved_pc =
 (* ------------------------------------------------------------------ *)
 (* Fault dispatch                                                      *)
 
-let mm_param ~length_violation ~ptbl_ref ~write =
-  (if length_violation then 1 else 0)
-  lor (if ptbl_ref then 2 else 0)
-  lor if write then 4 else 0
-
 let observe_trap st kind ~pc =
   match st.State.trap_observer with
   | Some f -> f kind pc
@@ -211,19 +190,10 @@ let dispatch_fault st ~start_pc ~next_pc (fault : State.fault) =
         Trace.emit st.State.trace Trace.Trap_vm_emulation start_pc
   | _ -> ());
   match fault with
-  | State.Mm_fault (Mmu.Access_violation { va; length_violation; ptbl_ref; write })
-    ->
-      deliver_fault st ~vector:Scb.access_violation ~nparams:2
-        ~p0:(mm_param ~length_violation ~ptbl_ref ~write)
-        ~p1:va ~saved_pc:start_pc
-  | State.Mm_fault (Mmu.Translation_not_valid { va; ptbl_ref; write }) ->
-      deliver_fault st ~vector:Scb.translation_not_valid ~nparams:2
-        ~p0:(mm_param ~length_violation:false ~ptbl_ref ~write)
-        ~p1:va ~saved_pc:start_pc
-  | State.Mm_fault (Mmu.Modify_fault { va }) ->
-      deliver_fault st ~vector:Scb.modify_fault ~nparams:2
-        ~p0:(mm_param ~length_violation:false ~ptbl_ref:false ~write:true)
-        ~p1:va ~saved_pc:start_pc
+  | State.Mm_fault f ->
+      deliver_fault st ~vector:(Mmu.fault_vector f) ~nparams:2
+        ~p0:(Mmu.fault_param f ~write:false) ~p1:(Mmu.fault_va f)
+        ~saved_pc:start_pc
   | State.Privileged_instruction | State.Reserved_instruction ->
       deliver_fault st ~vector:Scb.privileged_instruction ~nparams:0 ~p0:0
         ~p1:0 ~saved_pc:start_pc
@@ -268,39 +238,23 @@ let take_interrupt st ~ipl ~vector =
 (* ------------------------------------------------------------------ *)
 (* REI                                                                 *)
 
+let reserved () = raise (State.Fault State.Reserved_operand)
+
 let rei st =
   let cur_psl = st.State.psl in
   let mode = Psl.cur cur_psl in
   let new_pc = State.read_long st mode (State.sp st) in
   let new_psl = State.read_long st mode (Word.add (State.sp st) 4) in
-  let bad cond = if cond then raise (State.Fault State.Reserved_operand) in
-  let n_cur = Mode.to_int (Psl.cur new_psl) in
-  let c_cur = Mode.to_int (Psl.cur cur_psl) in
-  bad (n_cur < c_cur);
-  bad (Mode.to_int (Psl.prv new_psl) < n_cur);
-  bad (Psl.is new_psl && not (Psl.is cur_psl));
-  bad (Psl.is new_psl && n_cur <> 0);
-  bad (Psl.ipl new_psl > Psl.ipl cur_psl);
-  bad (n_cur <> 0 && Psl.ipl new_psl <> 0);
-  (* PSL<VM>: rejected outright on the standard VAX; on the modified VAX
-     it may be *loaded* only by kernel-mode software that is not already
-     in a VM — the VMM's entry into VM mode ("PSL<VM> is set only by
-     software"). *)
-  if Psl.vm new_psl then begin
-    bad (st.State.variant = Variant.Standard);
-    bad (c_cur <> 0);
-    bad (Psl.vm cur_psl)
-  end;
-  bad (Psl.mbz_violation (Psl.with_vm new_psl false));
-  (* commit *)
+  (* only the modified VAX's kernel may load PSL<VM>: the VMM's entry
+     into VM mode ("PSL<VM> is set only by software") *)
+  if
+    not
+      (Psl.rei_valid ~current:cur_psl ~stacked:new_psl
+         ~may_enter_vm:(st.State.variant = Variant.Virtualizing))
+  then reserved ();
   State.set_sp st (Word.add (State.sp st) 8);
-  let old_slot = State.stack_slot st in
+  State.switch_stack_to st (Psl.stack_slot new_psl);
   st.State.psl <- new_psl;
-  let new_slot = State.stack_slot st in
-  if old_slot <> new_slot then begin
-    st.State.sp_bank.(old_slot) <- State.sp st;
-    State.set_sp st st.State.sp_bank.(new_slot)
-  end;
   State.set_pc st new_pc;
   let tr = st.State.trace in
   if Trace.enabled tr then begin
@@ -314,23 +268,15 @@ let rei st =
 (* ------------------------------------------------------------------ *)
 (* CHM                                                                 *)
 
+(* Like any exception, a CHM taken on the interrupt stack stays on it. *)
 let chm st ~target ~code ~next_pc =
   let cur = Psl.cur st.State.psl in
-  (* mode of equal or increased privilege only *)
-  let new_mode =
-    if Mode.to_int target < Mode.to_int cur then target else cur
-  in
+  let new_mode = Mode.most_privileged target cur in
   Cycles.charge st.State.clock Cost.exception_initiate;
   let vector = Scb.chm_vector target in
   State.count_exception st vector;
-  Cycles.charge st.State.clock Cost.memory_access;
   try
-    let entry =
-      if st.State.agent = None then
-        Phys_mem.read_long (Mmu.phys st.State.mmu)
-          (Word.add st.State.scbb vector)
-      else 0
-    in
+    let entry = scb_entry st vector in
     let saved_psl = st.State.psl in
     let new_psl =
       let p = saved_psl in
@@ -338,12 +284,7 @@ let chm st ~target ~code ~next_pc =
       let p = Psl.with_prv p cur in
       Psl.with_fpd p false
     in
-    let old_slot = State.stack_slot st in
-    let new_slot = Mode.to_int new_mode in
-    if old_slot <> new_slot then begin
-      st.State.sp_bank.(old_slot) <- State.sp st;
-      State.set_sp st st.State.sp_bank.(new_slot)
-    end;
+    State.switch_stack_to st (Psl.stack_slot new_psl);
     st.State.psl <- new_psl;
     let code = Word.sext ~width:16 code in
     let f = st.State.frame in
@@ -369,15 +310,11 @@ let chm st ~target ~code ~next_pc =
 let movpsl_value st =
   State.sync_cc st;
   if st.State.variant = Variant.Virtualizing && Psl.vm st.State.psl then
-    State.merged_vm_psl st
+    Psl.merge_vmpsl st.State.psl ~vmpsl:st.State.vmpsl
   else Psl.with_vm st.State.psl false
 
 (* ------------------------------------------------------------------ *)
 (* Process context                                                     *)
-
-let pcb_size = 96
-let pcb_off_pc = 72
-let pcb_off_psl = 76
 
 (* PCB references go straight to physical memory via PCBB; a bad PCBB
    used to crash the host with a raw [Nonexistent_memory].  Convert to
@@ -386,40 +323,54 @@ let pcb_off_psl = 76
 let pcb_read st off =
   Cycles.charge st.State.clock Cost.memory_access;
   try Phys_mem.read_long (Mmu.phys st.State.mmu) (Word.add st.State.pcbb off)
-  with
-  | (Phys_mem.Nonexistent_memory _ | Vax_fault.Engine.Parity_error _) as e ->
-      raise (machine_check_of_phys e)
+  with (Phys_mem.Nonexistent_memory _ | Vax_fault.Engine.Parity_error _) as e ->
+    raise (State.machine_check_of_phys e)
 
 let pcb_write st off v =
   Cycles.charge st.State.clock Cost.memory_access;
   try Phys_mem.write_long (Mmu.phys st.State.mmu) (Word.add st.State.pcbb off) v
-  with
-  | (Phys_mem.Nonexistent_memory _ | Vax_fault.Engine.Parity_error _) as e ->
-      raise (machine_check_of_phys e)
+  with (Phys_mem.Nonexistent_memory _ | Vax_fault.Engine.Parity_error _) as e ->
+    raise (State.machine_check_of_phys e)
 
+let processor st =
+  match st.State.variant with
+  | Variant.Standard -> Ipr.Standard
+  | Variant.Virtualizing -> Ipr.Modified
+
+(* The stack pointers and registers are staged in [st.frame] and the
+   memory-management registers pass MTPR's rule before anything is
+   loaded, so an LDPCTX refused for its P0BR changes nothing. *)
 let ldpctx st =
-  (* load stack pointers and general registers *)
+  let f = st.State.frame in
   for slot = 0 to 3 do
-    State.write_sp_of st slot (pcb_read st (4 * slot))
+    f.(slot) <- pcb_read st (Pcb.sp slot)
   done;
   for r = 0 to 13 do
-    State.set_reg st r (pcb_read st (16 + (4 * r)))
+    f.(4 + r) <- pcb_read st (Pcb.reg r)
   done;
-  Mmu.set_p0br st.State.mmu (pcb_read st 80);
-  Mmu.set_p0lr st.State.mmu (pcb_read st 84);
-  Mmu.set_p1br st.State.mmu (pcb_read st 88);
-  Mmu.set_p1lr st.State.mmu (pcb_read st 92);
+  let mm r off = Ipr.write_value (processor st) r (pcb_read st off) in
+  let p0br = mm Ipr.P0BR Pcb.p0br in
+  let p0lr = mm Ipr.P0LR Pcb.p0lr in
+  let p1br = mm Ipr.P1BR Pcb.p1br in
+  let p1lr = mm Ipr.P1LR Pcb.p1lr in
+  if p0br < 0 then reserved ();
+  for slot = 0 to 3 do
+    State.write_sp_of st slot f.(slot)
+  done;
+  for r = 0 to 13 do
+    State.set_reg st r f.(4 + r)
+  done;
+  Mmu.set_p0br st.State.mmu p0br;
+  Mmu.set_p0lr st.State.mmu p0lr;
+  Mmu.set_p1br st.State.mmu p1br;
+  Mmu.set_p1lr st.State.mmu p1lr;
   Mmu.tb_invalidate_process st.State.mmu;
   (* switch to the kernel stack and set up a frame for the final REI *)
-  let old_slot = State.stack_slot st in
-  st.State.psl <- Psl.with_is st.State.psl false;
-  let new_slot = State.stack_slot st in
-  if old_slot <> new_slot then begin
-    st.State.sp_bank.(old_slot) <- State.sp st;
-    State.set_sp st st.State.sp_bank.(new_slot)
-  end;
-  State.push_long st (pcb_read st pcb_off_psl);
-  State.push_long st (pcb_read st pcb_off_pc)
+  let psl = Psl.with_is st.State.psl false in
+  State.switch_stack_to st (Psl.stack_slot psl);
+  st.State.psl <- psl;
+  State.push_long st (pcb_read st Pcb.psl);
+  State.push_long st (pcb_read st Pcb.pc)
 
 let svpctx st =
   (* pop the PC/PSL pair (pushed by the exception that entered the
@@ -427,90 +378,65 @@ let svpctx st =
      stack *)
   let pc = State.pop_long st in
   let psl = State.pop_long st in
-  pcb_write st pcb_off_pc pc;
-  pcb_write st pcb_off_psl psl;
+  pcb_write st Pcb.pc pc;
+  pcb_write st Pcb.psl psl;
   for slot = 0 to 3 do
-    pcb_write st (4 * slot) (State.read_sp_of st slot)
+    pcb_write st (Pcb.sp slot) (State.read_sp_of st slot)
   done;
   for r = 0 to 13 do
-    pcb_write st (16 + (4 * r)) (State.reg st r)
+    pcb_write st (Pcb.reg r) (State.reg st r)
   done;
-  let old_slot = State.stack_slot st in
-  st.State.psl <- Psl.with_is st.State.psl true;
-  let new_slot = State.stack_slot st in
-  if old_slot <> new_slot then begin
-    st.State.sp_bank.(old_slot) <- State.sp st;
-    State.set_sp st st.State.sp_bank.(new_slot)
-  end
+  State.switch_stack_to st 4;
+  st.State.psl <- Psl.with_is st.State.psl true
 
 (* ------------------------------------------------------------------ *)
 (* Processor registers                                                 *)
 
-let reserved () = raise (State.Fault State.Reserved_operand)
-
+(* The access rule is {!Ipr.write_value} and {!Ipr.readable}; what is
+   left here is where each register lives.  Device registers go to the
+   IPR hooks first. *)
 let mtpr st ~value ~regnum =
   match Ipr.of_int (Word.mask regnum) with
   | None -> reserved ()
   | Some r ->
-      if st.State.ipr_write_hook r value then ()
-      else begin
+      let v = Ipr.write_value (processor st) r value in
+      if v < 0 then reserved ();
+      if not (st.State.ipr_write_hook r v) then begin
         match r with
-        | Ipr.KSP -> State.write_sp_of st 0 value
-        | Ipr.ESP -> State.write_sp_of st 1 value
-        | Ipr.SSP -> State.write_sp_of st 2 value
-        | Ipr.USP -> State.write_sp_of st 3 value
-        | Ipr.ISP -> State.write_sp_of st 4 value
-        | Ipr.P0BR ->
-            if Addr.region_of value <> Addr.S then reserved ();
-            Mmu.set_p0br st.State.mmu value
-        | Ipr.P0LR -> Mmu.set_p0lr st.State.mmu (Word.mask value)
-        | Ipr.P1BR -> Mmu.set_p1br st.State.mmu value
-        | Ipr.P1LR -> Mmu.set_p1lr st.State.mmu (Word.mask value)
-        | Ipr.SBR -> Mmu.set_sbr st.State.mmu value
-        | Ipr.SLR -> Mmu.set_slr st.State.mmu (Word.mask value)
-        | Ipr.PCBB -> st.State.pcbb <- Word.logand value (Word.lognot 3)
-        | Ipr.SCBB -> st.State.scbb <- Addr.page_align_down value
-        | Ipr.IPL -> st.State.psl <- Psl.with_ipl st.State.psl (value land 31)
-        | Ipr.SIRR ->
-            let l = Word.mask value in
-            if l < 1 || l > 15 then reserved ();
-            st.State.sisr <- st.State.sisr lor (1 lsl l)
-        | Ipr.SISR -> st.State.sisr <- value land 0xFFFE
+        | Ipr.KSP | Ipr.ESP | Ipr.SSP | Ipr.USP | Ipr.ISP ->
+            State.write_sp_of st (Ipr.to_int r) v
+        | Ipr.P0BR -> Mmu.set_p0br st.State.mmu v
+        | Ipr.P0LR -> Mmu.set_p0lr st.State.mmu v
+        | Ipr.P1BR -> Mmu.set_p1br st.State.mmu v
+        | Ipr.P1LR -> Mmu.set_p1lr st.State.mmu v
+        | Ipr.SBR -> Mmu.set_sbr st.State.mmu v
+        | Ipr.SLR -> Mmu.set_slr st.State.mmu v
+        | Ipr.PCBB -> st.State.pcbb <- v
+        | Ipr.SCBB -> st.State.scbb <- v
+        | Ipr.IPL -> st.State.psl <- Psl.with_ipl st.State.psl v
+        | Ipr.SIRR -> st.State.sisr <- st.State.sisr lor (1 lsl v)
+        | Ipr.SISR -> st.State.sisr <- v
         | Ipr.MAPEN ->
-            Mmu.set_mapen st.State.mmu (value land 1 = 1);
+            Mmu.set_mapen st.State.mmu (v = 1);
             Mmu.tbia st.State.mmu
         | Ipr.TBIA -> Mmu.tbia st.State.mmu
-        | Ipr.TBIS -> Mmu.tbis st.State.mmu value
-        | Ipr.SID -> reserved ()
-        | Ipr.VMPSL ->
-            if st.State.variant <> Variant.Virtualizing then reserved ();
-            st.State.vmpsl <- Word.mask value
-        | Ipr.VMPEND ->
-            if st.State.variant <> Variant.Virtualizing then reserved ();
-            st.State.vmpend <- value land 31
-        | Ipr.MEMSIZE | Ipr.KCALL | Ipr.IORESET | Ipr.UPTIME ->
-            (* virtual-VAX-only registers: reserved on real processors *)
-            reserved ()
-        | Ipr.ICCS | Ipr.NICR | Ipr.TODR | Ipr.RXCS | Ipr.RXDB | Ipr.TXCS
-        | Ipr.TXDB ->
-            (* device register with no device attached: write ignored *)
+        | Ipr.TBIS -> Mmu.tbis st.State.mmu v
+        | Ipr.VMPSL -> st.State.vmpsl <- v
+        | Ipr.VMPEND -> st.State.vmpend <- v
+        | _ ->
+            (* a device register with no device attached: write ignored *)
             ()
-        | Ipr.ICR -> reserved () (* read-only *)
       end
 
 let mfpr st ~regnum =
   match Ipr.of_int (Word.mask regnum) with
-  | None -> reserved ()
-  | Some r -> (
+  | Some r when Ipr.exists (processor st) r && Ipr.readable r -> (
       match st.State.ipr_read_hook r with
       | Some v -> v
       | None -> (
           match r with
-          | Ipr.KSP -> State.read_sp_of st 0
-          | Ipr.ESP -> State.read_sp_of st 1
-          | Ipr.SSP -> State.read_sp_of st 2
-          | Ipr.USP -> State.read_sp_of st 3
-          | Ipr.ISP -> State.read_sp_of st 4
+          | Ipr.KSP | Ipr.ESP | Ipr.SSP | Ipr.USP | Ipr.ISP ->
+              State.read_sp_of st (Ipr.to_int r)
           | Ipr.P0BR -> Mmu.p0br st.State.mmu
           | Ipr.P0LR -> Mmu.p0lr st.State.mmu
           | Ipr.P1BR -> Mmu.p1br st.State.mmu
@@ -520,21 +446,13 @@ let mfpr st ~regnum =
           | Ipr.PCBB -> st.State.pcbb
           | Ipr.SCBB -> st.State.scbb
           | Ipr.IPL -> Psl.ipl st.State.psl
-          | Ipr.SIRR -> reserved () (* write-only *)
           | Ipr.SISR -> st.State.sisr
           | Ipr.MAPEN -> if Mmu.mapen st.State.mmu then 1 else 0
-          | Ipr.TBIA | Ipr.TBIS -> reserved () (* write-only *)
           | Ipr.SID -> st.State.sid
-          | Ipr.VMPSL ->
-              if st.State.variant <> Variant.Virtualizing then reserved ();
-              st.State.vmpsl
-          | Ipr.VMPEND ->
-              if st.State.variant <> Variant.Virtualizing then reserved ();
-              st.State.vmpend
-          | Ipr.MEMSIZE | Ipr.KCALL | Ipr.IORESET | Ipr.UPTIME -> reserved ()
-          | Ipr.ICCS | Ipr.NICR | Ipr.ICR | Ipr.TODR | Ipr.RXCS | Ipr.RXDB
-          | Ipr.TXCS | Ipr.TXDB ->
-              0))
+          | Ipr.VMPSL -> st.State.vmpsl
+          | Ipr.VMPEND -> st.State.vmpend
+          | _ -> 0 (* a device register with no device attached *)))
+  | _ -> reserved ()
 
 (* ------------------------------------------------------------------ *)
 (* VM-emulation trap construction                                      *)
@@ -550,6 +468,6 @@ let vm_emulation_trap st (d : Decode.decoded) ~start_pc =
   let x = st.State.exit in
   x.State.x_opcode <- d.Decode.opcode;
   x.State.x_length <- d.Decode.length;
-  x.State.x_vm_psl <- State.merged_vm_psl st;
+  x.State.x_vm_psl <- Psl.merge_vmpsl st.State.psl ~vmpsl:st.State.vmpsl;
   Decode.capture_vm_operands x d;
   raise vm_emulation_exn

@@ -34,25 +34,26 @@ val rei : State.t -> unit
 
 val chm : State.t -> target:Mode.t -> code:Word.t -> next_pc:Word.t -> unit
 (** The CHM trap: change to a mode of equal or greater privilege through
-    the target mode's SCB vector. *)
+    the target mode's SCB vector.  Taken on the interrupt stack, it stays
+    there, as any exception does. *)
 
 val movpsl_value : State.t -> Word.t
 (** What MOVPSL stores: the real PSL, or the merged VM PSL when PSL<VM>
     is set; PSL<VM> itself reads as zero either way. *)
 
 val ldpctx : State.t -> unit
+(** Load the process context from the PCB at PCBB ({!Pcb} layout).  The
+    P0BR, P0LR, P1BR and P1LR images pass {!Ipr.write_value}, MTPR's
+    rule, before anything is loaded: a P0BR outside S space takes a
+    reserved-operand fault and leaves the machine as it was. *)
+
 val svpctx : State.t -> unit
-
-(** Process control block layout used by LDPCTX/SVPCTX (byte offsets):
-    KSP=0 ESP=4 SSP=8 USP=12, R0–R13 at 16+4n, PC=72, PSL=76,
-    P0BR=80 P0LR=84 P1BR=88 P1LR=92.  [pcb_size] = 96. *)
-
-val pcb_size : int
-val pcb_off_pc : int
-val pcb_off_psl : int
 
 val mtpr : State.t -> value:Word.t -> regnum:Word.t -> unit
 val mfpr : State.t -> regnum:Word.t -> Word.t
+(** MTPR and MFPR under {!Ipr.write_value} and {!Ipr.readable}: a
+    register that does not exist on this processor, or does not allow
+    the access or the value, is a reserved operand. *)
 
 val vm_emulation_trap : State.t -> Decode.decoded -> start_pc:Word.t -> 'a
 (** Record the instruction and its decoded operands in the machine's

@@ -213,8 +213,7 @@ let reg t n = t.regs.(n)
 let set_reg t n v = t.regs.(n) <- Word.mask v
 let cur_mode t = Psl.cur t.psl
 
-let stack_slot t =
-  if Psl.is t.psl then 4 else Mode.to_int (Psl.cur t.psl)
+let stack_slot t = Psl.stack_slot t.psl
 
 let switch_stack_to t slot =
   let current = stack_slot t in
@@ -230,6 +229,13 @@ let write_sp_of t slot v =
 
 let lift = function Ok v -> v | Error f -> raise (Fault (Mm_fault f))
 
+let machine_check_of_phys = function
+  | Phys_mem.Nonexistent_memory pa ->
+      Fault (Machine_check_fault { mc_code = mc_nonexistent; mc_pa = pa })
+  | Vax_fault.Engine.Parity_error pa ->
+      Fault (Machine_check_fault { mc_code = mc_parity; mc_pa = pa })
+  | e -> e
+
 (* The memory accessors take the MMU's allocation-free fast half first
    and fall back to the full (Result-returning) accessor only on a TLB
    miss, fault, modify-policy action, or page-crossing access; the
@@ -240,11 +246,8 @@ let read_byte t mode va =
   try
     let v = Mmu.v_read_byte_fast t.mmu ~mode va in
     if v >= 0 then v else lift (Mmu.v_read_byte t.mmu ~mode va)
-  with
-  | Phys_mem.Nonexistent_memory pa ->
-      raise (Fault (Machine_check_fault { mc_code = mc_nonexistent; mc_pa = pa }))
-  | Vax_fault.Engine.Parity_error pa ->
-      raise (Fault (Machine_check_fault { mc_code = mc_parity; mc_pa = pa }))
+  with (Phys_mem.Nonexistent_memory _ | Vax_fault.Engine.Parity_error _) as e ->
+    raise (machine_check_of_phys e)
 
 let fetch_byte t va =
   try
@@ -253,73 +256,51 @@ let fetch_byte t va =
     else
       let pa = lift (Mmu.translate t.mmu ~mode:(cur_mode t) ~write:false va) in
       Phys_mem.read_byte (Mmu.phys t.mmu) pa
-  with
-  | Phys_mem.Nonexistent_memory pa ->
-      raise (Fault (Machine_check_fault { mc_code = mc_nonexistent; mc_pa = pa }))
-  | Vax_fault.Engine.Parity_error pa ->
-      raise (Fault (Machine_check_fault { mc_code = mc_parity; mc_pa = pa }))
+  with (Phys_mem.Nonexistent_memory _ | Vax_fault.Engine.Parity_error _) as e ->
+    raise (machine_check_of_phys e)
 
 let code_pa t va =
   let pa = Mmu.try_translate t.mmu ~mode:(cur_mode t) ~write:false va in
   if pa >= 0 then pa
   else
     try lift (Mmu.translate t.mmu ~mode:(cur_mode t) ~write:false va)
-    with
-    | Phys_mem.Nonexistent_memory pa ->
-        raise
-          (Fault (Machine_check_fault { mc_code = mc_nonexistent; mc_pa = pa }))
-    | Vax_fault.Engine.Parity_error pa ->
-        raise (Fault (Machine_check_fault { mc_code = mc_parity; mc_pa = pa }))
+    with (Phys_mem.Nonexistent_memory _ | Vax_fault.Engine.Parity_error _) as e ->
+      raise (machine_check_of_phys e)
 
 let write_byte t mode va b =
   try
     if not (Mmu.v_write_byte_fast t.mmu ~mode va b) then
       lift (Mmu.v_write_byte t.mmu ~mode va b)
-  with
-  | Phys_mem.Nonexistent_memory pa ->
-      raise (Fault (Machine_check_fault { mc_code = mc_nonexistent; mc_pa = pa }))
-  | Vax_fault.Engine.Parity_error pa ->
-      raise (Fault (Machine_check_fault { mc_code = mc_parity; mc_pa = pa }))
+  with (Phys_mem.Nonexistent_memory _ | Vax_fault.Engine.Parity_error _) as e ->
+    raise (machine_check_of_phys e)
 
 let read_word16 t mode va =
   try
     let v = Mmu.v_read_word_fast t.mmu ~mode va in
     if v >= 0 then v else lift (Mmu.v_read_word t.mmu ~mode va)
-  with
-  | Phys_mem.Nonexistent_memory pa ->
-      raise (Fault (Machine_check_fault { mc_code = mc_nonexistent; mc_pa = pa }))
-  | Vax_fault.Engine.Parity_error pa ->
-      raise (Fault (Machine_check_fault { mc_code = mc_parity; mc_pa = pa }))
+  with (Phys_mem.Nonexistent_memory _ | Vax_fault.Engine.Parity_error _) as e ->
+    raise (machine_check_of_phys e)
 
 let write_word16 t mode va w =
   try
     if not (Mmu.v_write_word_fast t.mmu ~mode va w) then
       lift (Mmu.v_write_word t.mmu ~mode va w)
-  with
-  | Phys_mem.Nonexistent_memory pa ->
-      raise (Fault (Machine_check_fault { mc_code = mc_nonexistent; mc_pa = pa }))
-  | Vax_fault.Engine.Parity_error pa ->
-      raise (Fault (Machine_check_fault { mc_code = mc_parity; mc_pa = pa }))
+  with (Phys_mem.Nonexistent_memory _ | Vax_fault.Engine.Parity_error _) as e ->
+    raise (machine_check_of_phys e)
 
 let read_long t mode va =
   try
     let v = Mmu.v_read_long_fast t.mmu ~mode va in
     if v >= 0 then v else lift (Mmu.v_read_long t.mmu ~mode va)
-  with
-  | Phys_mem.Nonexistent_memory pa ->
-      raise (Fault (Machine_check_fault { mc_code = mc_nonexistent; mc_pa = pa }))
-  | Vax_fault.Engine.Parity_error pa ->
-      raise (Fault (Machine_check_fault { mc_code = mc_parity; mc_pa = pa }))
+  with (Phys_mem.Nonexistent_memory _ | Vax_fault.Engine.Parity_error _) as e ->
+    raise (machine_check_of_phys e)
 
 let write_long t mode va w =
   try
     if not (Mmu.v_write_long_fast t.mmu ~mode va w) then
       lift (Mmu.v_write_long t.mmu ~mode va w)
-  with
-  | Phys_mem.Nonexistent_memory pa ->
-      raise (Fault (Machine_check_fault { mc_code = mc_nonexistent; mc_pa = pa }))
-  | Vax_fault.Engine.Parity_error pa ->
-      raise (Fault (Machine_check_fault { mc_code = mc_parity; mc_pa = pa }))
+  with (Phys_mem.Nonexistent_memory _ | Vax_fault.Engine.Parity_error _) as e ->
+    raise (machine_check_of_phys e)
 
 let push_long t w =
   let nsp = Word.sub (sp t) 4 in
@@ -371,15 +352,6 @@ let highest_pending t =
   match best with
   | Some (ipl, _) when ipl > cur_ipl -> best
   | _ -> None
-
-let merged_vm_psl t =
-  let p = t.psl in
-  let vp = t.vmpsl in
-  let p = Psl.with_cur p (Psl.cur vp) in
-  let p = Psl.with_prv p (Psl.prv vp) in
-  let p = Psl.with_ipl p (Psl.ipl vp) in
-  let p = Psl.with_is p (Psl.is vp) in
-  Psl.with_vm p false
 
 (* Exception delivery itself took a machine check (e.g. the SCB or the
    kernel stack sits on nonexistent or poisoned memory): a real VAX is

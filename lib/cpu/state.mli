@@ -126,7 +126,8 @@ type t = {
   exit : exit_record;  (** reused by every exception; see {!exit_record} *)
   frame : Word.t array;
       (** scratch of {!max_frame_words} longwords in which exception
-          delivery assembles a frame before pushing it *)
+          delivery assembles a frame before pushing it, and LDPCTX
+          stages the PCB before loading it *)
   mutable agent : (exit_record -> unit) option;
   mutable ipr_read_hook : Ipr.t -> Word.t option;
   mutable ipr_write_hook : Ipr.t -> Word.t -> bool;
@@ -217,6 +218,11 @@ val write_sp_of : t -> int -> Word.t -> unit
 
 (** {1 Memory access (raising {!Fault})} *)
 
+val machine_check_of_phys : exn -> exn
+(** A raw physical-memory exception ([Phys_mem.Nonexistent_memory] or an
+    injected [Parity_error]) as the architectural machine check; any
+    other exception unchanged. *)
+
 val read_byte : t -> Mode.t -> Word.t -> int
 
 (** Instruction-stream byte fetch in the current mode: fully translated
@@ -249,10 +255,6 @@ val retract_interrupt : t -> vector:Scb.vector -> unit
 val highest_pending : t -> (int * Scb.vector) option
 (** Highest-priority pending request (device or software), if any is
     above the current IPL. *)
-
-val merged_vm_psl : t -> Word.t
-(** The VM's PSL as MOVPSL and the VM-emulation frame present it: the real
-    PSL with CUR/PRV/IPL/IS taken from VMPSL and PSL<VM> cleared. *)
 
 val double_fault_halt : t -> string -> unit
 (** Record that exception delivery itself machine-checked and halt

@@ -9,7 +9,8 @@
     MMIO register layout (longwords from the region base):
     {v
       +0  CSR    write 1 = read block into memory, 2 = write block from
-                 memory; read: bit0 busy, bit6 IE, bit7 done (w1c)
+                 memory; read: bit0 busy, bit5 error, bit6 IE, bit7
+                 done; writing done clears done and error
       +4  BLOCK  block number
       +8  ADDR   physical memory address of the 512-byte buffer
     v}
@@ -24,6 +25,11 @@ type t
 val ipl : int (* 21 *)
 val mmio_base : Word.t
 val mmio_size : int
+
+val bit_busy : int
+val bit_error : int
+val bit_ie : int
+val bit_done : int
 
 val create :
   sched:Sched.t -> cpu:State.t -> phys:Phys_mem.t -> blocks:int -> unit -> t

@@ -24,6 +24,26 @@ let pp_fault ppf = function
         (if write then " w" else "")
   | Modify_fault { va } -> Format.fprintf ppf "MF(va=%a)" Word.pp va
 
+let fault_vector = function
+  | Access_violation _ -> Scb.access_violation
+  | Translation_not_valid _ -> Scb.translation_not_valid
+  | Modify_fault _ -> Scb.modify_fault
+
+let fault_va = function
+  | Access_violation { va; _ } | Translation_not_valid { va; _ }
+  | Modify_fault { va } ->
+      va
+
+let fault_param f ~write =
+  let bits len pt w =
+    (if len then 1 else 0) lor (if pt then 2 else 0) lor if w || write then 4 else 0
+  in
+  match f with
+  | Access_violation { length_violation; ptbl_ref; write = w; _ } ->
+      bits length_violation ptbl_ref w
+  | Translation_not_valid { ptbl_ref; write = w; _ } -> bits false ptbl_ref w
+  | Modify_fault _ -> bits false false true
+
 type t = {
   phys : Phys_mem.t;
   tlb : Tlb.t;

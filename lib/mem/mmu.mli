@@ -37,6 +37,14 @@ type fault =
 
 val pp_fault : Format.formatter -> fault -> unit
 
+val fault_vector : fault -> Scb.vector
+val fault_va : fault -> Word.t
+
+val fault_param : fault -> write:bool -> int
+(** The fault's first frame parameter: bit 0 length violation, bit 1
+    page-table reference, bit 2 write (also set when [write]).  The
+    second is {!fault_va}. *)
+
 val create :
   ?tlb_capacity:int ->
   ?policy:modify_policy ->

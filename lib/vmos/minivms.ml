@@ -690,17 +690,17 @@ let build_pcbs ~nproc ~p0lrs =
   let b = Bytes.make (max_processes * 128) '\000' in
   for i = 0 to nproc - 1 do
     let base = i * 128 in
-    put_long b (base + 0) (sva (kstack_base + (i * 0x400) + 0x400)) (* KSP *);
-    put_long b (base + 4) (sva (estack_base + ((i + 1) * 0x200))) (* ESP *);
-    put_long b (base + 8) (sva (sstack_base + ((i + 1) * 0x200))) (* SSP *);
-    put_long b (base + 12) 0x8000_0000 (* USP: top of P1 *);
+    put_long b (base + Pcb.sp 0) (sva (kstack_base + (i * 0x400) + 0x400)) (* KSP *);
+    put_long b (base + Pcb.sp 1) (sva (estack_base + ((i + 1) * 0x200))) (* ESP *);
+    put_long b (base + Pcb.sp 2) (sva (sstack_base + ((i + 1) * 0x200))) (* SSP *);
+    put_long b (base + Pcb.sp 3) 0x8000_0000 (* USP: top of P1 *);
     (* R0-R13 zero *)
-    put_long b (base + 72) 0 (* PC: user entry *);
-    put_long b (base + 76) 0x03C0_0000 (* PSL: user/user, IPL 0 *);
-    put_long b (base + 80) (sva (p0t_base + (i * 0x400)));
-    put_long b (base + 84) (List.nth p0lrs i);
-    put_long b (base + 88) (sva (p1t_base + (i * 0x200)) - (4 * p1_first));
-    put_long b (base + 92) p1lr_value
+    put_long b (base + Pcb.pc) 0 (* user entry *);
+    put_long b (base + Pcb.psl) 0x03C0_0000 (* user/user, IPL 0 *);
+    put_long b (base + Pcb.p0br) (sva (p0t_base + (i * 0x400)));
+    put_long b (base + Pcb.p0lr) (List.nth p0lrs i);
+    put_long b (base + Pcb.p1br) (sva (p1t_base + (i * 0x200)) - (4 * p1_first));
+    put_long b (base + Pcb.p1lr) p1lr_value
   done;
   b
 

@@ -165,6 +165,110 @@ let addr_tests =
 
 (* --- Opcode --------------------------------------------------------- *)
 
+(* The sensitivity attribute against the paper's Table 1 and against
+   what the modified CPU does with each opcode when PSL<VM> is set, from
+   virtual kernel and from virtual user mode: no trap, the
+   privileged-instruction fault, or the VM-emulation trap.  A PROBE is
+   run against a page whose PTE is valid and against one whose PTE is
+   not: only the second traps. *)
+let table1_sensitive_unprivileged =
+  Opcode.[ Chmk; Chme; Chms; Chmu; Rei; Movpsl; Prober; Probew ]
+
+let table1_privileged =
+  Opcode.[ Halt; Ldpctx; Svpctx; Mtpr; Mfpr; Probevmr; Probevmw; Wait ]
+
+let valid_page = 0x8000_0000 + (30 * 512)
+let invalid_page = 0x8000_0000 + (40 * 512)
+
+let vm_step_outcome op ~vmode ~probe_va =
+  let open Vax_cpu in
+  let cpu = Cpu.create ~variant:Variant.Virtualizing ~engine:Exec.Stepper () in
+  let st = cpu.Cpu.state in
+  (* an identity SPT at 0x4000, doubling as the P0 table; S page 40 is
+     invalid *)
+  for vpn = 0 to 63 do
+    Vax_mem.Phys_mem.write_long cpu.Cpu.phys (0x4000 + (4 * vpn))
+      (Pte.make ~valid:(vpn <> 40) ~modify:true ~prot:Protection.UW ~pfn:vpn ())
+  done;
+  let mmu = cpu.Cpu.mmu in
+  Vax_mem.Mmu.set_sbr mmu 0x4000;
+  Vax_mem.Mmu.set_slr mmu 64;
+  Vax_mem.Mmu.set_p0br mmu 0x8000_4000;
+  Vax_mem.Mmu.set_p0lr mmu 64;
+  Vax_mem.Mmu.set_mapen mmu true;
+  let a = Vax_asm.Asm.create ~origin:0x1000 in
+  let operand (access, _) =
+    match access with
+    | Opcode.Read -> Vax_asm.Asm.R 1
+    | Opcode.Write | Opcode.Modify -> Vax_asm.Asm.R 2
+    | Opcode.Address -> Vax_asm.Asm.Abs probe_va
+    | Opcode.Branch_byte | Opcode.Branch_word -> Vax_asm.Asm.Branch "next"
+  in
+  Vax_asm.Asm.ins a op (List.map operand (Opcode.operands op));
+  Vax_asm.Asm.label a "next";
+  Vax_asm.Asm.ins a Opcode.Halt [];
+  Cpu.load cpu 0x1000 (Vax_asm.Asm.assemble a).Vax_asm.Asm.code;
+  Array.fill st.State.sp_bank 0 5 0x3000;
+  let ring = Vax_vmm.Ring.compress_mode vmode in
+  st.State.psl <- Psl.with_vm (Psl.with_prv (Psl.with_cur 0 ring) ring) true;
+  st.State.vmpsl <- Psl.with_prv (Psl.with_cur 0 vmode) vmode;
+  State.set_sp st 0x3000;
+  State.set_pc st 0x1000;
+  let kinds = ref [] in
+  st.State.trap_observer <- Some (fun k _ -> kinds := k :: !kinds);
+  ignore (Cpu.step cpu : Exec.status);
+  if List.mem State.Trap_vm_emulation !kinds then "VM-emulation trap"
+  else if List.mem State.Trap_privileged !kinds then "privileged fault"
+  else "no trap"
+
+let test_sensitivity_matches_cpu () =
+  List.iter
+    (fun op ->
+      let s = Opcode.sensitivity op in
+      let cls =
+        match s with
+        | Opcode.Innocuous -> `Innocuous
+        | Opcode.Privileged -> `Privileged
+        | Opcode.Traps_in_vm | Opcode.Composed_in_vm | Opcode.Traps_on_condition
+          ->
+            `Sensitive_unprivileged
+      in
+      let table1 =
+        if List.mem op table1_privileged then `Privileged
+        else if List.mem op table1_sensitive_unprivileged then
+          `Sensitive_unprivileged
+        else `Innocuous
+      in
+      Alcotest.(check bool) (Opcode.name op ^ " Table 1 class") true (cls = table1);
+      List.iter
+        (fun (vmode, probe_va, expected) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s from VM-%s%s" (Opcode.name op) (Mode.name vmode)
+               (if probe_va = invalid_page then ", invalid PTE" else ""))
+            expected
+            (vm_step_outcome op ~vmode ~probe_va))
+        (match s with
+        | Opcode.Innocuous | Opcode.Composed_in_vm ->
+            [ (Mode.Kernel, valid_page, "no trap"); (Mode.User, valid_page, "no trap") ]
+        | Opcode.Privileged ->
+            [
+              (Mode.Kernel, valid_page, "VM-emulation trap");
+              (Mode.User, valid_page, "privileged fault");
+            ]
+        | Opcode.Traps_in_vm ->
+            [
+              (Mode.Kernel, valid_page, "VM-emulation trap");
+              (Mode.User, valid_page, "VM-emulation trap");
+            ]
+        | Opcode.Traps_on_condition ->
+            [
+              (Mode.Kernel, valid_page, "no trap");
+              (Mode.User, valid_page, "no trap");
+              (Mode.Kernel, invalid_page, "VM-emulation trap");
+              (Mode.User, invalid_page, "VM-emulation trap");
+            ]))
+    Opcode.all
+
 let opcode_tests =
   [
     Alcotest.test_case "encodings decode back" `Quick (fun () ->
@@ -181,17 +285,7 @@ let opcode_tests =
               (match decoded with Some o -> Opcode.name o | None -> "?"))
           Opcode.all);
     Alcotest.test_case "sensitive unprivileged set matches the paper" `Quick
-      (fun () ->
-        (* CHM, REI, MOVPSL, PROBE are NOT privileged (Table 1);
-           HALT/LDPCTX/SVPCTX/MTPR/MFPR are; so are the extensions. *)
-        let open Opcode in
-        List.iter
-          (fun op ->
-            Alcotest.(check bool) (name op) false (privileged op))
-          [ Chmk; Chme; Chms; Chmu; Rei; Movpsl; Prober; Probew ];
-        List.iter
-          (fun op -> Alcotest.(check bool) (name op) true (privileged op))
-          [ Halt; Ldpctx; Svpctx; Mtpr; Mfpr; Probevmr; Probevmw; Wait ]);
+      test_sensitivity_matches_cpu;
     Alcotest.test_case "SCB vector names" `Quick (fun () ->
         Alcotest.(check string) "vm" "VM emulation" (Scb.name Scb.vm_emulation);
         Alcotest.(check string) "mf" "modify fault" (Scb.name Scb.modify_fault));

@@ -254,8 +254,10 @@ let test_ldpctx_svpctx_roundtrip () =
         Asm.ins a Opcode.Mtpr [ Asm.Imm 0x8000; Asm.Imm (Ipr.to_int Ipr.SCBB) ];
         Asm.ins a Opcode.Moval [ Asm.Abs_label "chmk_h"; Asm.R 0 ];
         Asm.ins a Opcode.Movl [ Asm.R 0; Asm.Abs (0x8000 + Scb.chmk) ];
-        (* PCB at 0x6000: KSP=0x2800 USP=0x3000 R5=0x55 PC=proc PSL=user *)
+        (* PCB at 0x6000: KSP=0x2800 USP=0x3000 R5=0x55 PC=proc PSL=user,
+           and a P0BR in S space, which LDPCTX requires as MTPR does *)
         Asm.ins a Opcode.Movl [ Asm.Imm 0x2800; Asm.Abs 0x6000 ];
+        Asm.ins a Opcode.Movl [ Asm.Imm 0x8000_0000; Asm.Abs (0x6000 + Pcb.p0br) ];
         Asm.ins a Opcode.Movl [ Asm.Imm 0x3000; Asm.Abs 0x600C ];
         Asm.ins a Opcode.Movl [ Asm.Imm 0x55; Asm.Abs (0x6000 + 16 + 20) ];
         Asm.ins a Opcode.Moval [ Asm.Abs_label "proc"; Asm.R 1 ];

@@ -805,6 +805,43 @@ let test_disk_dma_stays_in_vm () =
     (Vmm.vm_phys_read_long vmm a (top - 4));
   check_int "b still untouched" 0xCDCDCDCD (Vmm.vm_phys_read_long vmm b 0x10)
 
+(* The emulated MMIO disk reports a refused transfer as the real disk
+   does: DONE with ERROR (CSR bit 5) latched, and no data moved.  A
+   buffer that ends exactly at the top of VM memory still transfers. *)
+let mmio_disk_read ~buf =
+  let _, vmm, vm, _ =
+    boot_guest ~io_mode:Vm.Mmio_io ~memory_pages:64 (fun a ->
+        Vax_workloads.Conformance.emit_spt_and_mapen a
+          ~test_pte:
+            (Pte.make ~valid:true ~modify:true ~prot:Protection.KW
+               ~pfn:Shadow.vm_io_base_pfn ());
+        let csr = 0x8000_0000 in
+        Asm.ins a Opcode.Movl [ Asm.Imm 0; Asm.Abs (csr + 4) ];
+        Asm.ins a Opcode.Movl [ Asm.Imm buf; Asm.Abs (csr + 8) ];
+        Asm.ins a Opcode.Movl [ Asm.Imm 1; Asm.Abs csr ];
+        Asm.label a "wait";
+        Asm.ins a Opcode.Movl [ Asm.Abs csr; Asm.R 4 ];
+        Asm.ins a Opcode.Bicl3
+          [ Asm.Imm (Word.lognot Disk.bit_done); Asm.R 4; Asm.R 3 ];
+        Asm.ins a Opcode.Beql [ Asm.Branch "wait" ];
+        Asm.ins a Opcode.Halt [])
+  in
+  Vmm.load_vm_disk vmm vm 0 (Bytes.make 512 '\xAB');
+  ignore (run_vmm vmm);
+  halted_ok vm;
+  (vmm, vm, vm.Vm.saved_regs.(4))
+
+let test_mmio_disk_refusal () =
+  let top = 64 * 512 in
+  let vmm, vm, csr = mmio_disk_read ~buf:(top - 4) in
+  check_bool "refused read: ERROR set" true (csr land Disk.bit_error <> 0);
+  check_int "refused read: memory untouched" 0
+    (Vmm.vm_phys_read_long vmm vm (top - 4));
+  let vmm, vm, csr = mmio_disk_read ~buf:(top - 512) in
+  check_bool "good read: ERROR clear" true (csr land Disk.bit_error = 0);
+  check_int "good read: block transferred" 0xABABABAB
+    (Vmm.vm_phys_read_long vmm vm (top - 4))
+
 let () =
   Alcotest.run "vax_vmm"
     [
@@ -839,6 +876,8 @@ let () =
             test_rejected_ldpctx_reflects;
           Alcotest.test_case "disk DMA stays inside its VM" `Quick
             test_disk_dma_stays_in_vm;
+          Alcotest.test_case "MMIO disk reports a refused transfer" `Quick
+            test_mmio_disk_refusal;
           no_escape_prop;
         ] );
       ( "shadow",
