@@ -552,13 +552,15 @@ let start_vm_disk_io t (vm : Vm.t) ~write ~vm_block ~vm_buf ~on_done =
   if vm_block < 0 || vm_block >= vm.Vm.disk_blocks || pa < 0 then on_done 2
   else
     Disk.submit t.m.Machine.disk ~write ~block:(vm.Vm.disk_base + vm_block)
-      ~phys_addr:pa ~on_complete:(fun () ->
+      ~phys_addr:pa ~on_complete:(fun ok ->
         let was = Cycles.in_monitor (clock t) in
         Cycles.set_in_monitor (clock t) true;
-        on_done 1;
+        on_done (if ok then 1 else 4);
         Cycles.set_in_monitor (clock t) was)
 
-(* The KCALL packet is four longwords: function, block, buffer, status. *)
+(* The KCALL packet is four longwords: function, block, buffer, status.
+   Status 1 is done, 2 a bad block or buffer, 3 an unknown function and
+   4 a device error. *)
 let kcall t (vm : Vm.t) packet_vmpa =
   charge t (4 * Cost.vmm_guest_mem);
   let pa = Shadow.vm_phys_addr vm packet_vmpa ~len:16 in

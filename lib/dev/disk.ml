@@ -82,13 +82,13 @@ let submit t ~write ~block ~phys_addr ~on_complete =
       Sched.after t.sched ~delay:Cost.device_io_latency_cycles (fun () ->
           t.ios <- t.ios + 1;
           trace_io t ~write ~block;
-          on_complete ())
+          on_complete false)
   | None ->
       Sched.after t.sched ~delay:Cost.device_io_latency_cycles (fun () ->
           transfer t ~write ~block ~phys_addr;
           t.ios <- t.ios + 1;
           trace_io t ~write ~block;
-          on_complete ())
+          on_complete true)
 
 let start_mmio t ~write =
   t.csr <- t.csr lor bit_busy;

@@ -46,11 +46,13 @@ val submit :
   write:bool ->
   block:int ->
   phys_addr:Word.t ->
-  on_complete:(unit -> unit) ->
+  on_complete:(bool -> unit) ->
   unit
 (** Queue a transfer between the block and physical memory with the
-    device's latency; [on_complete] fires at completion time (the VMM
-    uses it to post a virtual interrupt).  No real interrupt is raised. *)
+    device's latency; [on_complete ok] fires at completion time (the VMM
+    uses it to post a virtual interrupt).  [ok] is false when the
+    transfer failed with the error a real controller latches in CSR bit 5
+    (see {!arm_fault}): no data moved.  No real interrupt is raised. *)
 
 val io_count : t -> int
 (** Transfers completed. *)

@@ -17,12 +17,14 @@ let build f origin =
   f a;
   Asm.assemble a
 
-let make_vmm ?config () =
-  let m = Machine.create ~variant:Variant.Virtualizing ~memory_pages:4096 () in
+let make_vmm ?config ?inject () =
+  let m =
+    Machine.create ~variant:Variant.Virtualizing ~memory_pages:4096 ?inject ()
+  in
   (m, Vmm.create ?config m)
 
-let boot_guest ?config ?io_mode ?(memory_pages = 256) f =
-  let m, vmm = make_vmm ?config () in
+let boot_guest ?config ?inject ?io_mode ?(memory_pages = 256) f =
+  let m, vmm = make_vmm ?config ?inject () in
   let img = build f 0x200 in
   let vm =
     Vmm.add_vm vmm ~name:"guest" ~memory_pages ~disk_blocks:16 ?io_mode
@@ -752,8 +754,8 @@ let no_escape_prop =
    memory must not reach VM b, whose memory lies just above: status 2,
    and neither VM's memory nor a's disk changes.  A buffer that ends
    exactly at the top still transfers. *)
-let kcall_dma ~fn ~block ~buf =
-  let _, vmm = make_vmm () in
+let kcall_dma ?inject ~fn ~block ~buf () =
+  let _, vmm = make_vmm ?inject () in
   let guest =
     build
       (fun a ->
@@ -789,28 +791,55 @@ let kcall_dma ~fn ~block ~buf =
 let test_disk_dma_stays_in_vm () =
   let top = 64 * 512 in
   (* read: block 0 (all ^xAB) into a buffer 4 bytes below the top *)
-  let vmm, a, b = kcall_dma ~fn:1 ~block:0 ~buf:(top - 4) in
+  let vmm, a, b = kcall_dma ~fn:1 ~block:0 ~buf:(top - 4) () in
   check_int "read overrun refused" 2 a.Vm.saved_regs.(0);
   check_int "b's memory untouched" 0xCDCDCDCD (Vmm.vm_phys_read_long vmm b 0x10);
   check_int "a's last longword untouched" 0 (Vmm.vm_phys_read_long vmm a (top - 4));
   (* write: block 1 from the same buffer would carry b's memory out *)
-  let vmm, a, _ = kcall_dma ~fn:2 ~block:1 ~buf:(top - 4) in
+  let vmm, a, _ = kcall_dma ~fn:2 ~block:1 ~buf:(top - 4) () in
   check_int "write overrun refused" 2 a.Vm.saved_regs.(0);
   check_bool "a's disk untouched" true
     (Bytes.equal (Vmm.read_vm_disk vmm a 1) (Bytes.make 512 '\x00'));
   (* a buffer ending exactly at the top is whole *)
-  let vmm, a, b = kcall_dma ~fn:1 ~block:0 ~buf:(top - 512) in
+  let vmm, a, b = kcall_dma ~fn:1 ~block:0 ~buf:(top - 512) () in
   check_int "top buffer transferred" 1 a.Vm.saved_regs.(0);
   check_int "top buffer holds the block" 0xABABABAB
     (Vmm.vm_phys_read_long vmm a (top - 4));
   check_int "b still untouched" 0xCDCDCDCD (Vmm.vm_phys_read_long vmm b 0x10)
 
-(* The emulated MMIO disk reports a refused transfer as the real disk
-   does: DONE with ERROR (CSR bit 5) latched, and no data moved.  A
-   buffer that ends exactly at the top of VM memory still transfers. *)
-let mmio_disk_read ~buf =
+(* A KCALL transfer the disk fails (an injected [Disk_error] on the first
+   disk operation) completes, but not with status 1, and moves nothing. *)
+let first_disk_op_fails () =
+  Vax_fault.Engine.create
+    {
+      Vax_fault.Fault_plan.name = "first-disk-op-fails";
+      entries =
+        [
+          {
+            Vax_fault.Fault_plan.label = "first op";
+            trigger = Vax_fault.Fault_plan.Device_op { k = 1 };
+            action = Vax_fault.Fault_plan.Disk_error;
+          };
+        ];
+    }
+
+let test_kcall_disk_error () =
+  let buf = 0x2000 in
+  let vmm, a, _ =
+    kcall_dma ~inject:(first_disk_op_fails ()) ~fn:1 ~block:0 ~buf ()
+  in
+  check_bool "failed read: status is not 1" true (a.Vm.saved_regs.(0) <> 1);
+  check_int "failed read: buffer untouched" 0 (Vmm.vm_phys_read_long vmm a buf);
+  check_int "failed read: disk.ios" 1
+    (Disk.io_count (Vmm.machine vmm).Machine.disk)
+
+(* The emulated MMIO disk reports a refused or failed transfer as the
+   real disk does: DONE with ERROR (CSR bit 5) latched, and no data
+   moved.  A buffer that ends exactly at the top of VM memory still
+   transfers. *)
+let mmio_disk_read ?inject ~buf () =
   let _, vmm, vm, _ =
-    boot_guest ~io_mode:Vm.Mmio_io ~memory_pages:64 (fun a ->
+    boot_guest ?inject ~io_mode:Vm.Mmio_io ~memory_pages:64 (fun a ->
         Vax_workloads.Conformance.emit_spt_and_mapen a
           ~test_pte:
             (Pte.make ~valid:true ~modify:true ~prot:Protection.KW
@@ -833,11 +862,17 @@ let mmio_disk_read ~buf =
 
 let test_mmio_disk_refusal () =
   let top = 64 * 512 in
-  let vmm, vm, csr = mmio_disk_read ~buf:(top - 4) in
+  let vmm, vm, csr = mmio_disk_read ~buf:(top - 4) () in
   check_bool "refused read: ERROR set" true (csr land Disk.bit_error <> 0);
   check_int "refused read: memory untouched" 0
     (Vmm.vm_phys_read_long vmm vm (top - 4));
-  let vmm, vm, csr = mmio_disk_read ~buf:(top - 512) in
+  let vmm, vm, csr =
+    mmio_disk_read ~inject:(first_disk_op_fails ()) ~buf:(top - 512) ()
+  in
+  check_bool "failed read: ERROR set" true (csr land Disk.bit_error <> 0);
+  check_int "failed read: memory untouched" 0
+    (Vmm.vm_phys_read_long vmm vm (top - 4));
+  let vmm, vm, csr = mmio_disk_read ~buf:(top - 512) () in
   check_bool "good read: ERROR clear" true (csr land Disk.bit_error = 0);
   check_int "good read: block transferred" 0xABABABAB
     (Vmm.vm_phys_read_long vmm vm (top - 4))
@@ -876,6 +911,8 @@ let () =
             test_rejected_ldpctx_reflects;
           Alcotest.test_case "disk DMA stays inside its VM" `Quick
             test_disk_dma_stays_in_vm;
+          Alcotest.test_case "KCALL reports a failed transfer" `Quick
+            test_kcall_disk_error;
           Alcotest.test_case "MMIO disk reports a refused transfer" `Quick
             test_mmio_disk_refusal;
           no_escape_prop;
